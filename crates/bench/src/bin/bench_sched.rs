@@ -30,10 +30,9 @@
 //! `--quick` reduces repetitions for CI smoke runs (still covering every
 //! size, including P = 65536 and class E); the JSON is written either way.
 
+use pt_bench::measure::{self, juropa_p};
 use pt_cost::CostModel;
-use pt_machine::platforms;
 use serde::Serialize;
-use std::time::Instant;
 
 const CORE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -72,38 +71,16 @@ struct Report {
     results: Vec<Entry>,
 }
 
-/// JUROPA widened to exactly `p` cores (beyond 17664 this is a
-/// hypothetical scale-out of the same node architecture).
-fn juropa_p(p: usize) -> pt_machine::ClusterSpec {
-    let cpn = 8;
-    assert!(p.is_multiple_of(cpn));
-    platforms::juropa().with_nodes(p / cpn)
-}
-
 /// `(median, min)` per-schedule construction time in milliseconds over
-/// `reps` samples of `batch` back-to-back runs each.  Microsecond-scale
-/// graphs need `batch > 1`: a single 30 µs run is dominated by timer and
-/// scheduling jitter, so even the min over many one-run samples wobbles
-/// past a 1.0× gate; averaging inside each sample amortises that noise
-/// while the min across samples still rejects one-sided container load.
+/// `reps` samples of `batch` back-to-back runs each (see
+/// [`measure::median_min_ms`]).
 fn time_schedule(graph: &pt_mtask::TaskGraph, p: usize, reps: usize, batch: usize) -> (f64, f64) {
     let spec = juropa_p(p);
     let model = CostModel::new(&spec);
     let sched = pt_core::LayerScheduler::new(&model);
-    // Warm-up run (also validates the schedule shape).
-    let warm = sched.schedule(graph);
-    assert!(warm.validate().is_ok(), "invalid schedule for P = {p}");
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(sched.schedule(graph));
-            }
-            t0.elapsed().as_secs_f64() * 1e3 / batch as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[reps / 2], times[0])
+    let schedule = sched.schedule(graph);
+    assert!(schedule.validate().is_ok(), "invalid schedule for P = {p}");
+    measure::median_min_ms(reps, batch, || sched.schedule(graph))
 }
 
 fn main() {
@@ -172,25 +149,11 @@ fn main() {
     }
 
     // The two baseline-anchored gates have tight margins (15–25 % over the
-    // calm-container cost), and the shared container sees multi-second load
-    // bursts that inflate *every* sample of one run.  A failing measurement
-    // is therefore retried in later time windows with a backoff before the
-    // gate really fails: a regression fails all attempts, a tenant burst
-    // does not.  The recorded entries keep the first measurement.
-    let remeasure = |graph: &pt_mtask::TaskGraph, p: usize, reps, batch, limit_ms: f64| {
-        let mut best = f64::INFINITY;
-        for attempt in 0..4 {
-            if attempt > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(750));
-            }
-            let (_, min) = time_schedule(graph, p, reps, batch);
-            best = best.min(min);
-            if best <= limit_ms {
-                break;
-            }
-            println!("  gate retry {attempt}: min {best:.4} ms still over {limit_ms:.4} ms");
-        }
-        best
+    // calm-container cost), so a failing measurement is retried in later
+    // time windows before the gate really fails.  The recorded entries
+    // keep the first measurement.
+    let remeasure = |graph: &pt_mtask::TaskGraph, p: usize, reps, batch, min_ms, limit_ms| {
+        measure::retry_in_later_windows(min_ms, limit_ms, || time_schedule(graph, p, reps, batch).1)
     };
 
     // Gate: the scheduler hot path is instrumented (pt-obs spans), but with
@@ -201,11 +164,7 @@ fn main() {
         .iter()
         .find(|e| e.graph == "bt_mz_c" && e.cores == 4096)
         .expect("bt_mz_c at P=4096 is always benchmarked");
-    let best = if gate.min_ms <= 5.0 {
-        gate.min_ms
-    } else {
-        remeasure(&bt, 4096, bt_reps, 1, 5.0)
-    };
+    let best = remeasure(&bt, 4096, bt_reps, 1, gate.min_ms, 5.0);
     assert!(
         best <= 5.0,
         "recorder-off schedule construction regressed: bt_mz_c P=4096 took \
@@ -220,11 +179,7 @@ fn main() {
             .iter()
             .find(|e| e.graph == "epol_r8" && e.cores == p)
             .expect("epol_r8 is benchmarked at every anchored core count");
-        let best = if e.min_ms <= BASELINE_EPOL_MS[i] {
-            e.min_ms
-        } else {
-            remeasure(&epol, p, epol_reps, 8, BASELINE_EPOL_MS[i])
-        };
+        let best = remeasure(&epol, p, epol_reps, 8, e.min_ms, BASELINE_EPOL_MS[i]);
         assert!(
             best <= BASELINE_EPOL_MS[i],
             "small-graph cheap path regressed: epol_r8 P={p} at {best:.4} ms \

@@ -22,10 +22,10 @@
 //! `--quick` shrinks repetitions for CI smoke runs; gates run either way;
 //! the JSON is only written by full runs.
 
-use pt_cost::CostModel;
 use pt_exec::DataStore;
 use pt_machine::platforms;
 use pt_ode::{Bruss2d, Epol, Irk, OdeSystem};
+use pt_serve::{SchedService, ServeConfig};
 use pt_tenant::{
     poisson_mixed, run_scenario, trace_jobs, AdmissionOracle, JobSpec, Policy, ScenarioReport,
     TenantExecutor, TenantJob, TenantSimConfig, WorkloadKind,
@@ -88,10 +88,14 @@ fn row(r: &ScenarioReport) -> PolicyRow {
 }
 
 /// Run one scenario under all three policies and gate malleable vs FCFS.
-fn scenario(name: &'static str, nodes: usize, jobs: &[JobSpec]) -> ScenarioEntry {
-    let spec = platforms::chic().with_nodes(nodes);
-    let model = CostModel::new(&spec);
-    let oracle = AdmissionOracle::new(&model);
+fn scenario(
+    service: &SchedService,
+    name: &'static str,
+    nodes: usize,
+    jobs: &[JobSpec],
+) -> ScenarioEntry {
+    let spec = Arc::new(platforms::chic().with_nodes(nodes));
+    let oracle = AdmissionOracle::new(service, spec.clone());
     let cfg = TenantSimConfig::default();
     let fcfs = run_scenario(&oracle, jobs, Policy::FcfsExclusive, &cfg);
     let equi = run_scenario(&oracle, jobs, Policy::Equi, &cfg);
@@ -248,10 +252,11 @@ fn main() {
         trace_jobs(&entries)
     };
 
+    let service = SchedService::new(ServeConfig::default());
     let scenarios = vec![
-        scenario("poisson_p16", 4, &poisson_16),
-        scenario("poisson_p64", 16, &poisson_64),
-        scenario("burst_p16", 4, &burst),
+        scenario(&service, "poisson_p16", 4, &poisson_16),
+        scenario(&service, "poisson_p64", 16, &poisson_64),
+        scenario(&service, "burst_p16", 4, &burst),
     ];
     let timeshare = timeshare(quick);
 

@@ -19,6 +19,8 @@ use pt_bench::{cases, table};
 use pt_core::MappingStrategy;
 use pt_machine::platforms;
 use pt_ode::{Epol, Pabm};
+use pt_serve::ScheduleRequest;
+use std::sync::Arc;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -79,8 +81,9 @@ fn main() {
 
     if let Some(path) = pt_bench::arg_value("--trace") {
         let p = *cores.last().expect("core grid is never empty");
-        pt_bench::pipeline::write_trace(&graph, &chic, p, mapping, &path)
-            .expect("write --trace output");
+        let machine = Arc::new(chic.with_cores(p));
+        let request = ScheduleRequest::new(Arc::new(graph), machine, mapping);
+        pt_serve::write_trace(&request, &path).expect("write --trace output");
         println!("\nwrote chrome trace of EPOL R=8 at {p} cores to {path}");
     }
 }

@@ -21,6 +21,8 @@ use pt_core::MappingStrategy;
 use pt_machine::{platforms, ClusterSpec};
 use pt_mtask::TaskGraph;
 use pt_ode::{Pab, Pabm};
+use pt_serve::ScheduleRequest;
+use std::sync::Arc;
 
 fn mapping_rows(
     graph: &TaskGraph,
@@ -111,8 +113,9 @@ fn main() {
 
     if let Some(path) = pt_bench::arg_value("--trace") {
         let p = *cores.last().expect("core grid is never empty");
-        pt_bench::pipeline::write_trace(&graph, &juropa, p, MappingStrategy::Consecutive, &path)
-            .expect("write --trace output");
+        let machine = Arc::new(juropa.with_cores(p));
+        let request = ScheduleRequest::new(Arc::new(graph), machine, MappingStrategy::Consecutive);
+        pt_serve::write_trace(&request, &path).expect("write --trace output");
         println!("\nwrote chrome trace of PABM K=8 at {p} JuRoPA cores to {path}");
     }
 }

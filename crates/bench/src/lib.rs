@@ -1,6 +1,6 @@
 //! Shared helpers for the figure/table harness binaries
-//! (`cargo run -p pt-bench --release --bin <figN>`) and the Criterion
-//! benches.
+//! (`cargo run -p pt-bench --release --bin <figN>`) and the benchmark
+//! gates.
 //!
 //! The central entry point is [`pipeline::time_per_step`]: graph →
 //! schedule → map → simulate, returning the simulated seconds per time
@@ -100,35 +100,6 @@ pub mod pipeline {
     pub fn sequential_step(graph: &TaskGraph, machine: &ClusterSpec, steps: usize) -> f64 {
         machine.compute_time(graph.total_work()) / steps as f64
     }
-
-    /// Write a Chrome-trace JSON of one layer-scheduled pipeline
-    /// configuration to `path`: the scheduler's phase spans (g-sweep, LPT)
-    /// plus the simulated node×core timeline under `mapping` — the
-    /// drill-down companion to the aggregate tables the figure binaries
-    /// print.  Open the file at <https://ui.perfetto.dev>.
-    pub fn write_trace(
-        graph: &TaskGraph,
-        machine: &ClusterSpec,
-        cores: usize,
-        mapping: MappingStrategy,
-        path: &str,
-    ) -> Result<(), String> {
-        let spec = machine.with_cores(cores);
-        let model = CostModel::new(&spec);
-        let recorder = std::sync::Arc::new(pt_obs::TraceRecorder::new(1));
-        let scheduler = LayerScheduler::new(&model).with_recorder(recorder.clone());
-        let sched = scheduler.schedule(graph);
-        drop(scheduler); // releases its recorder handle
-        let map = mapping.mapping(&spec, cores);
-        let report = Simulator::new(&model).simulate_layered(graph, &sched, &map);
-        let mut trace = pt_sim::chrome_trace(graph, &sched, &report, &map, &spec);
-        trace.name_process(pt_core::two_level::SCHED_PID, "scheduler");
-        trace.name_thread(pt_core::two_level::SCHED_PID, 0, "phases");
-        let mut recorder =
-            std::sync::Arc::try_unwrap(recorder).expect("scheduler released its recorder handle");
-        trace.extend(recorder.drain());
-        std::fs::write(path, trace.to_json()).map_err(|e| format!("{path}: {e}"))
-    }
 }
 
 /// The value following `name` on the command line (`--trace PATH` style),
@@ -141,6 +112,66 @@ pub fn arg_value(name: &str) -> Option<String> {
         }
     }
     None
+}
+
+pub mod measure {
+    //! Timing shared by the `bench_sched` and `bench_sim` gates: min and
+    //! median over repeated samples, and retries in later time windows.
+
+    use pt_machine::{platforms, ClusterSpec};
+    use std::time::{Duration, Instant};
+
+    /// JUROPA widened to exactly `p` cores (beyond 17664 this is a
+    /// hypothetical scale-out of the same node architecture).
+    pub fn juropa_p(p: usize) -> ClusterSpec {
+        let cpn = 8;
+        assert!(p.is_multiple_of(cpn));
+        platforms::juropa().with_nodes(p / cpn)
+    }
+
+    /// `(median, min)` milliseconds per call of `f`, over `reps` samples
+    /// of `batch` back-to-back calls each, after one untimed warm-up call.
+    /// Microsecond-scale work needs `batch > 1`: a single 30 µs call is
+    /// dominated by timer and scheduling jitter, so even the min over many
+    /// one-call samples wobbles past a 1.0× gate; averaging inside each
+    /// sample amortises that noise while the min across samples still
+    /// rejects one-sided container load.
+    pub fn median_min_ms<T>(reps: usize, batch: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+        std::hint::black_box(f());
+        let mut times: Vec<f64> = (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..batch {
+                    std::hint::black_box(f());
+                }
+                t0.elapsed().as_secs_f64() * 1e3 / batch as f64
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        (times[reps / 2], times[0])
+    }
+
+    /// The best of `min_ms` and up to four re-measurements, each taken
+    /// after a 750 ms pause, stopping once the best is within `limit_ms`.
+    /// The shared container sees multi-second load bursts that inflate
+    /// every sample of one run: a regression fails all attempts, a tenant
+    /// burst does not.
+    pub fn retry_in_later_windows(
+        min_ms: f64,
+        limit_ms: f64,
+        mut remeasure: impl FnMut() -> f64,
+    ) -> f64 {
+        let mut best = min_ms;
+        for attempt in 0..4 {
+            if best <= limit_ms {
+                break;
+            }
+            println!("  gate retry {attempt}: min {best:.4} ms still over {limit_ms:.4} ms");
+            std::thread::sleep(Duration::from_millis(750));
+            best = best.min(remeasure());
+        }
+        best
+    }
 }
 
 pub mod zero_cost {

@@ -48,7 +48,7 @@ enum Kind {
 /// machines (`ClusterSpec` equality) and index it with the task ids of
 /// structurally equal graphs: the cached values are pure in
 /// `(spec, task, q)`, so rebinding to a different machine would serve stale
-/// costs.  Callers key shared stores by a (graph, machine, P) signature and
+/// costs.  Callers key shared stores by a (graph, machine) signature and
 /// verify equality before reuse.
 #[derive(Debug)]
 pub struct TableStore {

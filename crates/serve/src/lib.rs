@@ -1,7 +1,8 @@
 //! # pt-serve — scheduler-as-a-service
 //!
-//! The one-shot pipeline (`ptsched` CLI, `pt-core`) prices every run from a
-//! cold [`CostTable`](pt_cost::CostTable).  This crate turns the scheduler
+//! [`pipeline::plan`] is the one path from a [`ScheduleRequest`] to a
+//! schedule and its simulated makespan; the `ptsched` one-shot runs it
+//! from a cold [`TableStore`](pt_cost::TableStore).  This crate turns it
 //! into a long-running, multi-threaded *service* that amortizes that work
 //! across requests:
 //!
@@ -16,8 +17,8 @@
 //!   key.
 //! * **Sharded warm cost tables** ([`service::SchedService`]) — requests
 //!   route to a fixed worker by their *table signature* (graph × machine ×
-//!   P × contraction), so a hot graph's memoized cost columns stay warm on
-//!   one worker across requests and across g-policies.
+//!   contraction), so a hot graph's memoized cost columns stay warm on one
+//!   worker across requests, g-policies and core counts `P`.
 //!
 //! ```no_run
 //! use pt_serve::{SchedService, ServeConfig, ScheduleRequest};
@@ -40,9 +41,11 @@
 
 pub mod cache;
 pub mod key;
+pub mod pipeline;
 pub mod service;
 
 pub use key::{GPolicy, ScheduleRequest, Signature};
+pub use pipeline::{plan, table_store, write_trace, Plan};
 pub use service::{
     CacheStatus, SchedService, ScheduleReply, ServeConfig, ServeError, StatsSnapshot,
 };

@@ -8,10 +8,10 @@ use std::sync::Arc;
 /// time, malleable between `min_width` and the whole machine.
 ///
 /// The graph is shared by `Arc` on purpose: jobs built from the same
-/// workload template point at the *same* graph, so the admission oracle's
-/// warm cost tables and memoized running-time curve are reused across every
-/// job of that kind (a mixed Poisson stream has a handful of kinds and many
-/// jobs).
+/// workload template point at the *same* graph, so the scheduling service
+/// verifies their width probes by pointer equality, and every job of that
+/// kind reuses the cached running-time curve and warm cost tables (a mixed
+/// Poisson stream has a handful of kinds and many jobs).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Stream-unique id (assigned by the arrival generator / caller).
@@ -46,11 +46,5 @@ impl JobSpec {
         assert!(w >= 1, "min_width must be at least 1");
         self.min_width = w;
         self
-    }
-
-    /// Key identifying the job's graph for oracle caching: jobs sharing a
-    /// graph `Arc` share warm cost tables and the memoized T(w) curve.
-    pub fn graph_key(&self) -> usize {
-        Arc::as_ptr(&self.graph) as *const () as usize
     }
 }

@@ -12,10 +12,10 @@
 //! Components:
 //!
 //! * [`JobSpec`] — a job: graph + arrival + malleable floor.
-//! * [`AdmissionOracle`] — predicted T(job, width) through the paper's own
-//!   pipeline (layer scheduler → mapping → simulator), slack-widened by
-//!   the pt-obs reconciliation error, with warm cost tables shared across
-//!   allotments and jobs of the same kind.
+//! * [`AdmissionOracle`] — predicted T(job, width) as a
+//!   [`pt_serve::SchedService`] request at `total_cores = width`, so width
+//!   probes share the service's schedule cache and warm cost tables with
+//!   every other request on the same machine.
 //! * [`Policy`] — FCFS-exclusive and equipartition baselines, and the
 //!   malleable floors-plus-water-filling policy.
 //! * [`run_scenario`] — deterministic event-driven scenario simulation

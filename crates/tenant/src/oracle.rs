@@ -1,134 +1,57 @@
 //! The admission / sizing oracle: predicted running time T(w) of a job on
-//! a `w`-core allotment, computed by the paper's own pipeline — layer
-//! scheduler → consecutive mapping → simulator — and widened by the
-//! observed prediction error (pt-obs reconciliation slack), so admission
-//! promises hold to the extent the cost model has been validated.
+//! a `w`-core allotment, answered by the scheduling service.
 //!
-//! Cost tables are warm across allotments: one [`TableStore`] per distinct
-//! graph, sized to the whole machine, serves every width the policies
-//! probe, so re-sizing a job re-prices only the `(task, width)` pairs never
-//! seen before.  The T(w) curve itself is memoized per (graph, width).
+//! A width probe is an ordinary [`ScheduleRequest`] with `total_cores = w`
+//! (consecutive mapping, default policy), and T(w) is the simulated
+//! makespan of the reply — the paper's own pipeline (layer scheduler →
+//! mapping → simulator).  The oracle keeps no state: the service's
+//! schedule cache memoizes the T(w) curve, and its warm table store for
+//! the job's graph and machine is shared by every width, so re-sizing a
+//! job re-prices only the `(task, width)` pairs never seen before.
 
 use crate::job::JobSpec;
-use pt_core::{LayerScheduler, MappingStrategy};
-use pt_cost::{CostModel, CostTable, TableStore};
-use pt_sim::Simulator;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use pt_core::MappingStrategy;
+use pt_machine::ClusterSpec;
+use pt_serve::{GPolicy, SchedService, ScheduleRequest};
+use std::sync::Arc;
 
-/// Per-graph warm state: the shared table store plus the memoized curve.
-struct GraphCache {
-    store: Arc<TableStore>,
-    /// width → raw predicted seconds (no slack).
-    t_of_w: HashMap<usize, f64>,
-}
-
-/// Predicts T(job, width) with reconciliation-derived slack.  Interior
-/// mutability: policies and simulators share one oracle immutably.
+/// Predicts T(job, width) on one machine through a [`SchedService`].
 pub struct AdmissionOracle<'a> {
-    model: &'a CostModel<'a>,
-    slack: f64,
-    graphs: Mutex<HashMap<usize, GraphCache>>,
-    /// Scheduling pipeline invocations (oracle cache misses).
-    misses: std::sync::atomic::AtomicUsize,
+    service: &'a SchedService,
+    machine: Arc<ClusterSpec>,
 }
 
 impl<'a> AdmissionOracle<'a> {
-    /// Oracle over `model`'s machine with the default slack of a
-    /// never-reconciled model (2.0, matching
-    /// [`Reconciliation::suggested_slack`](pt_obs::Reconciliation::suggested_slack)
-    /// on an empty report).
-    pub fn new(model: &'a CostModel<'a>) -> AdmissionOracle<'a> {
-        AdmissionOracle {
-            model,
-            slack: 2.0,
-            graphs: Mutex::new(HashMap::new()),
-            misses: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Override the slack factor (clamped to the reconciliation range
-    /// [1.25, 8]).
-    pub fn with_slack(mut self, slack: f64) -> AdmissionOracle<'a> {
-        self.slack = slack.clamp(1.25, 8.0);
-        self
-    }
-
-    /// Derive the slack from an observed prediction-error report.
-    pub fn with_reconciliation(self, rec: &pt_obs::Reconciliation) -> AdmissionOracle<'a> {
-        let s = rec.suggested_slack();
-        self.with_slack(s)
+    /// Oracle for jobs on `machine`, probing widths through `service`.
+    pub fn new(service: &'a SchedService, machine: Arc<ClusterSpec>) -> AdmissionOracle<'a> {
+        AdmissionOracle { service, machine }
     }
 
     /// The machine's total core count (the widest allotment).
     pub fn total_cores(&self) -> usize {
-        self.model.spec.total_cores()
+        self.machine.total_cores()
     }
 
-    /// The slack factor applied by [`predict`](Self::predict).
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
-
-    /// Scheduling-pipeline invocations so far (memo misses).
-    pub fn evaluations(&self) -> usize {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Raw predicted running time of `job` on `width` cores (seconds), no
-    /// slack: schedule the graph onto `width` symbolic cores through the
-    /// graph's warm cost table, map consecutively, simulate.
-    pub fn predict_raw(&self, job: &JobSpec, width: usize) -> f64 {
+    /// Predicted running time of `job` on `width` cores (seconds): the
+    /// simulated makespan of the graph scheduled onto `width` symbolic
+    /// cores and mapped consecutively.
+    pub fn predict(&self, job: &JobSpec, width: usize) -> f64 {
         let total = self.total_cores();
         assert!(
             width >= 1 && width <= total,
             "width {width} outside 1..={total}"
         );
-        let key = job.graph_key();
-        let store = {
-            let mut graphs = self.graphs.lock().expect("oracle cache lock");
-            let cache = graphs.entry(key).or_insert_with(|| GraphCache {
-                store: Arc::new(TableStore::with_classes(
-                    job.graph.len(),
-                    total,
-                    self.model.num_classes(),
-                )),
-                t_of_w: HashMap::new(),
-            });
-            if let Some(&t) = cache.t_of_w.get(&width) {
-                return t;
-            }
-            cache.store.clone()
+        let request = ScheduleRequest {
+            graph: job.graph.clone(),
+            machine: self.machine.clone(),
+            total_cores: width,
+            mapping: MappingStrategy::Consecutive,
+            policy: GPolicy::default(),
         };
-        // Compute outside the lock: the store is internally synchronized,
-        // and concurrent probes of the same width both write the same value.
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let table = CostTable::shared(self.model, store);
-        let sched = LayerScheduler::new(self.model).schedule_on_with(&table, &job.graph, width);
-        let mapping = MappingStrategy::Consecutive.mapping(self.model.spec, width);
-        let t = Simulator::new(self.model)
-            .simulate_layered(&job.graph, &sched, &mapping)
-            .makespan;
-        self.graphs
-            .lock()
-            .expect("oracle cache lock")
-            .get_mut(&key)
-            .expect("entry inserted above")
-            .t_of_w
-            .insert(width, t);
-        t
-    }
-
-    /// Slack-widened prediction — the admission-facing bound.
-    pub fn predict(&self, job: &JobSpec, width: usize) -> f64 {
-        self.predict_raw(job, width) * self.slack
-    }
-
-    /// Would `job` on `width` cores finish within `budget` seconds, by the
-    /// slack-widened bound?
-    pub fn admit(&self, job: &JobSpec, width: usize, budget: f64) -> bool {
-        self.predict(job, width) <= budget
+        match self.service.schedule(request) {
+            Ok((reply, _)) => reply.makespan,
+            Err(e) => panic!("T({}, {width}) failed: {e}", job.name),
+        }
     }
 }
 
@@ -136,45 +59,88 @@ impl<'a> AdmissionOracle<'a> {
 mod tests {
     use super::*;
     use crate::arrivals::WorkloadKind;
+    use pt_core::LayerScheduler;
+    use pt_cost::{CostModel, CostTable};
     use pt_machine::platforms;
+    use pt_serve::ServeConfig;
+    use pt_sim::Simulator;
 
-    #[test]
-    fn memo_and_warm_tables_absorb_repeat_probes() {
-        let spec = platforms::chic().with_nodes(4);
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
-        let job = JobSpec::new(0, "epol#0", WorkloadKind::Epol.graph(), 0.0);
-
-        let t8 = oracle.predict_raw(&job, 8);
-        let after_first = oracle.evaluations();
-        assert!(t8 > 0.0 && t8.is_finite());
-        // Same (graph, width) again: memo hit, no new pipeline run.
-        let t8b = oracle.predict_raw(&job, 8);
-        assert_eq!(t8.to_bits(), t8b.to_bits());
-        assert_eq!(oracle.evaluations(), after_first);
-
-        // A different job of the same kind shares the curve outright.
-        let job2 = JobSpec::new(1, "epol#1", WorkloadKind::Epol.graph(), 3.0);
-        let t8c = oracle.predict_raw(&job2, 8);
-        assert_eq!(t8.to_bits(), t8c.to_bits());
-        assert_eq!(oracle.evaluations(), after_first);
+    fn service() -> SchedService {
+        SchedService::new(ServeConfig {
+            workers: 2,
+            sweep_workers: 1,
+            cache_capacity: 1024,
+            tables_per_worker: 8,
+            inject_compute_failures: 0,
+        })
     }
 
     #[test]
-    fn more_cores_never_hurt_much_and_slack_scales() {
-        let spec = platforms::chic().with_nodes(4);
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model).with_slack(1.25);
+    fn repeat_probes_hit_the_service_cache() {
+        let svc = service();
+        let oracle = AdmissionOracle::new(&svc, Arc::new(platforms::chic().with_nodes(4)));
+        let job = JobSpec::new(0, "epol#0", WorkloadKind::Epol.graph(), 0.0);
+
+        let t8 = oracle.predict(&job, 8);
+        assert!(t8 > 0.0 && t8.is_finite());
+        let computed = svc.stats().computed;
+        // Same (graph, width) again, and a different job of the same kind:
+        // both answered from the cache.
+        let job2 = JobSpec::new(1, "epol#1", WorkloadKind::Epol.graph(), 3.0);
+        assert_eq!(t8.to_bits(), oracle.predict(&job, 8).to_bits());
+        assert_eq!(t8.to_bits(), oracle.predict(&job2, 8).to_bits());
+        assert_eq!(svc.stats().computed, computed);
+    }
+
+    #[test]
+    fn more_cores_never_hurt_much() {
+        let svc = service();
+        let oracle = AdmissionOracle::new(&svc, Arc::new(platforms::chic().with_nodes(4)));
         let job = JobSpec::new(0, "bt#0", WorkloadKind::BtMz.graph(), 0.0);
-        let t1 = oracle.predict_raw(&job, 1);
-        let t16 = oracle.predict_raw(&job, 16);
+        let t1 = oracle.predict(&job, 1);
+        let t16 = oracle.predict(&job, 16);
         assert!(
             t16 < t1,
             "16 cores ({t16}s) should beat 1 core ({t1}s) on BT-MZ"
         );
-        let bound = oracle.predict(&job, 16);
-        assert!((bound - t16 * 1.25).abs() < 1e-12);
-        assert!(oracle.admit(&job, 16, bound));
-        assert!(!oracle.admit(&job, 16, bound * 0.5));
+    }
+
+    /// Every width of every workload kind, on two machine sizes: T(w) is
+    /// bit-identical to a cold, service-free computation, and the sweep
+    /// spends exactly the evaluations of one warm table per graph.
+    #[test]
+    fn width_sweep_matches_cold_runs_and_one_warm_table_per_graph() {
+        for nodes in [4, 16] {
+            let machine = Arc::new(platforms::chic().with_nodes(nodes));
+            let model = CostModel::new(&machine);
+            let total = machine.total_cores();
+            let svc = service();
+            let oracle = AdmissionOracle::new(&svc, machine.clone());
+            let mut one_table_evaluations = 0;
+            for kind in WorkloadKind::ALL {
+                let job = JobSpec::new(0, kind.name(), kind.graph(), 0.0);
+                // One warm table for the graph, shared by every width.
+                let table = CostTable::new(&model, job.graph.len());
+                for w in 1..=total {
+                    let scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
+                    let cold = scheduler.schedule_on(&job.graph, w);
+                    let mapping = MappingStrategy::Consecutive.mapping(&machine, w);
+                    let t_cold = Simulator::new(&model)
+                        .simulate_layered(&job.graph, &cold, &mapping)
+                        .makespan;
+                    assert_eq!(
+                        oracle.predict(&job, w).to_bits(),
+                        t_cold.to_bits(),
+                        "{} at w = {w} of {total}",
+                        kind.name()
+                    );
+                    scheduler.schedule_on_with(&table, &job.graph, w);
+                }
+                one_table_evaluations += table.evaluations() as u64;
+            }
+            let stats = svc.stats();
+            assert_eq!(stats.computed, 3 * total as u64);
+            assert_eq!(stats.evaluations, one_table_evaluations);
+        }
     }
 }

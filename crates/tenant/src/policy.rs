@@ -101,8 +101,8 @@ fn malleable_widths(jobs: &[&JobSpec], oracle: &AdmissionOracle<'_>, total: usiz
             if next <= w {
                 continue;
             }
-            let t_now = oracle.predict_raw(jobs[i], w);
-            let t_next = oracle.predict_raw(jobs[i], next);
+            let t_now = oracle.predict(jobs[i], w);
+            let t_next = oracle.predict(jobs[i], next);
             let gain = (1.0 / t_next - 1.0 / t_now) / (next - w) as f64;
             if gain > 0.0 && best.is_none_or(|(g, _, _)| gain > g) {
                 best = Some((gain, i, next));
@@ -119,8 +119,9 @@ fn malleable_widths(jobs: &[&JobSpec], oracle: &AdmissionOracle<'_>, total: usiz
 mod tests {
     use super::*;
     use crate::arrivals::WorkloadKind;
-    use pt_cost::CostModel;
     use pt_machine::platforms;
+    use pt_serve::{SchedService, ServeConfig};
+    use std::sync::Arc;
 
     fn jobs3() -> Vec<JobSpec> {
         vec![
@@ -133,8 +134,8 @@ mod tests {
     #[test]
     fn fcfs_and_equi_shapes() {
         let spec = platforms::chic().with_nodes(4); // 16 cores
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         let jobs = jobs3();
         let refs: Vec<&JobSpec> = jobs.iter().collect();
         assert_eq!(
@@ -148,8 +149,8 @@ mod tests {
     #[test]
     fn malleable_respects_floors_and_spends_every_core() {
         let spec = platforms::chic().with_nodes(4);
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         let jobs = jobs3();
         let refs: Vec<&JobSpec> = jobs.iter().collect();
         let widths = Policy::Malleable.allocate(&refs, &oracle, 16);
@@ -165,8 +166,8 @@ mod tests {
     #[test]
     fn malleable_queues_when_floors_do_not_fit() {
         let spec = platforms::chic().with_nodes(1); // 4 cores
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         let jobs = jobs3(); // floors of 4 each
         let refs: Vec<&JobSpec> = jobs.iter().collect();
         let widths = Policy::Malleable.allocate(&refs, &oracle, 4);

@@ -2,10 +2,9 @@
 //! [`Policy`].
 //!
 //! Jobs are fluid: a job allotted `w` cores progresses at rate `1/T(w)`
-//! per second, with `T(w)` from the [`AdmissionOracle`]'s raw prediction
-//! (the oracle *is* the world model here — what the scenario compares is
-//! policies, not prediction error, which the slack factor covers at
-//! admission time).  Allotments are recomputed at every arrival and
+//! per second, with `T(w)` from the [`AdmissionOracle`] (the oracle *is*
+//! the world model here — what the scenario compares is policies, not
+//! prediction error).  Allotments are recomputed at every arrival and
 //! completion; a width change of a running job charges
 //! [`TenantSimConfig::resize_penalty`] seconds of paused progress, the
 //! modeled cost of the executor's boundary shrink/regrow (snapshot, replan,
@@ -54,9 +53,9 @@ pub struct JobOutcome {
     pub start: f64,
     /// Completion time (s).
     pub finish: f64,
-    /// Exclusive whole-machine running time T(P) (s, raw prediction).
+    /// Exclusive whole-machine running time T(P) (s).
     pub t_exclusive: f64,
-    /// Sequential running time T(1) (s, raw prediction).
+    /// Sequential running time T(1) (s).
     pub t_serial: f64,
     /// `(finish − arrival) / t_exclusive`.
     pub stretch: f64,
@@ -81,8 +80,6 @@ pub struct ScenarioReport {
     pub utilization: f64,
     /// Total width changes applied to running jobs.
     pub resizes: usize,
-    /// Oracle pipeline invocations consumed by the scenario so far.
-    pub oracle_evaluations: usize,
     /// Per-job rows, by id.
     pub jobs: Vec<JobOutcome>,
 }
@@ -166,7 +163,7 @@ pub fn run_scenario(
             if l.width == 0 {
                 continue;
             }
-            let t_w = oracle.predict_raw(&jobs[l.job], l.width);
+            let t_w = oracle.predict(&jobs[l.job], l.width);
             let resume = l.paused_until.max(t);
             let fin = resume + l.remaining * t_w;
             t_next = Some(t_next.map_or(fin, |x: f64| x.min(fin)));
@@ -178,7 +175,7 @@ pub fn run_scenario(
             if l.width == 0 {
                 continue;
             }
-            let t_w = oracle.predict_raw(&jobs[l.job], l.width);
+            let t_w = oracle.predict(&jobs[l.job], l.width);
             let eff = (t_next - l.paused_until.max(t)).max(0.0);
             l.remaining -= eff / t_w;
         }
@@ -190,8 +187,8 @@ pub fn run_scenario(
                 return true;
             }
             let job = &jobs[l.job];
-            let t_exclusive = oracle.predict_raw(job, total);
-            let t_serial = oracle.predict_raw(job, 1);
+            let t_exclusive = oracle.predict(job, total);
+            let t_serial = oracle.predict(job, 1);
             outcomes[l.job] = Some(JobOutcome {
                 id: job.id,
                 name: job.name.clone(),
@@ -241,7 +238,6 @@ pub fn run_scenario(
             0.0
         },
         resizes: jobs_out.iter().map(|j| j.resizes).sum(),
-        oracle_evaluations: oracle.evaluations(),
         jobs: jobs_out,
     }
 }
@@ -250,8 +246,9 @@ pub fn run_scenario(
 mod tests {
     use super::*;
     use crate::arrivals::poisson_mixed;
-    use pt_cost::CostModel;
     use pt_machine::platforms;
+    use pt_serve::{SchedService, ServeConfig};
+    use std::sync::Arc;
 
     /// The tentpole's acceptance gate, at test scale: on a Poisson mixed
     /// stream the malleable policy strictly beats FCFS-exclusive on mean
@@ -259,8 +256,8 @@ mod tests {
     #[test]
     fn malleable_beats_fcfs_on_stretch_and_utilization() {
         let spec = platforms::chic().with_nodes(4); // 16 cores
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         // Jobs are milliseconds long (small graphs keep tests fast), so a
         // contended stream needs arrivals a few milliseconds apart.
         let jobs = poisson_mixed(12, 200.0, 2, 42);
@@ -290,8 +287,8 @@ mod tests {
     #[test]
     fn scenarios_are_deterministic_and_conservative() {
         let spec = platforms::chic().with_nodes(2); // 8 cores
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         let jobs = poisson_mixed(6, 150.0, 1, 7);
         let cfg = TenantSimConfig::default();
         let a = run_scenario(&oracle, &jobs, Policy::Malleable, &cfg);
@@ -316,8 +313,8 @@ mod tests {
     #[test]
     fn fcfs_serializes_jobs() {
         let spec = platforms::chic().with_nodes(2);
-        let model = CostModel::new(&spec);
-        let oracle = AdmissionOracle::new(&model);
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         // Two jobs arriving together: under FCFS the second starts when the
         // first finishes.
         let jobs = crate::arrivals::trace_jobs(&[

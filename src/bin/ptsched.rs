@@ -47,20 +47,24 @@
 //! with makespan, per-job stretch and platform utilization (`"drain":false`
 //! keeps the stream queued for comparing policies on the same jobs).
 
-use parallel_tasks::core::{LayerScheduler, MappingStrategy};
+use parallel_tasks::core::MappingStrategy;
 use parallel_tasks::cost::CostModel;
 use parallel_tasks::machine::{platforms, ClusterSpec};
 use parallel_tasks::mtask::TaskGraph;
 use parallel_tasks::nas::{bt_mz, sp_mz, Class};
-use parallel_tasks::obs::TraceRecorder;
 use parallel_tasks::ode::{Bruss2d, Diirk, Epol, Irk, Pab, Pabm};
-use parallel_tasks::serve::{CacheStatus, SchedService, ScheduleRequest, ServeConfig};
+use parallel_tasks::serve::{
+    plan, table_store, write_trace, CacheStatus, SchedService, ScheduleRequest, ServeConfig,
+};
 use parallel_tasks::sim::{render_gantt, render_layers, Simulator};
 use serde::{Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
 
+/// One scheduling request as the one-shot flags or a serve request line
+/// describe it (`gantt` and `trace` are one-shot only).
 struct Options {
     workload: String,
     platform: String,
@@ -74,21 +78,28 @@ struct Options {
     trace: Option<String>,
 }
 
+impl Default for Options {
+    /// The request defaults of both modes.
+    fn default() -> Self {
+        Options {
+            workload: "epol".into(),
+            platform: "chic".into(),
+            cores: 64,
+            mapping: "consecutive".into(),
+            groups: None,
+            steps: 2,
+            gantt: false,
+            slow_nodes: 0,
+            slow_factor: 0.5,
+            trace: None,
+        }
+    }
+}
+
 const WORKLOADS: &[&str] = &["epol", "irk", "diirk", "pab", "pabm", "sp-mz", "bt-mz"];
 
 fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String> {
-    let mut o = Options {
-        workload: "epol".into(),
-        platform: "chic".into(),
-        cores: 64,
-        mapping: "consecutive".into(),
-        groups: None,
-        steps: 2,
-        gantt: false,
-        slow_nodes: 0,
-        slow_factor: 0.5,
-        trace: None,
-    };
+    let mut o = Options::default();
     while let Some(a) = args.next() {
         let mut take = |name: &str| -> Result<String, String> {
             args.next().ok_or_else(|| format!("{name} needs a value"))
@@ -147,60 +158,45 @@ fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String>
 
 /// Range checks for values that parse but cannot be scheduled — the
 /// scheduling pipeline enforces these with asserts, which must never be
-/// reachable from the command line.
+/// reachable from the command line or a serve request.
 fn validate_options(o: &Options) -> Result<(), String> {
     if !WORKLOADS.contains(&o.workload.as_str()) {
         return Err(format!("unknown workload `{}`", o.workload));
     }
     let machine = platform(&o.platform)?;
     mapping(&o.mapping)?;
-    check_cores(&machine, o.cores)?;
+    let cpn = machine.cores_per_node();
+    if o.cores == 0 {
+        return Err("--cores must be at least 1".into());
+    }
+    if !o.cores.is_multiple_of(cpn) {
+        return Err(format!(
+            "--cores {} is not a whole number of {cpn}-core `{}` nodes",
+            o.cores, machine.name
+        ));
+    }
+    let nodes = o.cores / cpn;
+    if nodes > machine.nodes {
+        return Err(format!(
+            "--cores {} exceeds `{}` ({} nodes x {cpn} cores)",
+            o.cores, machine.name, machine.nodes
+        ));
+    }
     if o.groups == Some(0) {
         return Err("--groups must be at least 1".into());
     }
     if o.steps == 0 {
         return Err("--steps must be at least 1".into());
     }
-    check_slow(&machine, o.cores, o.slow_nodes, o.slow_factor)?;
-    Ok(())
-}
-
-/// `--slow-nodes` / `--slow-factor` range checks against the sub-machine
-/// actually used (`cores` wide), whose node count bounds the slow tail.
-fn check_slow(
-    machine: &ClusterSpec,
-    cores: usize,
-    slow_nodes: usize,
-    slow_factor: f64,
-) -> Result<(), String> {
-    let nodes = cores / machine.cores_per_node();
-    if slow_nodes > nodes {
+    // The slow tail is bounded by the sub-machine actually used.
+    if o.slow_nodes > nodes {
         return Err(format!(
-            "--slow-nodes {slow_nodes} exceeds the {nodes} nodes selected by --cores {cores}"
+            "--slow-nodes {} exceeds the {nodes} nodes selected by --cores {}",
+            o.slow_nodes, o.cores
         ));
     }
-    if !(slow_factor > 0.0 && slow_factor.is_finite()) {
+    if !(o.slow_factor > 0.0 && o.slow_factor.is_finite()) {
         return Err("--slow-factor must be a positive number".into());
-    }
-    Ok(())
-}
-
-fn check_cores(machine: &ClusterSpec, cores: usize) -> Result<(), String> {
-    let cpn = machine.cores_per_node();
-    if cores == 0 {
-        return Err("--cores must be at least 1".into());
-    }
-    if !cores.is_multiple_of(cpn) {
-        return Err(format!(
-            "--cores {cores} is not a whole number of {cpn}-core `{}` nodes",
-            machine.name
-        ));
-    }
-    if cores / cpn > machine.nodes {
-        return Err(format!(
-            "--cores {cores} exceeds `{}` ({} nodes x {cpn} cores)",
-            machine.name, machine.nodes
-        ));
     }
     Ok(())
 }
@@ -238,6 +234,63 @@ fn workload(name: &str, steps: usize) -> Result<TaskGraph, String> {
     })
 }
 
+/// Platform, cores, slow nodes and slow-factor bits.
+type MachineKey = (String, usize, usize, u64);
+
+/// Graph and machine `Arc`s memoized across requests: repeated requests
+/// share one `Arc`, so the cache's structural verification short-circuits
+/// on pointer equality.
+#[derive(Default)]
+struct Memo {
+    graphs: Mutex<HashMap<(String, usize), Arc<TaskGraph>>>,
+    machines: Mutex<HashMap<MachineKey, Arc<ClusterSpec>>>,
+}
+
+impl Memo {
+    fn graph(&self, name: &str, steps: usize) -> Result<Arc<TaskGraph>, String> {
+        let mut graphs = self.graphs.lock().expect("graph memo lock");
+        Ok(match graphs.entry((name.into(), steps)) {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(e) => e.insert(Arc::new(workload(name, steps)?)).clone(),
+        })
+    }
+
+    /// The `cores`-wide machine of validated options, with its last
+    /// `slow_nodes` nodes at `slow_factor` × nominal speed.
+    fn machine(&self, o: &Options) -> Result<Arc<ClusterSpec>, String> {
+        let base = platform(&o.platform)?;
+        let key = (
+            o.platform.clone(),
+            o.cores,
+            o.slow_nodes,
+            o.slow_factor.to_bits(),
+        );
+        let mut machines = self.machines.lock().expect("machine memo lock");
+        Ok(machines
+            .entry(key)
+            .or_insert_with(|| {
+                let spec = base.with_cores(o.cores);
+                Arc::new(if o.slow_nodes > 0 {
+                    spec.with_slow_nodes(o.slow_nodes, o.slow_factor)
+                } else {
+                    spec
+                })
+            })
+            .clone())
+    }
+
+    /// The schedule request of validated options.
+    fn request(&self, o: &Options) -> Result<ScheduleRequest, String> {
+        let mut request = ScheduleRequest::new(
+            self.graph(&o.workload, o.steps)?,
+            self.machine(o)?,
+            mapping(&o.mapping)?,
+        );
+        request.policy.fixed_groups = o.groups;
+        Ok(request)
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("serve") {
@@ -252,22 +305,12 @@ fn main() {
         }
     };
     let run = || -> Result<(), String> {
-        let machine = platform(&o.platform)?;
-        let mut spec = machine.with_cores(o.cores);
-        if o.slow_nodes > 0 {
-            spec = spec.with_slow_nodes(o.slow_nodes, o.slow_factor);
-        }
-        let graph = workload(&o.workload, o.steps)?;
-        let model = CostModel::new(&spec);
-        let mut scheduler = LayerScheduler::new(&model);
-        if let Some(g) = o.groups {
-            scheduler = scheduler.with_fixed_groups(g);
-        }
-        let recorder = o.trace.as_ref().map(|_| Arc::new(TraceRecorder::new(1)));
-        if let Some(r) = &recorder {
-            scheduler = scheduler.with_recorder(r.clone());
-        }
-        let schedule = scheduler.schedule(&graph);
+        let request = Memo::default().request(&o)?;
+        let planned = match &o.trace {
+            Some(path) => write_trace(&request, path).map_err(|e| format!("--trace {e}"))?,
+            None => plan(&request, &table_store(&request), None, None),
+        };
+        let (graph, spec, schedule) = (&*request.graph, &*request.machine, &planned.schedule);
         println!(
             "workload {} ({} tasks, {} edges) on {} x {} cores",
             o.workload,
@@ -296,19 +339,19 @@ fn main() {
                 .collect::<Vec<_>>()
         );
 
+        let model = CostModel::new(spec);
         let sim = Simulator::new(&model);
-        let chosen = mapping(&o.mapping)?;
         println!("\nsimulated time per step by mapping:");
         // Each candidate mapping simulates independently; fan the sweep out
         // one thread per strategy and print in the original (deterministic)
         // order afterwards.
-        let strategies = MappingStrategy::all_for(&spec);
+        let strategies = MappingStrategy::all_for(spec);
         let cores = o.cores;
         let reports: Vec<_> = std::thread::scope(|sc| {
             let handles: Vec<_> = strategies
                 .iter()
                 .map(|&s| {
-                    let (sim, graph, schedule, spec) = (&sim, &graph, &schedule, &spec);
+                    let sim = &sim;
                     sc.spawn(move || {
                         let m = s.mapping(spec, cores);
                         sim.simulate_layered(graph, schedule, &m)
@@ -320,6 +363,7 @@ fn main() {
                 .map(|h| h.join().expect("mapping sweep worker panicked"))
                 .collect()
         });
+        let chosen = request.mapping;
         for (&s, rep) in strategies.iter().zip(&reports) {
             let marker = if s == chosen { " <-- selected" } else { "" };
             println!(
@@ -330,25 +374,13 @@ fn main() {
             );
         }
 
-        let m = chosen.mapping(&spec, o.cores);
-        let rep = sim.simulate_layered(&graph, &schedule, &m);
         println!("\nlayer timing ({}):", chosen.name());
-        print!("{}", render_layers(&rep));
+        print!("{}", render_layers(&planned.report));
         if o.gantt {
             println!("\ntimeline:");
-            print!("{}", render_gantt(&rep, &graph, 64));
+            print!("{}", render_gantt(&planned.report, graph, 64));
         }
         if let Some(path) = &o.trace {
-            let mut trace = parallel_tasks::sim::chrome_trace(&graph, &schedule, &rep, &m, &spec);
-            trace.name_process(parallel_tasks::core::two_level::SCHED_PID, "scheduler");
-            trace.name_thread(parallel_tasks::core::two_level::SCHED_PID, 0, "phases");
-            if let Some(r) = recorder {
-                drop(scheduler); // releases the scheduler's recorder handle
-                let mut r =
-                    Arc::try_unwrap(r).expect("scheduler drops its recorder handle after the run");
-                trace.extend(r.drain());
-            }
-            std::fs::write(path, trace.to_json()).map_err(|e| format!("--trace {path}: {e}"))?;
             println!("\nwrote chrome trace to {path}");
         }
         Ok(())
@@ -409,12 +441,6 @@ fn parse_serve_args(args: &mut dyn Iterator<Item = String>) -> Result<ServeOptio
     Ok(o)
 }
 
-/// Workload graphs memoized by (name, steps): repeated requests share one
-/// `Arc`, so the cache's structural verification short-circuits on pointer
-/// equality.
-type GraphCache = Mutex<HashMap<(String, usize), Arc<TaskGraph>>>;
-type MachineCache = Mutex<HashMap<(String, usize, usize, u64), Arc<ClusterSpec>>>;
-
 /// One job queued by `{"cmd":"submit"}`, awaiting a `{"cmd":"tenant"}`
 /// scenario run.
 struct PendingJob {
@@ -426,8 +452,7 @@ struct PendingJob {
 
 struct ServeState {
     service: SchedService,
-    graphs: GraphCache,
-    machines: MachineCache,
+    memo: Memo,
     /// The submit-mode job stream (drained by `{"cmd":"tenant"}`).
     pending: Mutex<Vec<PendingJob>>,
 }
@@ -442,8 +467,7 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
     };
     let state = Arc::new(ServeState {
         service: SchedService::new(o.config),
-        graphs: Mutex::new(HashMap::new()),
-        machines: Mutex::new(HashMap::new()),
+        memo: Memo::default(),
         pending: Mutex::new(Vec::new()),
     });
     match o.listen {
@@ -546,56 +570,20 @@ fn serve_request(state: &ServeState, line: &str) -> Result<String, String> {
             other => Err(format!("unknown command `{other}`")),
         };
     }
-    let workload_name = str_or(&v, "workload", "epol")?;
-    let platform_name = str_or(&v, "platform", "chic")?;
-    let cores = usize_or(&v, "cores", 64)?;
-    let mapping_name = str_or(&v, "mapping", "consecutive")?;
-    let groups = opt_usize(&v, "groups")?;
-    let steps = usize_or(&v, "steps", 2)?;
-    let slow_nodes = usize_or(&v, "slow_nodes", 0)?;
-    let slow_factor = f64_or(&v, "slow_factor", 0.5)?;
-    if steps == 0 {
-        return Err("steps must be at least 1".into());
-    }
-    if !WORKLOADS.contains(&workload_name.as_str()) {
-        return Err(format!("unknown workload `{workload_name}`"));
-    }
-
-    let machine = {
-        let base = platform(&platform_name)?;
-        check_cores(&base, cores)?;
-        check_slow(&base, cores, slow_nodes, slow_factor)?;
-        state
-            .machines
-            .lock()
-            .expect("machine cache lock")
-            .entry((
-                platform_name.clone(),
-                cores,
-                slow_nodes,
-                slow_factor.to_bits(),
-            ))
-            .or_insert_with(|| {
-                let spec = base.with_cores(cores);
-                Arc::new(if slow_nodes > 0 {
-                    spec.with_slow_nodes(slow_nodes, slow_factor)
-                } else {
-                    spec
-                })
-            })
-            .clone()
+    let d = Options::default();
+    let o = Options {
+        workload: str_or(&v, "workload", &d.workload)?,
+        platform: str_or(&v, "platform", &d.platform)?,
+        cores: usize_or(&v, "cores", d.cores)?,
+        mapping: str_or(&v, "mapping", &d.mapping)?,
+        groups: opt_usize(&v, "groups")?,
+        steps: usize_or(&v, "steps", d.steps)?,
+        slow_nodes: usize_or(&v, "slow_nodes", d.slow_nodes)?,
+        slow_factor: f64_or(&v, "slow_factor", d.slow_factor)?,
+        ..d
     };
-    let graph = {
-        let mut graphs = state.graphs.lock().expect("graph cache lock");
-        match graphs.entry((workload_name.clone(), steps)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Arc::new(workload(&workload_name, steps)?)).clone()
-            }
-        }
-    };
-    let mut request = ScheduleRequest::new(graph, machine, mapping(&mapping_name)?);
-    request.policy.fixed_groups = groups;
+    validate_options(&o)?;
+    let request = state.memo.request(&o)?;
 
     let (reply, status) = state.service.schedule(request).map_err(|e| e.to_string())?;
     let line = ServeReplyLine {
@@ -608,7 +596,7 @@ fn serve_request(state: &ServeState, line: &str) -> Result<String, String> {
         .into(),
         signature: reply.signature.to_string(),
         layers: reply.schedule.layers.len(),
-        makespan_ms_per_step: reply.makespan / steps as f64 * 1e3,
+        makespan_ms_per_step: reply.makespan / o.steps as f64 * 1e3,
         cost_evaluations: reply.cost_evaluations,
     };
     Ok(serde_json::to_string(&line).expect("serialize response"))
@@ -618,16 +606,15 @@ fn serve_request(state: &ServeState, line: &str) -> Result<String, String> {
 /// — append one job to the tenant stream.  Validation happens here (the
 /// later scenario run must not fail on a job admitted long ago).
 fn submit_request(state: &ServeState, v: &Value) -> Result<String, String> {
-    let workload_name = str_or(v, "workload", "epol")?;
-    let steps = usize_or(v, "steps", 1)?;
+    let d = Options::default();
+    let o = Options {
+        workload: str_or(v, "workload", &d.workload)?,
+        steps: usize_or(v, "steps", 1)?,
+        ..d
+    };
+    validate_options(&o)?;
     let arrival = f64_or(v, "arrival", 0.0)?;
     let min_width = usize_or(v, "min_width", 1)?;
-    if !WORKLOADS.contains(&workload_name.as_str()) {
-        return Err(format!("unknown workload `{workload_name}`"));
-    }
-    if steps == 0 {
-        return Err("steps must be at least 1".into());
-    }
     if min_width == 0 {
         return Err("min_width must be at least 1".into());
     }
@@ -636,8 +623,8 @@ fn submit_request(state: &ServeState, v: &Value) -> Result<String, String> {
     }
     let mut pending = state.pending.lock().expect("pending lock");
     pending.push(PendingJob {
-        workload: workload_name,
-        steps,
+        workload: o.workload,
+        steps: o.steps,
         arrival,
         min_width,
     });
@@ -653,8 +640,13 @@ fn submit_request(state: &ServeState, v: &Value) -> Result<String, String> {
 /// report makespan / stretch / utilization.  `"drain":false` keeps the
 /// stream for another run (policy comparisons on one stream).
 fn tenant_request(state: &ServeState, v: &Value) -> Result<String, String> {
-    let platform_name = str_or(v, "platform", "chic")?;
-    let cores = usize_or(v, "cores", 64)?;
+    let d = Options::default();
+    let o = Options {
+        platform: str_or(v, "platform", &d.platform)?,
+        cores: usize_or(v, "cores", d.cores)?,
+        ..d
+    };
+    validate_options(&o)?;
     let policy = match str_or(v, "policy", "malleable")?.as_str() {
         "fcfs" | "fcfs-exclusive" => pt_tenant::Policy::FcfsExclusive,
         "equi" => pt_tenant::Policy::Equi,
@@ -666,46 +658,34 @@ fn tenant_request(state: &ServeState, v: &Value) -> Result<String, String> {
         Some(Value::Bool(b)) => *b,
         Some(other) => return Err(format!("field `drain` must be a boolean, got {other:?}")),
     };
-    let base = platform(&platform_name)?;
-    check_cores(&base, cores)?;
-    let spec = base.with_cores(cores);
-
+    let machine = state.memo.machine(&o)?;
     let jobs: Vec<pt_tenant::JobSpec> = {
         let mut pending = state.pending.lock().expect("pending lock");
         if pending.is_empty() {
             return Err("no jobs submitted (send {\"cmd\":\"submit\",...} first)".into());
         }
-        let graphs = |p: &PendingJob| -> Result<Arc<TaskGraph>, String> {
-            let mut cache = state.graphs.lock().expect("graph cache lock");
-            Ok(match cache.entry((p.workload.clone(), p.steps)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Arc::new(workload(&p.workload, p.steps)?)).clone()
-                }
+        let jobs = pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                Ok(pt_tenant::JobSpec::new(
+                    i,
+                    format!("{}#{i}", p.workload),
+                    state.memo.graph(&p.workload, p.steps)?,
+                    p.arrival,
+                )
+                .with_min_width(p.min_width.min(o.cores)))
             })
-        };
-        let jobs =
-            pending
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    Ok(pt_tenant::JobSpec::new(
-                        i,
-                        format!("{}#{i}", p.workload),
-                        graphs(p)?,
-                        p.arrival,
-                    )
-                    .with_min_width(p.min_width.min(cores)))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         if drain {
             pending.clear();
         }
         jobs
     };
 
-    let model = CostModel::new(&spec);
-    let oracle = pt_tenant::AdmissionOracle::new(&model);
+    // Width probes are requests to this process's own service, so they
+    // share its schedule cache and warm tables with plain requests.
+    let oracle = pt_tenant::AdmissionOracle::new(&state.service, machine);
     let report = pt_tenant::run_scenario(
         &oracle,
         &jobs,

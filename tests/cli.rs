@@ -142,6 +142,7 @@ fn serve_submit_and_tenant_run_a_job_stream() {
         r#"{"cmd":"tenant","platform":"chic","cores":16,"policy":"fcfs","drain":false}"#,
         r#"{"cmd":"tenant","platform":"chic","cores":16,"policy":"malleable"}"#,
         r#"{"cmd":"tenant","platform":"chic","cores":16}"#, // drained above
+        r#"{"workload":"epol","platform":"chic","cores":16,"steps":1}"#,
     ];
     for r in requests {
         writeln!(stdin, "{r}").expect("write request");
@@ -173,6 +174,13 @@ fn serve_submit_and_tenant_run_a_job_stream() {
     );
     // The stream was kept by drain:false and consumed by the drain run.
     assert!(lines[7].contains("no jobs submitted"), "{}", lines[7]);
+    // The scenarios probed EPOL at all 16 cores through the server's own
+    // service, so the plain request for it is already cached.
+    assert!(
+        lines[8].contains(r#""ok":true"#) && lines[8].contains(r#""cache":"hit""#),
+        "tenant probes share the schedule cache: {}",
+        lines[8]
+    );
 
     let status = child.wait().expect("serve exits");
     assert!(status.success());
