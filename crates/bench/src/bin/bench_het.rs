@@ -1,8 +1,9 @@
-//! Heterogeneity-aware scheduling benchmark gate.
+//! Heterogeneity-aware scheduling benchmark gate and slow-factor sweep.
 //!
-//! Runs the evaluation workloads on a *two-class* JUROPA variant — 25 % of
-//! the nodes (the trailing quarter) clocked at 0.5× nominal speed — and
-//! compares three schedulers on the same machine:
+//! Runs the evaluation workloads on a *two-class* JUROPA variant — the
+//! trailing 25 % of the nodes clocked down to a sweep of slow factors
+//! (1.0 = the homogeneous machine) — and compares three schedulers on the
+//! same machine:
 //!
 //! * `het` — the layer scheduler with its heterogeneity-aware path
 //!   (speed-equal group partition, slowest-class symbolic costs, adjusted
@@ -14,23 +15,31 @@
 //!
 //! All three are simulated with the consecutive mapping and the simulated
 //! makespan is deterministic, so the gate needs no retry loop: at every
-//! (workload, P) point the het-aware schedule must be *strictly* faster
-//! than the blind one.  AMTHA is reported alongside, not gated — it trades
-//! malleability for node granularity and is not expected to win.
+//! (workload, P) point with the slow quarter at 0.5× the het-aware
+//! schedule must be *strictly* faster than the blind one.  The other
+//! factors are reported, not gated: at 1.0 the het path is inactive, so
+//! `het` and `blind` coincide by construction.  AMTHA is reported
+//! alongside — it trades malleability for node granularity and is not
+//! expected to win.
 //!
-//! Results land in `BENCH_het.json` at the repository root.  `--quick`
-//! skips nothing (the grid is small); it is accepted for CI symmetry with
-//! the other gates and recorded in the JSON.
+//! Printed per workload and P: simulated milliseconds per time step for
+//! each scheduler and the `blind / het` speedup row, one column per slow
+//! factor.  Results land in `BENCH_het.json`; `--quick` runs the same grid
+//! and only changes where [`pt_bench::report::write`] puts the report.
 
+use pt_bench::{measure, table};
 use pt_cost::CostModel;
-use pt_machine::{platforms, ClusterSpec};
+use pt_machine::ClusterSpec;
 use pt_mtask::TaskGraph;
 use pt_sim::Simulator;
 use serde::Serialize;
 
 const CORE_COUNTS: [usize; 2] = [256, 1024];
 const SLOW_FRACTION: f64 = 0.25;
-const SLOW_FACTOR: f64 = 0.5;
+/// Speed factors of the slow nodes, swept per (workload, P).
+const SLOW_FACTORS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+/// The factor the gate acts on.
+const GATED_FACTOR: f64 = 0.5;
 
 #[derive(Serialize)]
 struct Entry {
@@ -45,7 +54,7 @@ struct Entry {
     blind_s: f64,
     /// AMTHA node-granular baseline (reported, not gated).
     amtha_s: f64,
-    /// `blind_s / het_s` — the gate requires > 1.
+    /// `blind_s / het_s` — the gate requires > 1 at [`GATED_FACTOR`].
     speedup: f64,
 }
 
@@ -55,18 +64,6 @@ struct Report {
     machine: &'static str,
     quick: bool,
     results: Vec<Entry>,
-}
-
-/// Two-class JUROPA with exactly `p` cores: the trailing quarter of the
-/// nodes runs at [`SLOW_FACTOR`]× nominal speed.
-fn juropa_het(p: usize) -> ClusterSpec {
-    let cpn = 8;
-    assert!(p.is_multiple_of(cpn));
-    let nodes = p / cpn;
-    let slow = ((nodes as f64) * SLOW_FRACTION).round() as usize;
-    platforms::juropa()
-        .with_nodes(nodes)
-        .with_slow_nodes(slow, SLOW_FACTOR)
 }
 
 /// `(het, blind, amtha)` simulated seconds per step of `graph` on `spec`.
@@ -98,36 +95,53 @@ fn main() {
     let epol = pt_ode::Epol::new(8).step_graph(&pt_ode::Bruss2d::new(500), 2);
     let bt = pt_nas::bt_mz(pt_nas::Class::C).step_graph(2);
 
+    let columns: Vec<String> = SLOW_FACTORS.iter().map(|f| format!("slow={f}")).collect();
     let mut results = Vec::new();
     for (name, graph) in [("epol_r8", &epol), ("bt_mz_c", &bt)] {
         for p in CORE_COUNTS {
-            let spec = juropa_het(p);
-            let slow_nodes = ((spec.nodes as f64) * SLOW_FRACTION).round() as usize;
-            let (het_s, blind_s, amtha_s) = run(graph, &spec, 2);
-            let speedup = blind_s / het_s;
-            println!(
-                "{name} P={p} ({slow_nodes} slow nodes @ {SLOW_FACTOR}x): \
-                 het {het_s:.4} s, blind {blind_s:.4} s ({speedup:.3}x), \
-                 AMTHA {amtha_s:.4} s"
+            let homogeneous = measure::juropa_p(p);
+            let slow_nodes = ((homogeneous.nodes as f64) * SLOW_FRACTION).round() as usize;
+            let sweep: Vec<Entry> = SLOW_FACTORS
+                .iter()
+                .map(|&slow_factor| {
+                    let spec = homogeneous.clone().with_slow_nodes(slow_nodes, slow_factor);
+                    let (het_s, blind_s, amtha_s) = run(graph, &spec, 2);
+                    Entry {
+                        graph: name,
+                        tasks: graph.len(),
+                        cores: p,
+                        slow_nodes,
+                        slow_factor,
+                        het_s,
+                        blind_s,
+                        amtha_s,
+                        speedup: blind_s / het_s,
+                    }
+                })
+                .collect();
+            let row = |f: fn(&Entry) -> f64| sweep.iter().map(f).collect();
+            let rows = vec![
+                ("het [ms/step]".to_string(), row(|e| e.het_s * 1e3)),
+                ("blind [ms/step]".to_string(), row(|e| e.blind_s * 1e3)),
+                ("AMTHA [ms/step]".to_string(), row(|e| e.amtha_s * 1e3)),
+                ("blind / het".to_string(), row(|e| e.speedup)),
+            ];
+            table::print(
+                &format!(
+                    "{name} on {p} JUROPA cores, trailing {slow_nodes} nodes at the \
+                     column's speed factor"
+                ),
+                &columns,
+                &rows,
             );
-            results.push(Entry {
-                graph: name,
-                tasks: graph.len(),
-                cores: p,
-                slow_nodes,
-                slow_factor: SLOW_FACTOR,
-                het_s,
-                blind_s,
-                amtha_s,
-                speedup,
-            });
+            results.extend(sweep);
         }
     }
 
-    // Gate: heterogeneity-awareness must strictly pay off at every point.
-    // The makespans are simulated (deterministic), so a tie or a loss is a
-    // real scheduling regression, not noise.
-    for e in &results {
+    // Gate: heterogeneity-awareness must strictly pay off at every point
+    // of the gated factor.  The makespans are simulated (deterministic), so
+    // a tie or a loss is a real scheduling regression, not noise.
+    for e in results.iter().filter(|e| e.slow_factor == GATED_FACTOR) {
         assert!(
             e.het_s < e.blind_s,
             "het-aware scheduling lost to the blind path: {} P={} het {:.6} s \
@@ -141,12 +155,9 @@ fn main() {
 
     let report = Report {
         benchmark: "het-aware vs speed-blind layer scheduling (simulated makespan)",
-        machine: "juropa, trailing 25% of nodes at 0.5x",
+        machine: "juropa, trailing 25% of nodes at each slow factor",
         quick,
         results,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_het.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, json + "\n").expect("write BENCH_het.json");
-    println!("wrote {path}");
+    pt_bench::report::write("BENCH_het.json", quick, &report);
 }

@@ -28,7 +28,8 @@
 //! what the code costs.
 //!
 //! `--quick` reduces repetitions for CI smoke runs (still covering every
-//! size, including P = 65536 and class E); the JSON is written either way.
+//! size, including P = 65536 and class E) and writes its JSON where
+//! [`pt_bench::report::write`] puts quick runs.
 
 use pt_bench::measure::{self, juropa_p};
 use pt_cost::CostModel;
@@ -213,8 +214,5 @@ fn main() {
         quick,
         results,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, json + "\n").expect("write BENCH_sched.json");
-    println!("wrote {path}");
+    pt_bench::report::write("BENCH_sched.json", quick, &report);
 }

@@ -17,8 +17,8 @@
 //!   the same request bit for bit (schedule structure and simulated
 //!   makespan).  Caching and batching must never change an answer.
 //!
-//! `--quick` shrinks the stream for CI smoke runs; the JSON is only
-//! written by full runs.
+//! `--quick` shrinks the stream for CI smoke runs; its JSON goes where
+//! [`pt_bench::report::write`] puts quick runs.
 
 use pt_core::{LayerScheduler, LayeredSchedule, MappingStrategy};
 use pt_cost::CostModel;
@@ -237,13 +237,5 @@ fn main() {
         report.p99_ms,
         report.hit_rate * 100.0
     );
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: BENCH_serve.json left untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        std::fs::write(path, json + "\n").expect("write BENCH_serve.json");
-        println!("wrote {path}");
-    }
+    pt_bench::report::write("BENCH_serve.json", quick, &report);
 }

@@ -30,9 +30,9 @@
 //! minimum is the robust estimate of what the code costs.
 //!
 //! `--quick` reduces repetitions and skips class D for CI smoke runs
-//! (still covering P = 65536 and class E); the JSON is only written by
-//! full runs (so a quick CI run cannot overwrite the gate numbers with
-//! noisy single-rep timings).
+//! (still covering P = 65536 and class E); its noisy single-rep timings go
+//! where [`pt_bench::report::write`] puts quick runs, never over the
+//! committed gate numbers.
 
 use pt_bench::measure::{self, juropa_p};
 use pt_core::{LayerScheduler, MappingStrategy};
@@ -248,13 +248,5 @@ fn main() {
         quick,
         results,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: BENCH_SIM.json left untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SIM.json");
-        std::fs::write(path, json + "\n").expect("write BENCH_SIM.json");
-        println!("wrote {path}");
-    }
+    pt_bench::report::write("BENCH_SIM.json", quick, &report);
 }

@@ -20,7 +20,7 @@
 //!   methodology), but not gated: correctness is the contract here.
 //!
 //! `--quick` shrinks repetitions for CI smoke runs; gates run either way;
-//! the JSON is only written by full runs.
+//! its JSON goes where [`pt_bench::report::write`] puts quick runs.
 
 use pt_exec::DataStore;
 use pt_machine::platforms;
@@ -267,13 +267,5 @@ fn main() {
         scenarios,
         timeshare,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: BENCH_tenant.json left untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenant.json");
-        std::fs::write(path, json + "\n").expect("write BENCH_tenant.json");
-        println!("wrote {path}");
-    }
+    pt_bench::report::write("BENCH_tenant.json", quick, &report);
 }

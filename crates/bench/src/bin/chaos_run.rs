@@ -3,13 +3,14 @@
 //!
 //! Runs N randomized fault campaigns ([`FaultPlan::chaos`]) against two
 //! executed workloads of the paper's evaluation — the EPOL time-step graph
-//! (R = 4 on BRUSS2D) and NAS BT-MZ — each scheduled by the layer
-//! scheduler on a 2-node CHiC model and executed by an 8-worker [`Team`]
-//! with task bodies that sleep for their simulated durations.  Every
-//! campaign mixes fail-stop faults (panics, permanent losses, flaky ranks)
-//! with fail-slow faults (delays, slowdowns, silent stalls) and must
-//! satisfy, under a prediction-derived [`DeadlinePolicy`] whose slack is
-//! fed by the fault-free run's reconciliation error:
+//! (R = 4 on BRUSS2D) and NAS BT-MZ — each replayed through
+//! [`pt_bench::replay`]: planned on a 2-node CHiC model and executed by an
+//! 8-worker [`Team`] with task bodies that sleep for their simulated
+//! durations.  Every campaign mixes fail-stop faults (panics, permanent
+//! losses, flaky ranks) with fail-slow faults (delays, slowdowns, silent
+//! stalls) and must satisfy, under a prediction-derived
+//! [`DeadlinePolicy`] whose slack is fed by the fault-free run's
+//! reconciliation error:
 //!
 //! * **no wedge** — the run completes (the in-run global watchdog is armed
 //!   as a backstop and must never fire);
@@ -24,20 +25,18 @@
 //! (`ExecError::WatchdogTimeout`), pinning down the last line of defence.
 //!
 //! Full runs (50 campaigns) write `CHAOS.json` at the repository root;
-//! `--quick` runs a fixed-seed subset and only prints the JSON, so a CI
-//! smoke run cannot overwrite the gate artefact.
+//! `--quick` runs a fixed-seed subset and writes its report where
+//! [`pt_bench::report::write`] puts quick runs, so a CI smoke run cannot
+//! overwrite the gate artefact.
 
-use pt_core::{LayerScheduler, MappingStrategy};
-use pt_cost::CostModel;
+use pt_bench::replay::Replay;
 use pt_exec::{
-    ChaosConfig, DataStore, DeadlinePolicy, ExecError, FaultPlan, GroupPlan, Program, RetryPolicy,
-    RunOptions, Snapshot, TaskCtx, TaskFn, Team,
+    ChaosConfig, DataStore, DeadlinePolicy, ExecError, FaultPlan, Program, RetryPolicy, RunOptions,
+    Snapshot, TaskCtx, TaskFn, Team,
 };
-use pt_machine::platforms;
-use pt_mtask::{TaskGraph, TaskId};
-use pt_obs::{keys, MetricsSnapshot, Reconciliation, TraceRecorder};
+use pt_mtask::TaskGraph;
+use pt_obs::{keys, MetricsSnapshot, TraceRecorder};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,10 +49,6 @@ const RETRY_ATTEMPTS: u32 = 12;
 const FULL_SEEDS: u64 = 25;
 /// Campaign seeds per workload (`--quick`).
 const QUICK_SEEDS: u64 = 3;
-
-fn repo_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
-}
 
 #[derive(Serialize)]
 struct CampaignEntry {
@@ -108,129 +103,52 @@ fn counter(m: &MetricsSnapshot, key: &str) -> u64 {
     m.counter(key).unwrap_or(0)
 }
 
-/// Build the executable program for a scheduled graph: every task sleeps
-/// for its simulated duration (scaled to `target_wall` seconds total),
-/// runs one group collective, and rank 0 publishes a small array derived
-/// only from the task id — deterministic and group-layout independent, so
-/// results stay bit-identical across replans and hedges.
-fn build_workload(
-    name: &'static str,
-    graph: &TaskGraph,
-    target_wall: f64,
-    quick: bool,
-) -> Workload {
-    let spec = platforms::chic().with_nodes(2); // 8 workers
-    let p = spec.total_cores();
-    let model = CostModel::new(&spec);
-    let sched = LayerScheduler::new(&model).schedule_on(graph, p);
-    let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
-    let sim = pt_sim::Simulator::new(&model);
-    let report = sim.simulate_layered(graph, &sched, &mapping);
-    let scale = target_wall / report.makespan.max(1e-9);
-    let index = report.index();
-    let dur_of = |t: TaskId| {
-        index
-            .get(&t)
-            .map(|&i| {
-                let tt = &report.tasks[i];
-                Duration::from_secs_f64((tt.finish - tt.start).max(0.0) * scale)
-            })
-            .unwrap_or_default()
-    };
+/// Replay a workload: every task sleeps for its simulated duration
+/// (scaled to `target_wall` seconds total), runs one group collective, and
+/// rank 0 publishes a small array derived only from the task id —
+/// deterministic and group-layout independent, so results stay
+/// bit-identical across replans and hedges.
+fn build_workload(name: &'static str, graph: TaskGraph, target_wall: f64, quick: bool) -> Workload {
+    let mut replay = Replay::new(graph, target_wall, |t, dur| {
+        Arc::new(move |ctx: &TaskCtx| {
+            std::thread::sleep(dur);
+            let v = ctx.comm.allreduce_max_scalar(ctx.rank, 1.0);
+            if ctx.rank == 0 {
+                ctx.store
+                    .put(format!("out{}", t.0), vec![t.0 as f64 * v; 8]);
+            }
+        }) as Arc<TaskFn>
+    });
 
     // Per-layer budgets: the predicted wall clock of a layer is the
     // longest serial task chain over its groups (each group runs its
     // assignment in sequence) — the CostTable predictions, scaled to wall
     // seconds exactly like the bodies.
-    let budgets_s: Vec<f64> = sched
+    let budgets_s: Vec<f64> = replay
+        .plan
+        .schedule
         .layers
         .iter()
         .map(|layer| {
             layer
                 .assignments
                 .iter()
-                .map(|tasks| tasks.iter().map(|&t| dur_of(t).as_secs_f64()).sum::<f64>())
+                .map(|tasks| {
+                    tasks
+                        .iter()
+                        .map(|&t| replay.duration(t).as_secs_f64())
+                        .sum::<f64>()
+                })
                 .fold(0.0, f64::max)
         })
         .collect();
 
-    let mut layers: Vec<Vec<GroupPlan>> = Vec::new();
-    for layer in &sched.layers {
-        let mut groups = Vec::new();
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let bodies: Vec<Arc<TaskFn>> = tasks
-                .iter()
-                .map(|&t| {
-                    let dur = dur_of(t);
-                    Arc::new(move |ctx: &TaskCtx| {
-                        std::thread::sleep(dur);
-                        let v = ctx.comm.allreduce_max_scalar(ctx.rank, 1.0);
-                        if ctx.rank == 0 {
-                            ctx.store
-                                .put(format!("out{}", t.0), vec![t.0 as f64 * v; 8]);
-                        }
-                    }) as Arc<TaskFn>
-                })
-                .collect();
-            groups.push(GroupPlan::new(layer.group_range(g), bodies));
-        }
-        layers.push(groups);
-    }
-    let mut it = layers.into_iter();
-    let mut program = Program::single_layer(it.next().expect("schedule has layers"));
-    for groups in it {
-        program.push_layer(groups);
-    }
-
     // Fault-free recorded reference run: produces the bit-equality target
     // and the measured task times that feed the reconciliation (whose
     // error widens the deadline slack).
-    let recorder = Arc::new(TraceRecorder::for_team(p));
-    let team = Team::new(p);
-    let store = DataStore::new();
-    let opts = RunOptions::default().with_recorder(recorder.clone());
-    team.run_with(&program, &store, &opts)
-        .expect("fault-free reference run");
-    let reference = store.snapshot();
-    drop((team, opts));
-    let mut recorder = Arc::try_unwrap(recorder).expect("recorder handles released");
-    let events = recorder.drain();
-
-    // Join measured task spans back to TaskIds (in simulated seconds).
-    let mut bounds: HashMap<TaskId, (f64, f64)> = HashMap::new();
-    for ev in events.iter().filter(|e| e.cat == "task") {
-        let arg = |key: &str| {
-            ev.args.iter().find_map(|(k, v)| {
-                (*k == key).then_some(match v {
-                    pt_obs::ArgValue::U64(u) => *u as usize,
-                    _ => usize::MAX,
-                })
-            })
-        };
-        let (Some(l), Some(g), Some(k)) = (arg("layer"), arg("group"), arg("task_index")) else {
-            continue;
-        };
-        let Some(&t) = sched
-            .layers
-            .get(l)
-            .and_then(|layer| layer.assignments.get(g))
-            .and_then(|tasks| tasks.get(k))
-        else {
-            continue;
-        };
-        let e = bounds
-            .entry(t)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(ev.ts_us);
-        e.1 = e.1.max(ev.end_us());
-    }
-    let measured: HashMap<TaskId, f64> = bounds
-        .into_iter()
-        .map(|(t, (start, end))| (t, (end - start) / 1e6 / scale))
-        .collect();
-    let rec = Reconciliation::build(pt_sim::reconcile_samples(
-        graph, &sched, &report, &model, &measured,
-    ));
+    let run = replay.run();
+    let reference = run.store.snapshot();
+    let rec = run.reconciliation;
 
     // Prediction-derived deadlines: per-layer budgets × reconciliation
     // slack, with floors sized so healthy jitter (and injected delays of up
@@ -245,8 +163,8 @@ fn build_workload(
     println!(
         "{name}: {} tasks, {} layers, slack {slack:.2} (reconciled over {} tasks), \
          budgets {:?} ms{}",
-        graph.len(),
-        program.layers.len(),
+        replay.request.graph.len(),
+        replay.program.layers.len(),
         rec.compared,
         budgets_s
             .iter()
@@ -256,7 +174,7 @@ fn build_workload(
     );
     Workload {
         name,
-        program,
+        program: replay.program,
         policy,
         reference,
         slack,
@@ -385,14 +303,14 @@ fn run_watchdog_only(w: &Workload, workers: usize) -> WatchdogEntry {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let workers = platforms::chic().with_nodes(2).total_cores();
+    let workers = pt_bench::replay::machine().total_cores();
     let target_wall = if quick { 0.06 } else { 0.12 };
 
     let epol_graph = pt_ode::Epol::new(4).step_graph(&pt_ode::Bruss2d::new(250), 1);
     let bt_graph = pt_nas::bt_mz(pt_nas::Class::A).step_graph(1);
     let workloads = [
-        build_workload("epol_r4", &epol_graph, target_wall, quick),
-        build_workload("bt_mz_a", &bt_graph, target_wall, quick),
+        build_workload("epol_r4", epol_graph, target_wall, quick),
+        build_workload("bt_mz_a", bt_graph, target_wall, quick),
     ];
 
     let seeds = if quick { QUICK_SEEDS } else { FULL_SEEDS };
@@ -439,13 +357,5 @@ fn main() {
         campaigns,
         watchdog_only,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: CHAOS.json left untouched");
-    } else {
-        let path = repo_path("CHAOS.json");
-        std::fs::write(&path, json + "\n").expect("write CHAOS.json");
-        println!("wrote {path}");
-    }
+    pt_bench::report::write("CHAOS.json", quick, &report);
 }

@@ -1,14 +1,15 @@
 //! `recon_gate` — per-workload prediction-error regression gate.
 //!
 //! For each workload family of the evaluation (EPOL, IRK, BT-MZ) the gate
-//! replays one scheduled step on a live [`Team`]: task bodies wait out
-//! their simulated durations, the recorder's task spans are joined back
-//! to `TaskId`s, and `pt_obs::Reconciliation` computes the relative error
-//! of the symbolic cost model's per-task predictions against the measured
-//! wall clock.  Because the bodies replay the simulator, the error
-//! decomposes into model-vs-simulator disagreement (deterministic) plus
-//! timer noise (small) — so a jump in these numbers means the cost model,
-//! scheduler or simulator drifted, not the machine.
+//! replays one scheduled step on a live `Team` through
+//! [`pt_bench::replay`]: task bodies wait out their simulated durations,
+//! the recorder's task spans are joined back to `TaskId`s, and
+//! `pt_obs::Reconciliation` computes the relative error of the symbolic
+//! cost model's per-task predictions against the measured wall clock.
+//! Because the bodies replay the simulator, the error decomposes into
+//! model-vs-simulator disagreement (deterministic) plus timer noise
+//! (small) — so a jump in these numbers means the cost model, scheduler
+//! or simulator drifted, not the machine.
 //!
 //! Hard gates per workload act on the **layer-critical** error: for every
 //! layer, the relative error of the slowest predicted task against the
@@ -20,17 +21,14 @@
 //! root records the current figures; it is committed, so any drift is
 //! visible in review, and CI fails the build when a gate trips.
 //!
-//! `--quick` shortens the wall budget; gates run either way; the JSON is
-//! only written by full runs (same convention as `bench_tenant`).
+//! `--quick` shortens the wall budget; gates run either way; the JSON goes
+//! where [`pt_bench::report::write`] puts a quick or full run's report.
 
-use pt_core::{LayerScheduler, MappingStrategy};
-use pt_cost::CostModel;
-use pt_exec::{DataStore, GroupPlan, Program, RunOptions, TaskCtx, TaskFn, Team};
-use pt_machine::platforms;
-use pt_mtask::{TaskGraph, TaskId};
-use pt_obs::{Reconciliation, TraceRecorder};
+use pt_bench::replay::Replay;
+use pt_exec::{TaskCtx, TaskFn};
+use pt_mtask::TaskGraph;
+use pt_obs::Reconciliation;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,108 +113,15 @@ struct Report {
 /// real solver; the gate *sleeps* instead: on CI hosts with fewer cores
 /// than workers, N spinning threads contend for the CPU and every small
 /// task picks up scheduler-timeslice noise larger than itself, whereas
-/// sleeping threads don't contend and wake within ~a millisecond.
+/// sleeping threads don't contend and wake within ~a millisecond.  Each
+/// rank's own span then stays accurate, which is why the replay measures
+/// a task by its longest rank rather than the envelope across ranks.
 fn timed_wait(dur: Duration) {
     let end = Instant::now() + dur;
     let now = Instant::now();
     if end > now {
         std::thread::sleep(end - now);
     }
-}
-
-/// Schedule, simulate, replay with busy-wait bodies, and reconcile one
-/// workload's step graph on `p` cores.  Returns the joined error report.
-fn reconcile_workload(
-    model: &CostModel<'_>,
-    graph: &TaskGraph,
-    p: usize,
-    wall_budget: f64,
-) -> (Reconciliation, usize) {
-    let spec = model.spec;
-    let recorder = Arc::new(TraceRecorder::for_team(p));
-    let sched = LayerScheduler::new(model).schedule_on(graph, p);
-    let mapping = MappingStrategy::Consecutive.mapping(spec, p);
-    let report = pt_sim::Simulator::new(model).simulate_layered(graph, &sched, &mapping);
-
-    // Replay: every task busy-waits for its simulated duration, scaled so
-    // the run fits the wall budget.
-    let scale = wall_budget / report.makespan.max(1e-9);
-    let index = report.index();
-    let mut layers: Vec<Vec<GroupPlan>> = Vec::new();
-    for layer in &sched.layers {
-        let mut groups = Vec::new();
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let bodies: Vec<Arc<TaskFn>> = tasks
-                .iter()
-                .map(|&t| {
-                    let dur = index
-                        .get(&t)
-                        .map(|&i| {
-                            let tt = &report.tasks[i];
-                            Duration::from_secs_f64((tt.finish - tt.start).max(0.0) * scale)
-                        })
-                        .unwrap_or_default();
-                    Arc::new(move |_: &TaskCtx| timed_wait(dur)) as Arc<TaskFn>
-                })
-                .collect();
-            groups.push(GroupPlan::new(layer.group_range(g), bodies));
-        }
-        layers.push(groups);
-    }
-    let mut it = layers.into_iter();
-    let mut program = Program::single_layer(it.next().expect("workload has layers"));
-    for groups in it {
-        program.push_layer(groups);
-    }
-
-    let team = Team::new(p);
-    let store = DataStore::new();
-    let opts = RunOptions::default().with_recorder(recorder.clone());
-    team.run_with(&program, &store, &opts)
-        .expect("replay executes");
-    drop(opts);
-    drop(team);
-
-    // Join task spans back to TaskIds.  Unlike `trace_run` (which takes
-    // the min-start/max-finish envelope across a group's ranks), the gate
-    // takes the max *per-rank* body duration: wall-deadline waits stay
-    // accurate per rank even when CI oversubscribes the workers onto
-    // fewer host cores, whereas the cross-rank envelope folds arbitrary
-    // scheduler skew into the "measured" time and makes the gate flaky.
-    let mut recorder = Arc::try_unwrap(recorder).expect("all recorder handles released");
-    let events = recorder.drain();
-    let mut longest: HashMap<TaskId, f64> = HashMap::new();
-    for ev in events.iter().filter(|e| e.cat == "task") {
-        let arg = |name: &str| {
-            ev.args.iter().find_map(|(k, v)| {
-                (*k == name).then_some(match v {
-                    pt_obs::ArgValue::U64(u) => *u as usize,
-                    _ => usize::MAX,
-                })
-            })
-        };
-        let (Some(l), Some(g), Some(k)) = (arg("layer"), arg("group"), arg("task_index")) else {
-            continue;
-        };
-        let Some(&t) = sched
-            .layers
-            .get(l)
-            .and_then(|layer| layer.assignments.get(g))
-            .and_then(|tasks| tasks.get(k))
-        else {
-            continue;
-        };
-        let dur = ev.end_us() - ev.ts_us;
-        let e = longest.entry(t).or_insert(0.0);
-        *e = e.max(dur);
-    }
-    let measured: HashMap<TaskId, f64> = longest
-        .into_iter()
-        .map(|(t, us)| (t, us / 1e6 / scale))
-        .collect();
-
-    let samples = pt_sim::reconcile_samples(graph, &sched, &report, model, &measured);
-    (Reconciliation::build(samples), sched.layers.len())
 }
 
 fn workload_graph(name: &str) -> TaskGraph {
@@ -232,21 +137,23 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let wall_budget = if quick { 0.25 } else { 1.0 };
 
-    let spec = platforms::chic().with_nodes(2); // 2 nodes x 4 cores
-    let p = spec.total_cores();
-    let model = CostModel::new(&spec);
-
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for gate in GATES {
-        let graph = workload_graph(gate.name);
-        let (rec, layers) = reconcile_workload(&model, &graph, p, wall_budget);
+        let mut replay = Replay::new(workload_graph(gate.name), wall_budget, |_, dur| {
+            Arc::new(move |_: &TaskCtx| timed_wait(dur)) as Arc<TaskFn>
+        });
+        let rec = replay.run().reconciliation;
+        let (tasks, layers) = (
+            replay.request.graph.len(),
+            replay.plan.schedule.layers.len(),
+        );
         let (mean_layer_err, max_layer_err) = layer_errors(&rec);
         println!(
             "{}: {} tasks / {} layers, {} compared | layer err mean {:.1}% (gate {:.0}%) \
              max {:.1}% (gate {:.0}%) | per-task mean {:.1}% | suggested slack {:.2}",
             gate.name,
-            graph.len(),
+            tasks,
             layers,
             rec.compared,
             mean_layer_err * 100.0,
@@ -279,7 +186,7 @@ fn main() {
         }
         rows.push(WorkloadRow {
             workload: gate.name,
-            tasks: graph.len(),
+            tasks,
             layers,
             compared: rec.compared,
             mean_layer_err,
@@ -295,19 +202,11 @@ fn main() {
     let report = Report {
         benchmark: "per-workload prediction-error regression gate",
         machine: "chic",
-        cores: p,
+        cores: pt_bench::replay::machine().total_cores(),
         quick,
         workloads: rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if quick {
-        println!("{json}");
-        println!("quick run: RECON.json left untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../RECON.json");
-        std::fs::write(path, json + "\n").expect("write RECON.json");
-        println!("wrote {path}");
-    }
+    pt_bench::report::write("RECON.json", quick, &report);
 
     assert!(
         failures.is_empty(),

@@ -11,22 +11,20 @@
 //!   measured (wall clock) task times; also printed as a text table.
 //!
 //! The program is the EPOL time-step graph of the paper's evaluation
-//! (R = 4 stage chains on BRUSS2D), scheduled by the layer scheduler on a
-//! 2-node CHiC machine model and executed by a worker-thread [`Team`] with
-//! task bodies that busy-wait for their simulated durations — so measured
-//! times should reconcile with simulated ones up to scheduling noise, and
-//! the prediction-error columns exercise the full join.
+//! (R = 4 stage chains on BRUSS2D), replayed through
+//! [`pt_bench::replay`]: planned on a 2-node CHiC machine model and
+//! executed by a worker-thread `Team` with task bodies that busy-wait for
+//! their simulated durations — so measured times should reconcile with
+//! simulated ones up to scheduling noise, and the prediction-error columns
+//! exercise the full join.
 //!
 //! `--quick` shortens the run for CI (same artefacts, smaller durations).
 
-use pt_core::{LayerScheduler, MappingStrategy};
-use pt_cost::CostModel;
-use pt_exec::{DataStore, GroupPlan, Program, RunOptions, TaskCtx, TaskFn, Team, EXEC_PID};
-use pt_machine::platforms;
-use pt_mtask::TaskId;
-use pt_obs::{keys, Reconciliation, TraceProbe, TraceRecorder};
+use pt_bench::replay::Replay;
+use pt_bench::report::repo_path;
+use pt_exec::{TaskCtx, TaskFn, EXEC_PID};
+use pt_obs::{keys, Reconciliation, TraceProbe};
 use serde::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,10 +37,6 @@ fn target_wall(quick: bool) -> f64 {
     }
 }
 
-fn repo_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
 fn busy_wait(dur: Duration) {
     let end = Instant::now() + dur;
     while Instant::now() < end {
@@ -53,128 +47,46 @@ fn busy_wait(dur: Duration) {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
-    // -- Model, graph, schedule (recorded) --------------------------------
-    let spec = platforms::chic().with_nodes(2); // 2 nodes × 4 cores
-    let p = spec.total_cores();
-    let model = CostModel::new(&spec);
+    // Every task busy-waits for its scaled simulated duration; rank 0
+    // publishes a small array (re-distribution traffic).
     let graph = pt_ode::Epol::new(4).step_graph(&pt_ode::Bruss2d::new(250), 1);
-
-    let recorder = Arc::new(TraceRecorder::for_team(p));
-    let sched = LayerScheduler::new(&model)
-        .with_recorder(recorder.clone())
-        .schedule_on(&graph, p);
-    let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
-
-    // -- Simulated timeline ----------------------------------------------
-    let sim = pt_sim::Simulator::new(&model);
-    let report = sim.simulate_layered(&graph, &sched, &mapping);
+    let mut replay = Replay::new(graph, target_wall(quick), |t, dur| {
+        Arc::new(move |ctx: &TaskCtx| {
+            busy_wait(dur);
+            if ctx.rank == 0 {
+                ctx.store.put(format!("out{}", t.0), vec![0.0; 64]);
+            }
+        }) as Arc<TaskFn>
+    });
     println!(
         "EPOL r=4: {} tasks, {} layers, simulated makespan {:.4}s",
-        graph.len(),
-        sched.layers.len(),
-        report.makespan
+        replay.request.graph.len(),
+        replay.plan.schedule.layers.len(),
+        replay.plan.report.makespan
     );
 
-    // -- Synthesize an executable program: every task busy-waits for its
-    //    simulated duration, scaled so the whole run fits the wall budget;
-    //    rank 0 publishes a small array (re-distribution traffic). ---------
-    let scale = target_wall(quick) / report.makespan.max(1e-9);
-    let index = report.index();
-    let mut layers: Vec<Vec<GroupPlan>> = Vec::new();
-    for layer in &sched.layers {
-        let mut groups = Vec::new();
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let bodies: Vec<Arc<TaskFn>> = tasks
-                .iter()
-                .map(|&t| {
-                    let dur = index
-                        .get(&t)
-                        .map(|&i| {
-                            let tt = &report.tasks[i];
-                            Duration::from_secs_f64((tt.finish - tt.start).max(0.0) * scale)
-                        })
-                        .unwrap_or_default();
-                    Arc::new(move |ctx: &TaskCtx| {
-                        busy_wait(dur);
-                        if ctx.rank == 0 {
-                            ctx.store.put(format!("out{}", t.0), vec![0.0; 64]);
-                        }
-                    }) as Arc<TaskFn>
-                })
-                .collect();
-            groups.push(GroupPlan::new(layer.group_range(g), bodies));
-        }
-        layers.push(groups);
-    }
-    let mut it = layers.into_iter();
-    let mut program = Program::single_layer(it.next().expect("EPOL has layers"));
-    for groups in it {
-        program.push_layer(groups);
-    }
-
-    // -- Execute with recording on ----------------------------------------
-    let team = Team::new(p);
-    let store = DataStore::new();
-    let opts = RunOptions::default().with_recorder(recorder.clone());
-    let wall = team
-        .run_with(&program, &store, &opts)
-        .expect("trace run executes");
-    println!("executed in {:.4}s wall clock", wall.as_secs_f64());
-    drop(opts);
-    drop(team); // workers join, releasing their recorder handles
-
-    // -- Drain the recorder -----------------------------------------------
-    let mut recorder = Arc::try_unwrap(recorder).expect("all recorder handles released");
-    let events = recorder.drain();
-    let dropped = recorder.dropped();
-    let snapshot = recorder.metrics().snapshot();
-    assert!(!events.is_empty(), "recording produced no events");
-
-    // Measured per-task wall time: join task spans (layer, group,
-    // task_index args) back to TaskIds through the schedule's assignment
-    // order, min start / max finish across the group's ranks.  Durations
-    // are divided by the busy-wait scale so all three time sources of the
-    // reconciliation are in simulated seconds.
-    let mut bounds: HashMap<TaskId, (f64, f64)> = HashMap::new();
-    for ev in events.iter().filter(|e| e.cat == "task") {
-        let arg = |name: &str| {
-            ev.args.iter().find_map(|(k, v)| {
-                (*k == name).then_some(match v {
-                    pt_obs::ArgValue::U64(u) => *u as usize,
-                    _ => usize::MAX,
-                })
-            })
-        };
-        let (Some(l), Some(g), Some(k)) = (arg("layer"), arg("group"), arg("task_index")) else {
-            continue;
-        };
-        let Some(&t) = sched
-            .layers
-            .get(l)
-            .and_then(|layer| layer.assignments.get(g))
-            .and_then(|tasks| tasks.get(k))
-        else {
-            continue;
-        };
-        let e = bounds
-            .entry(t)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(ev.ts_us);
-        e.1 = e.1.max(ev.end_us());
-    }
-    let measured: HashMap<TaskId, f64> = bounds
-        .into_iter()
-        .map(|(t, (start, end))| (t, (end - start) / 1e6 / scale))
-        .collect();
+    let run = replay.run();
+    println!("executed in {:.4}s wall clock", run.wall.as_secs_f64());
+    assert!(!run.events.is_empty(), "recording produced no events");
+    let rec = run.reconciliation;
     println!(
-        "recorded {} events ({} dropped), measured {} tasks",
-        events.len(),
-        dropped,
-        measured.len()
+        "recorded {} events ({} dropped), reconciled {} tasks",
+        run.events.len(),
+        run.dropped,
+        rec.compared
     );
 
     // -- trace.json: executor + scheduler + simulated rows -----------------
-    let mut trace = pt_sim::chrome_trace(&graph, &sched, &report, &mapping, &spec);
+    let request = &replay.request;
+    let p = request.total_cores;
+    let mapping = request.mapping.mapping(&request.machine, p);
+    let mut trace = pt_sim::chrome_trace(
+        &request.graph,
+        &replay.plan.schedule,
+        &replay.plan.report,
+        &mapping,
+        &request.machine,
+    );
     trace.name_process(EXEC_PID, "executor");
     for w in 0..p {
         trace.name_thread(EXEC_PID, w as u32, format!("worker{w}"));
@@ -182,17 +94,15 @@ fn main() {
     trace.name_thread(EXEC_PID, p as u32, "driver");
     trace.name_process(pt_core::two_level::SCHED_PID, "scheduler");
     trace.name_thread(pt_core::two_level::SCHED_PID, 0, "phases");
-    trace.extend(events);
+    trace.extend(run.events);
     let trace_json = trace.to_json();
     std::fs::write(repo_path("trace.json"), &trace_json).expect("write trace.json");
 
     // -- metrics.json ------------------------------------------------------
-    let metrics_json = serde_json::to_string_pretty(&snapshot).expect("metrics serialise");
+    let metrics_json = serde_json::to_string_pretty(&run.metrics).expect("metrics serialise");
     std::fs::write(repo_path("metrics.json"), metrics_json).expect("write metrics.json");
 
     // -- reconciliation.json + table --------------------------------------
-    let samples = pt_sim::reconcile_samples(&graph, &sched, &report, &model, &measured);
-    let rec = Reconciliation::build(samples);
     std::fs::write(repo_path("reconciliation.json"), rec.to_json())
         .expect("write reconciliation.json");
     println!("\n{}", rec.render_table());
@@ -209,7 +119,7 @@ fn main() {
     print_summary(&back, &rec, quick);
     println!(
         "wrote {} + metrics.json + reconciliation.json",
-        repo_path("trace.json")
+        repo_path("trace.json").display()
     );
 }
 

@@ -5,10 +5,14 @@
 //! The central entry point is [`pipeline::time_per_step`]: graph →
 //! schedule → map → simulate, returning the simulated seconds per time
 //! step — the quantity every figure of the paper's evaluation plots.
+//! [`replay::Replay`] is the one path from a workload graph to an executed,
+//! reconciled replay of its plan on a live `Team` (`trace_run`,
+//! `recon_gate`, `chaos_run`), and [`report::write`] is where every gate
+//! writes its JSON report.
 
 pub mod pipeline {
     use pt_core::hybrid::HybridConfig;
-    use pt_core::{Amtha, Cpa, Cpr, DataParallel, LayerScheduler, MappingStrategy};
+    use pt_core::{Cpa, Cpr, DataParallel, LayerScheduler, MappingStrategy};
     use pt_cost::CostModel;
     use pt_machine::ClusterSpec;
     use pt_mtask::TaskGraph;
@@ -27,8 +31,6 @@ pub mod pipeline {
         Cpa,
         /// CPR baseline.
         Cpr,
-        /// AMTHA heterogeneous baseline (node-granular list mapping).
-        Amtha,
     }
 
     impl Scheduler {
@@ -40,7 +42,6 @@ pub mod pipeline {
                 Scheduler::DataParallel => "dp".into(),
                 Scheduler::Cpa => "CPA".into(),
                 Scheduler::Cpr => "CPR".into(),
-                Scheduler::Amtha => "AMTHA".into(),
             }
         }
     }
@@ -86,10 +87,6 @@ pub mod pipeline {
             Scheduler::Cpr => {
                 let s = Cpr::new(&model).schedule(graph);
                 sim.simulate_flat(graph, &s, &map).makespan
-            }
-            Scheduler::Amtha => {
-                let s = Amtha::new(&model).schedule(graph);
-                sim.simulate_layered(graph, &s, &map).makespan
             }
         };
         makespan / steps as f64
@@ -171,6 +168,303 @@ pub mod measure {
             best = best.min(remeasure());
         }
         best
+    }
+}
+
+pub mod report {
+    //! Where a gate writes its JSON report.  A full run writes the
+    //! committed file at the repository root; a `--quick` run writes an
+    //! untracked copy under the workspace's `target/quick/`, so a smoke run
+    //! never overwrites the committed figures.
+
+    use serde::Serialize;
+    use std::path::PathBuf;
+
+    /// `name` relative to the repository root.
+    pub fn repo_path(name: &str) -> PathBuf {
+        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(name)
+    }
+
+    /// Write `report` as pretty JSON to `file`'s place for a full or
+    /// `quick` run and print where it went.
+    pub fn write(file: &str, quick: bool, report: &impl Serialize) {
+        let path = if quick {
+            repo_path("target/quick").join(file)
+        } else {
+            repo_path(file)
+        };
+        let dir = path.parent().expect("a report path has a directory");
+        std::fs::create_dir_all(dir).expect("create the report directory");
+        let json = serde_json::to_string_pretty(report).expect("report serialises");
+        std::fs::write(&path, json + "\n").expect("write the report");
+        println!("wrote {}", path.display());
+    }
+}
+
+pub mod replay {
+    //! The one path from a workload graph to a reconciled replay of its
+    //! plan on a live [`Team`]: plan the graph through [`pt_serve::plan`]
+    //! on a 2-node CHiC, scale each task's simulated time to a wall budget,
+    //! run caller-supplied bodies that wait out those times with recording
+    //! on, and join the recorded task spans back to [`TaskId`]s for
+    //! [`Reconciliation`].  Because the bodies replay the simulator, the
+    //! reconciliation's error is model-vs-simulator disagreement plus timer
+    //! noise.
+
+    use pt_core::{LayeredSchedule, MappingStrategy};
+    use pt_cost::CostModel;
+    use pt_exec::{DataStore, GroupPlan, Program, RunOptions, TaskFn, Team};
+    use pt_machine::{platforms, ClusterSpec};
+    use pt_mtask::{TaskGraph, TaskId};
+    use pt_obs::{ArgValue, MetricsSnapshot, Reconciliation, TraceEvent, TraceRecorder};
+    use pt_serve::{Plan, ScheduleRequest};
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// The replayed machine: 2 CHiC nodes × 4 cores, one `Team` worker per
+    /// core.
+    pub fn machine() -> ClusterSpec {
+        platforms::chic().with_nodes(2)
+    }
+
+    /// A planned workload and the program that replays it.
+    pub struct Replay {
+        /// The planned request: graph, machine and mapping.
+        pub request: ScheduleRequest,
+        /// Its schedule and simulated report.
+        pub plan: Plan,
+        /// One caller body per scheduled task, grouped as the schedule is.
+        pub program: Program,
+        /// Wall seconds per simulated second.
+        scale: f64,
+        /// Scaled simulated time per task.
+        durations: HashMap<TaskId, Duration>,
+        /// Receives the plan's scheduler phases and cost evaluations, then
+        /// the run's executor events.
+        recorder: Arc<TraceRecorder>,
+    }
+
+    /// What one recorded run of a [`Replay`] left behind.
+    pub struct Run {
+        /// Wall-clock time of the run.
+        pub wall: Duration,
+        /// The store the bodies wrote.
+        pub store: Arc<DataStore>,
+        /// Every recorded event: the plan's, then the run's.
+        pub events: Vec<TraceEvent>,
+        /// Events the recorder dropped for lack of room.
+        pub dropped: u64,
+        /// Counters and histograms of the plan and the run.
+        pub metrics: MetricsSnapshot,
+        /// Predicted, simulated and measured task times, joined.
+        pub reconciliation: Reconciliation,
+    }
+
+    impl Replay {
+        /// Plan `graph` from a cold table and build its program: the body
+        /// of task `t` is `body(t, self.duration(t))`.
+        pub fn new(
+            graph: TaskGraph,
+            wall_budget: f64,
+            body: impl Fn(TaskId, Duration) -> Arc<TaskFn>,
+        ) -> Replay {
+            let machine = machine();
+            let recorder = Arc::new(TraceRecorder::for_team(machine.total_cores()));
+            let request = ScheduleRequest::new(
+                Arc::new(graph),
+                Arc::new(machine),
+                MappingStrategy::Consecutive,
+            );
+            let store = pt_serve::table_store(&request);
+            let plan = pt_serve::plan(&request, &store, None, Some(recorder.clone()));
+            let scale = wall_budget / plan.report.makespan.max(1e-9);
+            let durations: HashMap<TaskId, Duration> = plan
+                .report
+                .tasks
+                .iter()
+                .map(|tt| {
+                    let simulated = (tt.finish - tt.start).max(0.0);
+                    (tt.task, Duration::from_secs_f64(simulated * scale))
+                })
+                .collect();
+            let program = program(&plan.schedule, |t| {
+                body(t, durations.get(&t).copied().unwrap_or_default())
+            });
+            Replay {
+                request,
+                plan,
+                program,
+                scale,
+                durations,
+                recorder,
+            }
+        }
+
+        /// Simulated time of `t`, scaled so the simulated makespan fills
+        /// the wall budget (zero for a task the simulation did not place).
+        pub fn duration(&self, t: TaskId) -> Duration {
+            self.durations.get(&t).copied().unwrap_or_default()
+        }
+
+        /// Run the program once on a fresh [`Team`], one worker per
+        /// symbolic core, with recording on, and reconcile the measured task
+        /// times against the plan.
+        pub fn run(&mut self) -> Run {
+            let team = Team::new(self.request.total_cores);
+            let store = DataStore::new();
+            let opts = RunOptions::default().with_recorder(self.recorder.clone());
+            let wall = team
+                .run_with(&self.program, &store, &opts)
+                .expect("replay executes");
+            drop((team, opts)); // workers join, releasing their recorder handles
+            let recorder = Arc::get_mut(&mut self.recorder).expect("all recorder handles released");
+            let events = recorder.drain();
+            let measured = task_seconds(&self.plan.schedule, &events, self.scale);
+            let model = CostModel::new(&self.request.machine);
+            let samples = pt_sim::reconcile_samples(
+                &self.request.graph,
+                &self.plan.schedule,
+                &self.plan.report,
+                &model,
+                &measured,
+            );
+            Run {
+                wall,
+                store,
+                dropped: recorder.dropped(),
+                metrics: recorder.metrics().snapshot(),
+                events,
+                reconciliation: Reconciliation::build(samples),
+            }
+        }
+    }
+
+    /// One group plan per scheduled group; each task's body is `body(t)`.
+    fn program(schedule: &LayeredSchedule, body: impl Fn(TaskId) -> Arc<TaskFn>) -> Program {
+        let layers = schedule
+            .layers
+            .iter()
+            .map(|layer| {
+                let groups = layer.assignments.iter().enumerate();
+                groups
+                    .map(|(g, tasks)| {
+                        let bodies = tasks.iter().map(|&t| body(t)).collect();
+                        GroupPlan::new(layer.group_range(g), bodies)
+                    })
+                    .collect()
+            })
+            .collect();
+        Program { layers }
+    }
+
+    /// Measured body time per scheduled task, in simulated seconds
+    /// (recorded microseconds divided by `scale`).  The executor's `task`
+    /// spans carry `layer`/`group`/`task_index` args that index the
+    /// schedule's assignments; events of other categories are skipped.  A
+    /// task's time is its longest single-rank span: each rank's own wait
+    /// stays accurate when the host runs the workers on fewer cores,
+    /// whereas the envelope across a group's ranks would fold the host
+    /// scheduler's skew between them into the measurement.
+    fn task_seconds(
+        schedule: &LayeredSchedule,
+        events: &[TraceEvent],
+        scale: f64,
+    ) -> HashMap<TaskId, f64> {
+        let mut longest: HashMap<TaskId, f64> = HashMap::new();
+        for ev in events.iter().filter(|e| e.cat == "task") {
+            let arg = |name: &str| {
+                ev.args.iter().find_map(|(k, v)| match v {
+                    ArgValue::U64(u) if *k == name => Some(*u as usize),
+                    _ => None,
+                })
+            };
+            let task = || {
+                let layer = schedule.layers.get(arg("layer")?)?;
+                let tasks = layer.assignments.get(arg("group")?)?;
+                tasks.get(arg("task_index")?).copied()
+            };
+            if let Some(t) = task() {
+                let seconds = ev.dur_us / 1e6 / scale;
+                let e = longest.entry(t).or_insert(0.0);
+                *e = e.max(seconds);
+            }
+        }
+        longest
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use pt_core::LayerSchedule;
+        use pt_exec::TaskCtx;
+
+        #[test]
+        fn task_seconds_measures_each_scheduled_task_once_as_its_longest_rank() {
+            // Layer 0: tasks 0, 1 on workers 0..2 and task 2 on 2..4;
+            // layer 1: task 3 on all four.
+            let schedule = LayeredSchedule {
+                total_cores: 4,
+                layers: vec![
+                    LayerSchedule {
+                        group_sizes: vec![2, 2],
+                        assignments: vec![vec![TaskId(0), TaskId(1)], vec![TaskId(2)]],
+                    },
+                    LayerSchedule {
+                        group_sizes: vec![4],
+                        assignments: vec![vec![TaskId(3)]],
+                    },
+                ],
+            };
+            // Rank r of a group waits (r + 1) ms, so the longest rank of a
+            // group of n waits at least n ms.
+            let program = program(&schedule, |_| {
+                Arc::new(|ctx: &TaskCtx| {
+                    std::thread::sleep(Duration::from_millis(ctx.rank as u64 + 1));
+                })
+            });
+            let recorder = Arc::new(TraceRecorder::for_team(4));
+            let team = Team::new(4);
+            let opts = RunOptions::default().with_recorder(recorder.clone());
+            team.run_with(&program, &DataStore::new(), &opts)
+                .expect("replay executes");
+            drop((team, opts));
+            let mut recorder = Arc::try_unwrap(recorder).expect("recorder handles released");
+            let mut events = recorder.drain();
+            // A span of another category carrying a task's args is not a
+            // task body.
+            let mut other = events
+                .iter()
+                .find(|e| e.cat == "task")
+                .expect("the run recorded task spans")
+                .clone();
+            other.cat = "barrier";
+            other.dur_us = 1e9;
+            events.push(other);
+
+            let scale = 0.5;
+            let measured = task_seconds(&schedule, &events, scale);
+            let mut tasks: Vec<TaskId> = measured.keys().copied().collect();
+            tasks.sort();
+            assert_eq!(tasks, [TaskId(0), TaskId(1), TaskId(2), TaskId(3)]);
+            for (l, layer) in schedule.layers.iter().enumerate() {
+                for (g, assigned) in layer.assignments.iter().enumerate() {
+                    for (k, t) in assigned.iter().enumerate() {
+                        let name = format!("L{l}.g{g}.t{k}");
+                        let spans: Vec<f64> = events
+                            .iter()
+                            .filter(|e| e.cat == "task" && e.name == name)
+                            .map(|e| e.dur_us / 1e6 / scale)
+                            .collect();
+                        assert_eq!(spans.len(), layer.group_sizes[g], "{name}");
+                        let longest = spans.iter().copied().fold(0.0, f64::max);
+                        assert_eq!(measured[t], longest, "{name}");
+                        let ranks = layer.group_sizes[g] as f64;
+                        assert!(measured[t] >= ranks * 1e-3 / scale, "{name}");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 use crate::key::ScheduleRequest;
 use pt_core::{LayerScheduler, LayeredSchedule};
 use pt_cost::{CostModel, CostTable, TableStore};
-use pt_obs::TraceRecorder;
+use pt_obs::{keys, Recorder, TraceRecorder};
 use pt_sim::{SimReport, Simulator};
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ pub fn table_store(request: &ScheduleRequest) -> Arc<TableStore> {
 /// must hold only values of `request`'s table key).  `request` must pass
 /// [`ScheduleRequest::validate`].  `sweep_workers` pins the g-sweep's
 /// thread count (`None`: the scheduler's default); `recorder` receives the
-/// scheduling-phase spans.
+/// scheduling-phase spans and the plan's cost evaluations.
 pub fn plan(
     request: &ScheduleRequest,
     store: &Arc<TableStore>,
@@ -56,6 +56,9 @@ pub fn plan(
     let table = CostTable::shared(&model, store.clone());
     let schedule = scheduler.schedule_on_with(&table, &request.graph, request.total_cores);
     let cost_evaluations = store.evaluations() - before;
+    if let Some(r) = scheduler.recorder.as_deref() {
+        r.add(keys::COST_EVALUATIONS, cost_evaluations as u64);
+    }
     let mapping = request
         .mapping
         .mapping(&request.machine, request.total_cores);
@@ -91,4 +94,45 @@ pub fn write_trace(request: &ScheduleRequest, path: &str) -> Result<Plan, String
     trace.extend(recorder.drain());
     std::fs::write(path, trace.to_json()).map_err(|e| format!("{path}: {e}"))?;
     Ok(planned)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pt_core::MappingStrategy;
+    use pt_mtask::{CommOp, EdgeData, MTask, TaskGraph};
+
+    #[test]
+    fn recorded_plan_reports_its_cost_evaluations() {
+        let mut graph = TaskGraph::new();
+        let src = graph.add_task(MTask::compute("src", 1e8));
+        for i in 0..4 {
+            let t = graph.add_task(MTask::with_comm(
+                format!("t{i}"),
+                (1 + i) as f64 * 1e9,
+                vec![CommOp::allgather(8e3, 1.0)],
+            ));
+            graph.add_edge(src, t, EdgeData::replicated(8e3));
+        }
+        let request = ScheduleRequest::new(
+            Arc::new(graph),
+            Arc::new(pt_machine::platforms::chic().with_nodes(2)),
+            MappingStrategy::Consecutive,
+        );
+        let recorder = Arc::new(TraceRecorder::new(1));
+        let planned = plan(
+            &request,
+            &table_store(&request),
+            None,
+            Some(recorder.clone()),
+        );
+        assert!(planned.cost_evaluations > 0);
+        assert_eq!(
+            recorder
+                .metrics()
+                .snapshot()
+                .counter(keys::COST_EVALUATIONS),
+            Some(planned.cost_evaluations as u64)
+        );
+    }
 }
