@@ -28,7 +28,7 @@ use pt_ode::{Bruss2d, Epol, Irk, OdeSystem};
 use pt_serve::{SchedService, ServeConfig};
 use pt_tenant::{
     poisson_mixed, run_scenario, trace_jobs, AdmissionOracle, JobSpec, Policy, ScenarioReport,
-    TenantExecutor, TenantJob, TenantSimConfig, WorkloadKind,
+    TenantExecutor, TenantJob, WorkloadKind,
 };
 use serde::Serialize;
 use std::sync::Arc;
@@ -96,10 +96,9 @@ fn scenario(
 ) -> ScenarioEntry {
     let spec = Arc::new(platforms::chic().with_nodes(nodes));
     let oracle = AdmissionOracle::new(service, spec.clone());
-    let cfg = TenantSimConfig::default();
-    let fcfs = run_scenario(&oracle, jobs, Policy::FcfsExclusive, &cfg);
-    let equi = run_scenario(&oracle, jobs, Policy::Equi, &cfg);
-    let mall = run_scenario(&oracle, jobs, Policy::Malleable, &cfg);
+    let fcfs = run_scenario(&oracle, jobs, Policy::FcfsExclusive);
+    let equi = run_scenario(&oracle, jobs, Policy::Equi);
+    let mall = run_scenario(&oracle, jobs, Policy::Malleable);
     println!(
         "{name}: P={}, {} jobs | stretch fcfs {:.3} equi {:.3} malleable {:.3} | \
          util fcfs {:.3} equi {:.3} malleable {:.3} | {} resizes",

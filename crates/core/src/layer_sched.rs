@@ -18,7 +18,7 @@
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
 use pt_cost::{CostModel, CostTable};
-use pt_mtask::{chain::ChainGraph, layer::layers, MTask, TaskGraph, TaskId};
+use pt_mtask::{layer::layers, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,12 +49,6 @@ const LPT_HEAP_THRESHOLD: usize = 16;
 /// threads; below it the spawn overhead outweighs the sweep itself.
 const PARALLEL_SWEEP_MIN_WORK: usize = 1 << 14;
 
-/// Minimum layer size before the LPT *inner* work (per-task time fills and
-/// the LPT order sort) fans out across threads.  Only the top-level LPT
-/// paths parallelize — scratches inside g-sweep workers stay serial
-/// (`workers == 1`), so the two levels never oversubscribe.
-const PARALLEL_LPT_MIN_TASKS: usize = 4096;
-
 /// Minimum layer size before the g-sweep consults the makespan lower bound
 /// to prune candidates; below it the bound costs as much as running the
 /// candidate outright.
@@ -62,7 +56,6 @@ const LB_PRUNE_MIN_TASKS: usize = 64;
 
 /// Per-task times at one width, cached so consecutive candidates sharing a
 /// width (`⌊P/g⌋` repeats for many `g`) skip the table walk entirely.
-#[derive(Default)]
 struct CachedTimes {
     /// Width the buffer holds, `usize::MAX` when invalid.
     width: usize,
@@ -70,35 +63,18 @@ struct CachedTimes {
 }
 
 impl CachedTimes {
-    /// Per-task times at `width`, refilled from `table` on miss.  Each
-    /// element is an independent pure table lookup, so chunking the fill
-    /// across `workers` threads is value-identical to the serial loop.
+    /// Per-task times at `width`, refilled from `table` on miss.
     fn fill<'s>(
         &'s mut self,
         table: &CostTable<'_>,
         tasks: &[(TaskId, &MTask)],
         width: usize,
-        workers: usize,
     ) -> &'s [f64] {
         if self.width != width {
             self.width = width;
             self.times.clear();
-            if workers <= 1 || tasks.len() < PARALLEL_LPT_MIN_TASKS {
-                self.times
-                    .extend(tasks.iter().map(|(id, m)| table.symbolic(*id, m, width)));
-            } else {
-                self.times.resize(tasks.len(), 0.0);
-                let chunk = tasks.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    for (ts, out) in tasks.chunks(chunk).zip(self.times.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (o, (id, m)) in out.iter_mut().zip(ts) {
-                                *o = table.symbolic(*id, m, width);
-                            }
-                        });
-                    }
-                });
-            }
+            self.times
+                .extend(tasks.iter().map(|(id, m)| table.symbolic(*id, m, width)));
         }
         &self.times
     }
@@ -110,47 +86,10 @@ impl CachedTimes {
 
 /// LPT priority: decreasing time, original index breaking ties (what a
 /// stable descending sort yields).  Keys are unique (distinct indices), so
-/// every comparison sort — serial or chunked-and-merged — produces the
-/// identical sequence.
+/// every comparison sort produces the identical sequence.
 #[inline]
 fn lpt_cmp(a: &(TotalF64, u32), b: &(TotalF64, u32)) -> std::cmp::Ordering {
     b.0.cmp(&a.0).then(a.1.cmp(&b.1))
-}
-
-/// Sort the LPT order, fanning large layers out as per-chunk sorts plus one
-/// deterministic k-way merge.
-fn sort_lpt_order(order: &mut Vec<(TotalF64, u32)>, workers: usize) {
-    if workers <= 1 || order.len() < PARALLEL_LPT_MIN_TASKS {
-        order.sort_unstable_by(lpt_cmp);
-        return;
-    }
-    let chunk = order.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for run in order.chunks_mut(chunk) {
-            s.spawn(move || run.sort_unstable_by(lpt_cmp));
-        }
-    });
-    let mut merged = Vec::with_capacity(order.len());
-    {
-        let runs: Vec<&[(TotalF64, u32)]> = order.chunks(chunk).collect();
-        let mut cursors = vec![0usize; runs.len()];
-        for _ in 0..order.len() {
-            let mut best: Option<usize> = None;
-            for (r, run) in runs.iter().enumerate() {
-                if cursors[r] < run.len()
-                    && best.is_none_or(|b| {
-                        lpt_cmp(&run[cursors[r]], &runs[b][cursors[b]]) == std::cmp::Ordering::Less
-                    })
-                {
-                    best = Some(r);
-                }
-            }
-            let b = best.expect("merge exhausts all runs together");
-            merged.push(runs[b][cursors[b]]);
-            cursors[b] += 1;
-        }
-    }
-    *order = merged;
 }
 
 /// Reusable buffers for one LPT evaluation, so the sweep does not allocate
@@ -167,11 +106,6 @@ pub(crate) struct LptScratch {
     hi: CachedTimes,
     acc: Vec<f64>,
     heap: BinaryHeap<Reverse<(TotalF64, usize)>>,
-    /// Threads the inner fill/sort work may fan out over.  Stays 1 for
-    /// scratches owned by g-sweep worker threads (the outer sweep already
-    /// saturates the machine); the top-level scheduling paths raise it for
-    /// layers past [`PARALLEL_LPT_MIN_TASKS`].
-    workers: usize,
 }
 
 impl Default for LptScratch {
@@ -189,7 +123,6 @@ impl Default for LptScratch {
             },
             acc: Vec::new(),
             heap: BinaryHeap::new(),
-            workers: 1,
         }
     }
 }
@@ -223,8 +156,10 @@ pub struct LayerScheduler<'a> {
     pub contract_chains: bool,
     /// Worker threads for the g-sweep (`None`: use
     /// `std::thread::available_parallelism`, falling back to 1).  The
-    /// result is identical for any worker count; see
-    /// [`schedule_layer`](Self::schedule_layer).
+    /// result is identical for any worker count: every candidate's
+    /// makespan is a pure function of the inputs, and the reduction picks
+    /// the smallest makespan with the smallest `g` breaking ties, in any
+    /// partition order.
     pub sweep_workers: Option<usize>,
     /// Trace recorder for scheduling-phase spans and metrics (`None` — the
     /// default — keeps the hot path free of instrumentation beyond one
@@ -317,46 +252,16 @@ impl<'a> LayerScheduler<'a> {
         out
     }
 
-    /// Schedule one layer of independent tasks; returns the adjusted group
-    /// sizes and the per-group ordered task lists (ids refer to the graph
-    /// the tasks came from).
-    ///
-    /// Prices every `(task, width)` pair through a fresh [`CostTable`];
-    /// callers scheduling many layers of one graph should prefer
-    /// [`schedule_layer_with`](Self::schedule_layer_with) and share the
-    /// table.
-    pub fn schedule_layer(
-        &self,
-        tasks: &[(TaskId, &MTask)],
-        total: usize,
-    ) -> (Vec<usize>, Vec<Vec<TaskId>>) {
-        let n = tasks.iter().map(|(t, _)| t.0 + 1).max().unwrap_or(0);
-        let table = CostTable::with_width(self.model, n, total);
-        self.schedule_layer_with(&table, tasks, total)
-    }
-
-    /// [`schedule_layer`](Self::schedule_layer) with a caller-provided memo
-    /// table (indexed by the same `TaskId`s as `tasks`).
+    /// Schedule one layer of independent tasks, pricing through `table`
+    /// (indexed by the same `TaskId`s as `tasks`) and reusing `scratch`
+    /// across layers; returns the adjusted group sizes and the per-group
+    /// ordered task lists (ids refer to the graph the tasks came from).
     ///
     /// The candidate group counts `g = 1..=min(tasks, total)` are swept in
     /// parallel across [`sweep_workers`](Self::sweep_workers) threads when
-    /// the layer is large enough to pay for the fan-out.  The result does
-    /// not depend on the worker count: every candidate's makespan is a pure
-    /// function of the inputs, and the reduction picks the smallest
-    /// makespan with the smallest `g` breaking ties, in any partition
-    /// order.  A fixed group count is clamped to `min(tasks, total)`.
-    pub fn schedule_layer_with(
-        &self,
-        table: &CostTable<'_>,
-        tasks: &[(TaskId, &MTask)],
-        total: usize,
-    ) -> (Vec<usize>, Vec<Vec<TaskId>>) {
-        let mut scratch = LptScratch::default();
-        self.schedule_layer_scratch(table, tasks, total, &mut scratch)
-    }
-
-    /// [`schedule_layer_with`](Self::schedule_layer_with) reusing a scratch
-    /// buffer across layers.
+    /// the layer is large enough to pay for the fan-out; the winner's LPT
+    /// run is serial.  A fixed group count is clamped to
+    /// `min(tasks, total)`.
     pub(crate) fn schedule_layer_scratch(
         &self,
         table: &CostTable<'_>,
@@ -370,15 +275,6 @@ impl<'a> LayerScheduler<'a> {
         }
         let max_g = tasks.len().min(total);
         scratch.reset();
-        // Inner LPT parallelism for this (top-level) scratch.  Sweep worker
-        // threads build their own serial scratches, so raising this here
-        // never nests fan-outs.  An explicit sweep worker count also pins
-        // the inner width (tests rely on `Some(1)` meaning fully serial).
-        scratch.workers = if tasks.len() < PARALLEL_LPT_MIN_TASKS {
-            1
-        } else {
-            self.sweep_workers.unwrap_or_else(default_workers)
-        };
         let rec = self.recorder.as_deref();
 
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
@@ -776,10 +672,9 @@ fn candidate_lower_bound(
 ) -> f64 {
     let base = total / g;
     let extra = total % g;
-    let workers = scratch.workers;
-    let lo = scratch.lo.fill(table, tasks, base, workers);
+    let lo = scratch.lo.fill(table, tasks, base);
     let hi: &[f64] = if extra > 0 {
-        scratch.hi.fill(table, tasks, base + 1, workers)
+        scratch.hi.fill(table, tasks, base + 1)
     } else {
         lo
     };
@@ -825,13 +720,11 @@ fn assign_lpt(
         hi,
         acc,
         heap,
-        workers,
     } = scratch;
-    let workers = *workers;
     // Times at the two subset widths; groups `l < extra` get `base + 1`.
-    let lo_times: &[f64] = lo.fill(table, tasks, base, workers);
+    let lo_times: &[f64] = lo.fill(table, tasks, base);
     let hi_times: &[f64] = if extra > 0 {
-        hi.fill(table, tasks, base + 1, workers)
+        hi.fill(table, tasks, base + 1)
     } else {
         lo_times
     };
@@ -867,7 +760,7 @@ fn assign_lpt(
                     .enumerate()
                     .map(|(i, &t)| (TotalF64(t), i as u32)),
             );
-            sort_lpt_order(order, workers);
+            order.sort_unstable_by(lpt_cmp);
         }
         *order_width = width0;
     }
@@ -934,45 +827,6 @@ impl DataParallel {
             total_cores,
             layers: ls,
         }
-    }
-}
-
-/// Maximum task parallelism: every layer uses as many groups as it has
-/// tasks (with adjustment), the other extreme of the design space.
-#[derive(Debug, Clone)]
-pub struct MaxParallel<'a> {
-    /// Underlying cost model.
-    pub model: &'a CostModel<'a>,
-}
-
-impl<'a> MaxParallel<'a> {
-    /// Build the maximally task-parallel schedule.
-    pub fn schedule(&self, graph: &TaskGraph) -> LayeredSchedule {
-        let total = self.model.spec.total_cores();
-        let cg = ChainGraph::contract(graph);
-        let mut out = LayeredSchedule {
-            total_cores: total,
-            layers: Vec::new(),
-        };
-        for layer in layers(&cg.graph) {
-            let tasks: Vec<(TaskId, &MTask)> =
-                layer.iter().map(|&t| (t, cg.graph.task(t))).collect();
-            let sched = LayerScheduler::new(self.model).with_fixed_groups(layer.len());
-            let (sizes, assignment) = sched.schedule_layer(&tasks, total);
-            let assignments = assignment
-                .into_iter()
-                .map(|ts| {
-                    ts.into_iter()
-                        .flat_map(|c| cg.members[c.0].iter().copied())
-                        .collect()
-                })
-                .collect();
-            out.layers.push(LayerSchedule {
-                group_sizes: sizes,
-                assignments,
-            });
-        }
-        out
     }
 }
 
@@ -1050,7 +904,8 @@ mod tests {
     fn schedule_is_deterministic_across_runs_and_workers() {
         // The sweep's pruning, cached LPT orders and parallel workers must
         // not perturb the result: repeated runs and the serial vs threaded
-        // sweep all produce bit-identical schedules.
+        // sweep all produce bit-identical schedules — for the contracted
+        // EPOL step and for one layer as wide as BT-MZ class E's.
         let spec = platforms::chic().with_nodes(16);
         let model = CostModel::new(&spec);
         let g = epol_step_graph(8, 2e9, 800_000.0);
@@ -1062,30 +917,31 @@ mod tests {
             .with_sweep_workers(4)
             .schedule(&g);
         assert_eq!(a, threaded, "parallel sweep must match the serial sweep");
-    }
 
-    #[test]
-    fn parallel_lpt_sort_matches_serial_sort() {
-        // Unique (time, index) keys ⇒ chunked sort + k-way merge must equal
-        // the single serial sort exactly, including duplicate-time runs.
-        let n = PARALLEL_LPT_MIN_TASKS + 137;
-        let mut x = 0x2545f4914f6cdd1du64;
-        let base: Vec<(TotalF64, u32)> = (0..n)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Coarse buckets force many exact time ties.
-                (TotalF64((x % 97) as f64), i as u32)
-            })
-            .collect();
-        for workers in [2, 3, 8] {
-            let mut serial = base.clone();
-            let mut parallel = base.clone();
-            sort_lpt_order(&mut serial, 1);
-            sort_lpt_order(&mut parallel, workers);
-            assert_eq!(serial, parallel, "workers={workers}");
+        // Coarse work buckets force many exact time ties in the LPT order.
+        let mut wide = TaskGraph::new();
+        for i in 0..4100u32 {
+            let bucket = f64::from((i * 7919) % 97);
+            wide.add_task(MTask::with_comm(
+                format!("t{i}"),
+                1e6 * (1.0 + bucket),
+                vec![CommOp::allgather(1024.0 * f64::from(1 + i % 13), 1.0)],
+            ));
         }
+        let spec = platforms::chic().with_nodes(8);
+        let model = CostModel::new(&spec);
+        let a = LayerScheduler::new(&model)
+            .with_sweep_workers(1)
+            .schedule(&wide);
+        assert_eq!(a.layers.len(), 1);
+        assert_eq!(
+            a.layers[0].assignments.iter().map(Vec::len).sum::<usize>(),
+            4100
+        );
+        let threaded = LayerScheduler::new(&model)
+            .with_sweep_workers(4)
+            .schedule(&wide);
+        assert_eq!(a, threaded, "parallel sweep must match the serial sweep");
     }
 
     #[test]
@@ -1129,37 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_matches_serial_fill() {
-        let spec = platforms::chic().with_nodes(8);
-        let model = CostModel::new(&spec);
-        let tasks: Vec<MTask> = (0..PARALLEL_LPT_MIN_TASKS + 5)
-            .map(|i| {
-                MTask::with_comm(
-                    format!("t{i}"),
-                    1e6 + i as f64,
-                    vec![CommOp::allgather(1024.0 + i as f64, 1.0)],
-                )
-            })
-            .collect();
-        let list: Vec<(TaskId, &MTask)> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), t))
-            .collect();
-        let table = CostTable::with_width(&model, list.len(), 64);
-        let mut serial = CachedTimes::default();
-        serial.invalidate();
-        let a = serial.fill(&table, &list, 7, 1).to_vec();
-        let mut par = CachedTimes::default();
-        par.invalidate();
-        let b = par.fill(&table, &list, 7, 4).to_vec();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn schedule_covers_every_nonstructural_task() {
         let spec = platforms::chic().with_nodes(4);
         let model = CostModel::new(&spec);
@@ -1185,16 +1010,6 @@ mod tests {
         for layer in &sched.layers {
             assert_eq!(layer.group_sizes, vec![32]);
         }
-    }
-
-    #[test]
-    fn max_parallel_uses_one_group_per_task() {
-        let spec = platforms::chic().with_nodes(8);
-        let model = CostModel::new(&spec);
-        let g = epol_step_graph(4, 1e8, 8_000.0);
-        let sched = MaxParallel { model: &model }.schedule(&g);
-        assert_eq!(sched.layers[0].num_groups(), 4);
-        assert!(sched.validate().is_ok());
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!    ([`LayerScheduler`], its Algorithm 1) contracts linear chains,
 //!    partitions the graph into layers of independent tasks, sweeps the
 //!    group count `g = 1..P` per layer with a greedy LPT assignment, and
-//!    finally adjusts group sizes to the assigned work.  The baselines
-//!    [`Cpa`] and [`Cpr`] (Radulescu & van Gemund) are provided for the
-//!    comparison of the paper's Fig. 13, as are the trivial
-//!    [`DataParallel`] and [`MaxParallel`] reference schedules.
+//!    finally adjusts group sizes to the assigned work.  Large sweeps
+//!    spread their candidates `g` over threads; each candidate's LPT run
+//!    is one serial loop, so the schedule is the same for any thread
+//!    count.  The baselines [`Cpa`] and [`Cpr`] (Radulescu & van Gemund)
+//!    are provided for the comparison of the paper's Fig. 13, as is the
+//!    trivial [`DataParallel`] reference schedule.
 //! 2. **Mapping** — the assignment of symbolic to physical cores
 //!    ([`MappingStrategy`]: consecutive, scattered, mixed(d); §3.4).
 //! 3. **Hybrid layout** — optionally folding consecutive same-node cores of
@@ -34,7 +36,7 @@ pub use amtha::Amtha;
 pub use cpa::Cpa;
 pub use cpr::Cpr;
 pub use hybrid::{hybrid_task_time, HybridConfig, Process, ProcessLayout};
-pub use layer_sched::{DataParallel, LayerScheduler, MaxParallel};
+pub use layer_sched::{DataParallel, LayerScheduler};
 pub use mapping::{Mapping, MappingStrategy};
 pub use schedule::{LayerSchedule, LayeredSchedule, ScheduledTask, SymbolicSchedule};
 pub use two_level::TwoLevelSchedule;

@@ -143,14 +143,6 @@ pub struct LayeredSchedule {
 }
 
 impl LayeredSchedule {
-    /// All groups of one layer as symbolic core index vectors.
-    pub fn layer_groups(&self, layer: usize) -> Vec<Vec<usize>> {
-        let l = &self.layers[layer];
-        (0..l.num_groups())
-            .map(|g| l.group_range(g).collect())
-            .collect()
-    }
-
     /// Flatten into dispatch order (layer by layer, groups side by side,
     /// per-group tasks in sequence).  Estimated times are left at zero; use
     /// a simulator or the symbolic estimator to fill them.

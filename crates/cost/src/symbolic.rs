@@ -42,10 +42,11 @@ impl CostModel<'_> {
         compute + comm
     }
 
-    /// Placement-aware symbolic cost: [`task_time_symbolic`]
-    /// (Self::task_time_symbolic) priced for a candidate range whose
-    /// slowest core belongs to speed class `class` — the compute part slows
-    /// by the class's factor, communication is placement-blind as before.
+    /// Placement-aware symbolic cost:
+    /// [`task_time_symbolic`](Self::task_time_symbolic) priced for a
+    /// candidate range whose slowest core belongs to speed class `class` —
+    /// the compute part slows by the class's factor, communication is
+    /// placement-blind as before.
     ///
     /// For a class at nominal speed this *is* `task_time_symbolic`, bit for
     /// bit (the branch below delegates), so homogeneous machines and class

@@ -38,10 +38,10 @@ enum Kind {
 /// The lifetime-free storage behind a [`CostTable`]: the memo cells plus
 /// the miss counter, with no reference to any cost model.
 ///
-/// A store outlives any single scheduling run — wrap it in an [`Arc`] and
-/// rebind it to a fresh [`CostModel`] with [`CostTable::shared`] to keep a
-/// hot graph's memoized columns warm across requests (the scheduling
-/// service does exactly this).
+/// A store outlives any single scheduling run — wrap it in an
+/// [`Arc`](std::sync::Arc) and rebind it to a fresh [`CostModel`] with
+/// [`CostTable::shared`] to keep a hot graph's memoized columns warm across
+/// requests (the scheduling service does exactly this).
 ///
 /// # Invariant
 /// All models a store is ever bound to must describe *structurally equal*
@@ -95,11 +95,6 @@ impl TableStore {
     /// Number of task ids the store covers.
     pub fn tasks(&self) -> usize {
         self.tasks
-    }
-
-    /// Largest cached width.
-    pub fn max_width(&self) -> usize {
-        self.widths - 1
     }
 
     /// Number of speed classes the store covers.
@@ -271,8 +266,8 @@ impl<'a> CostTable<'a> {
         self.lookup(Kind::Symbolic, id, task, q, 0)
     }
 
-    /// Memoized [`task_time_optimistic`].  `task` must be the task `id`
-    /// refers to.
+    /// Memoized [`task_time_optimistic`](crate::task_time_optimistic).
+    /// `task` must be the task `id` refers to.
     pub fn optimistic(&self, id: TaskId, task: &MTask, q: usize) -> f64 {
         self.lookup(Kind::Optimistic, id, task, q, 0)
     }

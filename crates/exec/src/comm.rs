@@ -11,8 +11,8 @@
 //! # Abortability
 //!
 //! Unlike MPI, collectives here are *abortable*: the internal barrier is an
-//! [`EpochBarrier`](crate::barrier::EpochBarrier) that can be poisoned when
-//! a peer of the group fails.  Every collective has two forms:
+//! [`EpochBarrier`] that can be poisoned when a peer of the group fails.
+//! Every collective has two forms:
 //!
 //! * a `try_*` form returning `Result<_, CollectiveAborted>`, for callers
 //!   that handle aborts themselves, and

@@ -11,10 +11,10 @@
 //! healthy layers.
 //!
 //! On a missed deadline the monitor classifies each laggard by heartbeat
-//! age: a rank still stamping is a **straggler** and is, under
-//! [`MissAction::Hedge`], raced by a speculative duplicate of its group
-//! slice (first finisher wins, the loser is cancelled through the existing
-//! communicator-poison path); a rank silent for longer than
+//! age: a rank still stamping is a **straggler** and is raced by a
+//! speculative duplicate of its group slice (first finisher wins, the
+//! loser is cancelled through the existing communicator-poison path; at
+//! most [`MAX_HEDGES`] hedges per attempt); a rank silent for longer than
 //! [`dead_after`](DeadlinePolicy::dead_after) is **dead** and is demoted to
 //! lost, reusing shrink-and-continue replanning.  Independently,
 //! [`global_timeout`](DeadlinePolicy::global_timeout) is the hard
@@ -25,22 +25,8 @@
 use pt_obs::Reconciliation;
 use std::time::Duration;
 
-/// What the monitor does to a *straggler* (a laggard with fresh
-/// heartbeats) once its layer is over deadline.  Laggards with stale
-/// heartbeats are always demoted, whatever the action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MissAction {
-    /// Race a speculative duplicate of the straggling group's layer slice;
-    /// the first finisher wins (the default).
-    #[default]
-    Hedge,
-    /// Demote the straggler to lost immediately.
-    ///
-    /// Only safe when stragglers are known not to write to the store after
-    /// demotion (e.g. injected stalls): a demoted-but-alive worker keeps
-    /// running until its next cancellation point.
-    Demote,
-}
+/// Cap on hedges spawned per run attempt.
+pub const MAX_HEDGES: u32 = 4;
 
 /// Fail-slow detection and recovery policy for one run
 /// (carried in [`RunOptions::deadline`](crate::RunOptions)).
@@ -56,10 +42,6 @@ pub struct DeadlinePolicy {
     pub min_deadline: Duration,
     /// Heartbeat age beyond which a laggard counts as dead, not straggling.
     pub dead_after: Duration,
-    /// What to do with stragglers on a missed deadline.
-    pub action: MissAction,
-    /// Cap on hedges spawned per attempt.
-    pub max_hedges: u32,
     /// Monitor tick interval.
     pub poll: Duration,
     /// Hard bound on one attempt's wall clock; `None` disables the global
@@ -74,8 +56,6 @@ impl DeadlinePolicy {
             slack: 2.0,
             min_deadline: Duration::from_millis(20),
             dead_after: Duration::from_millis(300),
-            action: MissAction::Hedge,
-            max_hedges: 4,
             poll: Duration::from_millis(2),
             global_timeout: None,
         }
@@ -131,18 +111,6 @@ impl DeadlinePolicy {
     /// Set the dead-heartbeat threshold.
     pub fn with_dead_after(mut self, after: Duration) -> DeadlinePolicy {
         self.dead_after = after;
-        self
-    }
-
-    /// Set the straggler action.
-    pub fn with_action(mut self, action: MissAction) -> DeadlinePolicy {
-        self.action = action;
-        self
-    }
-
-    /// Set the per-attempt hedge cap.
-    pub fn with_max_hedges(mut self, n: u32) -> DeadlinePolicy {
-        self.max_hedges = n;
         self
     }
 

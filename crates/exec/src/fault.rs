@@ -208,20 +208,6 @@ impl FaultPlan {
         self
     }
 
-    /// Script a probabilistic panic of `rank` in `layer` on every attempt
-    /// (decided deterministically from the plan seed; see
-    /// [`FaultKind::Flaky`]).
-    pub fn flaky_at(mut self, layer: usize, rank: usize, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "a probability is in [0, 1]");
-        self.actions.push(FaultAction {
-            layer,
-            rank,
-            attempt: None,
-            kind: FaultKind::Flaky { p },
-        });
-        self
-    }
-
     /// Append an explicit action.
     pub fn push(mut self, action: FaultAction) -> Self {
         self.actions.push(action);

@@ -51,7 +51,7 @@ pub mod team;
 
 pub use barrier::EpochBarrier;
 pub use comm::GroupComm;
-pub use deadline::{DeadlinePolicy, MissAction};
+pub use deadline::{DeadlinePolicy, MAX_HEDGES};
 pub use error::{CollectiveAborted, ExecError};
 pub use fault::{ChaosConfig, FaultAction, FaultKind, FaultPlan};
 pub use heartbeat::{HeartbeatBoard, LaneState};

@@ -33,12 +33,12 @@
 //! watches a [`HeartbeatBoard`] of per-rank progress stamps:
 //!
 //! * a layer exceeding its prediction-derived deadline flags its laggards;
-//! * a laggard with *fresh* heartbeats is a **straggler** — under
-//!   [`MissAction::Hedge`] a speculative duplicate of its group's layer
-//!   slice is raced against it on a private [`DataStore`] overlay (first
-//!   finisher wins, the loser is cancelled through the existing
-//!   communicator-poison path, the winning overlay is committed at the
-//!   layer boundary);
+//! * a laggard with *fresh* heartbeats is a **straggler** — a speculative
+//!   duplicate of its group's layer slice is raced against it on a private
+//!   [`DataStore`] overlay (first finisher wins, the loser is cancelled
+//!   through the existing communicator-poison path, the winning overlay is
+//!   committed at the layer boundary; at most [`MAX_HEDGES`] hedges per
+//!   attempt);
 //! * a laggard silent for longer than
 //!   [`dead_after`](DeadlinePolicy::dead_after) is **dead** — it is demoted
 //!   to a permanent loss, reusing the shrink-and-continue path;
@@ -60,7 +60,7 @@
 
 use crate::barrier::EpochBarrier;
 use crate::comm::GroupComm;
-use crate::deadline::{DeadlinePolicy, MissAction};
+use crate::deadline::{DeadlinePolicy, MAX_HEDGES};
 use crate::error::{CollectiveAborted, ExecError};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::heartbeat::{HeartbeatBoard, LaneState};
@@ -310,30 +310,6 @@ struct RunRequest {
     shared: Arc<RunShared>,
 }
 
-/// First failure of a run attempt (first writer wins).
-enum Failure {
-    Panic {
-        layer: usize,
-        group: usize,
-        payload: String,
-    },
-    /// A collective aborted without an attributable task panic (e.g. a
-    /// communicator poisoned from outside the runtime).
-    Abort {
-        layer: usize,
-        group: usize,
-    },
-    Lost {
-        layer: usize,
-        worker: usize,
-    },
-    /// The global watchdog fired on a wedged attempt.
-    Watchdog {
-        layer: usize,
-        stalled: Vec<usize>,
-    },
-}
-
 /// Outcome flags of one hedge, shared between its threads, the monitor and
 /// the committing worker.
 struct HedgeOutcome {
@@ -371,7 +347,7 @@ struct HedgeState {
     spawned: HashSet<(usize, usize)>,
     /// Layers already committed — no new hedges may target them.
     closed: HashSet<usize>,
-    /// Hedges spawned this attempt (capped by the policy).
+    /// Hedges spawned this attempt (capped at [`MAX_HEDGES`]).
     count: u32,
     /// The attempt is over; `finalize_hedges` owns all cleanup now.
     finished: bool,
@@ -439,7 +415,9 @@ struct RunShared {
     seq: u64,
     faults: FaultPlan,
     recorder: Option<Arc<TraceRecorder>>,
-    failure: Mutex<Option<Failure>>,
+    /// First failure of the attempt and the layer it hit (first writer
+    /// wins).
+    failure: Mutex<Option<(usize, ExecError)>>,
     /// Snapshot taken at the start of the most recent layer.
     snapshot: Mutex<Option<Snapshot>>,
     /// Fail-slow machinery (present iff the run carries a deadline policy).
@@ -463,10 +441,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn record_failure(shared: &RunShared, failure: Failure) {
+fn record_failure(shared: &RunShared, layer: usize, err: ExecError) {
     let mut slot = lock(&shared.failure);
     if slot.is_none() {
-        *slot = Some(failure);
+        *slot = Some((layer, err));
     }
 }
 
@@ -687,7 +665,7 @@ impl Team {
                     group.comm.reset();
                 }
             }
-            let Some(failure) = failure else {
+            let Some((layer, err)) = failure else {
                 debug_assert!(!any_lost, "worker loss must record a failure");
                 if let Some((layer, width)) = lock(&shared.resize_decision).take() {
                     // Malleable resize: the attempt stopped at the entry of
@@ -719,41 +697,6 @@ impl Team {
                     );
                 }
                 return Ok(start.elapsed());
-            };
-            let (layer, err) = match &failure {
-                Failure::Panic {
-                    layer,
-                    group,
-                    payload,
-                } => (
-                    *layer,
-                    ExecError::TaskPanicked {
-                        layer: *layer,
-                        group: *group,
-                        payload: payload.clone(),
-                    },
-                ),
-                Failure::Abort { layer, group } => (
-                    *layer,
-                    ExecError::CollectiveAborted {
-                        layer: *layer,
-                        group: *group,
-                    },
-                ),
-                Failure::Lost { layer, worker } => (
-                    *layer,
-                    ExecError::WorkerLost {
-                        layer: *layer,
-                        worker: *worker,
-                    },
-                ),
-                Failure::Watchdog { layer, stalled } => (
-                    *layer,
-                    ExecError::WatchdogTimeout {
-                        layer: *layer,
-                        stalled: stalled.clone(),
-                    },
-                ),
             };
             let cur_attempt = if layer == start_layer { attempt } else { 1 };
             if !snapshots || cur_attempt >= opts.retry.max_attempts {
@@ -1088,7 +1031,8 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                     // the failure.
                     record_failure(
                         sh,
-                        Failure::Lost {
+                        layer_idx,
+                        ExecError::WorkerLost {
                             layer: layer_idx,
                             worker: idx,
                         },
@@ -1212,7 +1156,8 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                             // outside the runtime.
                             record_failure(
                                 sh,
-                                Failure::Abort {
+                                layer_idx,
+                                ExecError::CollectiveAborted {
                                     layer: layer_idx,
                                     group: gi,
                                 },
@@ -1231,7 +1176,8 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
                     } else {
                         record_failure(
                             sh,
-                            Failure::Panic {
+                            layer_idx,
+                            ExecError::TaskPanicked {
                                 layer: layer_idx,
                                 group: gi,
                                 payload: payload_text(payload.as_ref()),
@@ -1403,10 +1349,7 @@ fn monitor_loop(req: Arc<RunRequest>, done: Sender<WorkerReport>, driver: u32) {
                     dead = Some((rank, l, age));
                 }
             } else {
-                match fs.policy.action {
-                    MissAction::Demote => monitor_demote(&req, &fs, &done, rank, l, rec, driver),
-                    MissAction::Hedge => maybe_hedge(&req, &fs, l, gi, rec, driver),
-                }
+                maybe_hedge(&req, &fs, l, gi, rec, driver);
             }
         }
         // Demote at most ONE dead rank per tick, stalest first: a rank
@@ -1445,7 +1388,7 @@ fn fire_watchdog(
     }
     let layer = stuck.iter().map(|&(_, l)| l).min().expect("non-empty");
     let stalled: Vec<usize> = stuck.iter().map(|&(i, _)| sh.roster[i]).collect();
-    record_failure(sh, Failure::Watchdog { layer, stalled });
+    record_failure(sh, layer, ExecError::WatchdogTimeout { layer, stalled });
     if let Some(r) = rec {
         r.add(keys::WATCHDOG_FIRES, 1);
         r.instant(
@@ -1481,7 +1424,8 @@ fn monitor_demote(
     let phys = sh.roster[rank];
     record_failure(
         sh,
-        Failure::Lost {
+        layer,
+        ExecError::WorkerLost {
             layer,
             worker: phys,
         },
@@ -1533,7 +1477,7 @@ fn maybe_hedge(
 ) {
     let mut st = lock(&fs.hedge_state);
     if st.finished
-        || st.count >= fs.policy.max_hedges
+        || st.count >= MAX_HEDGES
         || st.closed.contains(&layer)
         || st.spawned.contains(&(layer, gi))
     {
@@ -1853,6 +1797,34 @@ mod tests {
         let program = Program::single_layer(vec![GroupPlan::new(0..2, vec![task])]);
         team.run(&program, &store).unwrap();
         assert_eq!(store.get("n").unwrap(), vec![2.0]);
+    }
+
+    #[test]
+    fn self_poisoned_collective_reports_collective_aborted() {
+        // A communicator poisoned by the task itself has no failing peer to
+        // blame: the run reports the aborted collective's layer and group.
+        let team = Team::new(3);
+        let store = DataStore::new();
+        let ok: Arc<TaskFn> = Arc::new(|ctx: &TaskCtx| ctx.comm.barrier());
+        let poisoner: Arc<TaskFn> = Arc::new(|ctx: &TaskCtx| {
+            ctx.comm.poison();
+            ctx.comm.barrier();
+        });
+        let mut program = Program::single_layer(vec![GroupPlan::new(0..3, vec![ok.clone()])]);
+        program.push_layer(vec![
+            GroupPlan::new(0..1, vec![ok.clone()]),
+            GroupPlan::new(1..3, vec![poisoner]),
+        ]);
+        match team.run(&program, &store) {
+            Err(ExecError::CollectiveAborted { layer, group }) => {
+                assert_eq!((layer, group), (1, 1));
+            }
+            other => panic!("expected CollectiveAborted, got {other:?}"),
+        }
+        // No worker was lost, and the reset communicators run again.
+        assert_eq!(team.alive_workers(), 3);
+        let fine = Program::single_layer(vec![GroupPlan::new(0..3, vec![ok])]);
+        team.run(&fine, &store).unwrap();
     }
 
     #[test]

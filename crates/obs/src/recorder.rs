@@ -126,11 +126,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Events recorded so far across all lanes.
     pub fn len(&self) -> usize {
         self.lanes
@@ -155,7 +150,8 @@ impl TraceRecorder {
         &self.metrics
     }
 
-    /// Append an event to `lane` (lock-free; see [`Lane`]).
+    /// Append an event to `lane` (lock-free: one atomic increment claims
+    /// the slot).
     pub fn push(&self, lane: usize, ev: TraceEvent) {
         let Some(lane) = self.lanes.get(lane) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);

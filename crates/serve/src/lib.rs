@@ -7,8 +7,8 @@
 //! across requests:
 //!
 //! * **Content-addressed schedule cache** ([`cache::ScheduleCache`]) —
-//!   requests are keyed by a structural [`Signature`](key::Signature) over
-//!   (task graph, machine, symbolic cores, mapping, g-policy).  Hash hits
+//!   requests are keyed by a structural [`Signature`] over (task graph,
+//!   machine, symbolic cores, mapping, g-policy).  Hash hits
 //!   are always verified by full structural equality, so a collision can
 //!   never return the wrong schedule.
 //! * **Single-flight batching** ([`cache::Flight`]) — N concurrent requests

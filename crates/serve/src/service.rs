@@ -1,7 +1,7 @@
 //! The long-running scheduling service.
 //!
 //! [`SchedService`] answers concurrent [`ScheduleRequest`]s over the
-//! content-addressed [`ScheduleCache`](crate::cache::ScheduleCache):
+//! content-addressed [`ScheduleCache`]:
 //!
 //! * a **hit** returns the cached reply without touching a cost model;
 //! * a **follow** waits on the in-flight leader's result (single-flight

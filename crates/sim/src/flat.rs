@@ -11,7 +11,7 @@
 //! touching that node overlap the task's own interval, and that number
 //! falls out of two binary searches in per-node sorted endpoint arrays,
 //! evaluated only on the nodes the cost model can actually observe for
-//! that task (see [`ContentionIndex`]).  The pass *streams*: one scratch
+//! that task (see `ContentionIndex`).  The pass *streams*: one scratch
 //! context is charged with an entry's sharing factors, read by the cost
 //! model, and wiped back to uniform on exactly the dirtied nodes — no
 //! per-entry context materialises, so pass 2 allocates O(nodes) once

@@ -2,10 +2,10 @@
 //!
 //! A [`pt_exec::Team`] runs one program at a time, so multi-tenancy on a
 //! live team is *time*-sharing at layer granularity: the executor deals
-//! round-robin slices — a few layers of one job's program, then a few of
-//! the next — with every job keeping its own private [`DataStore`].  Width
+//! round-robin slices — one layer of one job's program, then one of the
+//! next — with every job keeping its own private [`DataStore`].  Width
 //! changes (shrink to admit a newcomer, regrow when one leaves) happen
-//! between slices by re-planning the remaining layers onto the new width
+//! between slices: each slice is re-planned onto the width in effect
 //! ([`pt_exec::replan`] — the same mechanism `ResizeHandle` applies at
 //! layer boundaries inside a run).
 //!
@@ -60,15 +60,6 @@ impl TenantJob {
             .max_by_key(|&&(l, _)| l)
             .map_or(default, |&(_, w)| w)
     }
-
-    /// The first width-change boundary strictly inside `(layer, end)`.
-    fn next_boundary(&self, layer: usize, end: usize) -> Option<usize> {
-        self.width_plan
-            .iter()
-            .map(|&(l, _)| l)
-            .filter(|&l| l > layer && l < end)
-            .min()
-    }
 }
 
 /// Per-job timesharing outcome.
@@ -86,32 +77,21 @@ pub struct TenantRun {
 pub struct TenantExecutor {
     team: Team,
     workers: usize,
-    slice: usize,
 }
 
 impl TenantExecutor {
     /// An executor owning a team of `workers` threads, dealing one layer
-    /// per slice (finest interleaving).
+    /// per slice.
     pub fn new(workers: usize) -> TenantExecutor {
         TenantExecutor {
             team: Team::new(workers),
             workers,
-            slice: 1,
         }
     }
 
-    /// Deal `layers` layers per slice instead (coarser interleaving, fewer
-    /// run round-trips).
-    pub fn with_slice(mut self, layers: usize) -> TenantExecutor {
-        assert!(layers >= 1, "a slice holds at least one layer");
-        self.slice = layers;
-        self
-    }
-
     /// Run all jobs to completion, round-robin.  Each pass deals every
-    /// unfinished job one slice of up to `slice` layers (cut early at a
-    /// width-change boundary), re-planned onto the job's current width.
-    /// Returns per-job outcomes in input order.
+    /// unfinished job one slice — its next layer — re-planned onto the
+    /// job's current width.  Returns per-job outcomes in input order.
     pub fn run(&self, jobs: &[TenantJob]) -> Result<Vec<TenantRun>, ExecError> {
         let mut cursors = vec![0usize; jobs.len()];
         let mut out: Vec<TenantRun> = jobs
@@ -127,19 +107,14 @@ impl TenantExecutor {
             let mut progressed = false;
             for (i, job) in jobs.iter().enumerate() {
                 let cur = cursors[i];
-                let n = job.program.layers.len();
-                if cur >= n {
+                let Some(layer) = job.program.layers.get(cur) else {
                     continue;
-                }
+                };
                 progressed = true;
                 let default_w = job.program.required_workers().min(self.workers).max(1);
                 let width = job.width_at(cur, default_w).min(self.workers);
-                let mut end = (cur + self.slice).min(n);
-                if let Some(b) = job.next_boundary(cur, end) {
-                    end = b;
-                }
                 let slice = Program {
-                    layers: job.program.layers[cur..end].to_vec(),
+                    layers: vec![layer.clone()],
                 };
                 // Re-plan the slice onto the width in effect; a no-op when
                 // the width matches the build width.
@@ -158,7 +133,7 @@ impl TenantExecutor {
                 self.team.run(&slice, &job.store)?;
                 out[i].wall += t0.elapsed();
                 out[i].slices += 1;
-                cursors[i] = end;
+                cursors[i] = cur + 1;
             }
             if !progressed {
                 return Ok(out);
@@ -289,20 +264,5 @@ mod tests {
             baseline,
             "resized run differs from uninterrupted baseline"
         );
-    }
-
-    #[test]
-    fn slice_granularity_does_not_change_results() {
-        let (p1, s1) = irk_job(2);
-        TenantExecutor::new(4)
-            .with_slice(100)
-            .run(&[TenantJob::new("irk", p1.clone(), s1.clone())])
-            .unwrap();
-        let coarse = s1.snapshot();
-        let (p2, s2) = irk_job(2);
-        TenantExecutor::new(4)
-            .run(&[TenantJob::new("irk", p2, s2.clone())])
-            .unwrap();
-        assert_eq!(s2.snapshot(), coarse);
     }
 }

@@ -36,4 +36,4 @@ pub use executor::{TenantExecutor, TenantJob, TenantRun};
 pub use job::JobSpec;
 pub use oracle::AdmissionOracle;
 pub use policy::Policy;
-pub use sim::{run_scenario, JobOutcome, ScenarioReport, TenantSimConfig};
+pub use sim::{run_scenario, JobOutcome, ScenarioReport};

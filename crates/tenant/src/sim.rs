@@ -6,9 +6,9 @@
 //! the world model here — what the scenario compares is policies, not
 //! prediction error).  Allotments are recomputed at every arrival and
 //! completion; a width change of a running job charges
-//! [`TenantSimConfig::resize_penalty`] seconds of paused progress, the
-//! modeled cost of the executor's boundary shrink/regrow (snapshot, replan,
-//! re-entry — see `pt-exec`'s `ResizeHandle`).
+//! [`RESIZE_PENALTY_S`] seconds of paused progress, the modeled cost of the
+//! executor's boundary shrink/regrow (snapshot, replan, re-entry — see
+//! `pt-exec`'s `ResizeHandle`).
 //!
 //! Reported figures:
 //! * **makespan** — last finish time of the batch;
@@ -24,21 +24,9 @@ use crate::oracle::AdmissionOracle;
 use crate::policy::Policy;
 use serde::Serialize;
 
-/// Scenario-level knobs.
-#[derive(Debug, Clone)]
-pub struct TenantSimConfig {
-    /// Seconds of paused progress charged to a running job whose width
-    /// changes (the boundary snapshot + replan + re-entry cost).
-    pub resize_penalty: f64,
-}
-
-impl Default for TenantSimConfig {
-    fn default() -> Self {
-        TenantSimConfig {
-            resize_penalty: 1e-3,
-        }
-    }
-}
+/// Seconds of paused progress charged to a running job whose width
+/// changes (the boundary snapshot + replan + re-entry cost).
+pub const RESIZE_PENALTY_S: f64 = 1e-3;
 
 /// One job's outcome.
 #[derive(Debug, Clone, Serialize)]
@@ -105,7 +93,6 @@ pub fn run_scenario(
     oracle: &AdmissionOracle<'_>,
     jobs: &[JobSpec],
     policy: Policy,
-    cfg: &TenantSimConfig,
 ) -> ScenarioReport {
     let total = oracle.total_cores();
     // Arrival order, stable on id.
@@ -148,7 +135,7 @@ pub fn run_scenario(
                 if l.width > 0 && w > 0 {
                     // A running job changed width: boundary resize.
                     l.resizes += 1;
-                    l.paused_until = t + cfg.resize_penalty;
+                    l.paused_until = t + RESIZE_PENALTY_S;
                 }
                 l.width = w;
             }
@@ -261,11 +248,10 @@ mod tests {
         // Jobs are milliseconds long (small graphs keep tests fast), so a
         // contended stream needs arrivals a few milliseconds apart.
         let jobs = poisson_mixed(12, 200.0, 2, 42);
-        let cfg = TenantSimConfig::default();
 
-        let fcfs = run_scenario(&oracle, &jobs, Policy::FcfsExclusive, &cfg);
-        let equi = run_scenario(&oracle, &jobs, Policy::Equi, &cfg);
-        let mall = run_scenario(&oracle, &jobs, Policy::Malleable, &cfg);
+        let fcfs = run_scenario(&oracle, &jobs, Policy::FcfsExclusive);
+        let equi = run_scenario(&oracle, &jobs, Policy::Equi);
+        let mall = run_scenario(&oracle, &jobs, Policy::Malleable);
 
         assert!(
             mall.mean_stretch < fcfs.mean_stretch,
@@ -290,9 +276,8 @@ mod tests {
         let svc = SchedService::new(ServeConfig::default());
         let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
         let jobs = poisson_mixed(6, 150.0, 1, 7);
-        let cfg = TenantSimConfig::default();
-        let a = run_scenario(&oracle, &jobs, Policy::Malleable, &cfg);
-        let b = run_scenario(&oracle, &jobs, Policy::Malleable, &cfg);
+        let a = run_scenario(&oracle, &jobs, Policy::Malleable);
+        let b = run_scenario(&oracle, &jobs, Policy::Malleable);
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         assert_eq!(a.mean_stretch.to_bits(), b.mean_stretch.to_bits());
         for (x, y) in a.jobs.iter().zip(&b.jobs) {
@@ -300,7 +285,7 @@ mod tests {
         }
         // Physical sanity on every policy.
         for policy in [Policy::FcfsExclusive, Policy::Equi, Policy::Malleable] {
-            let r = run_scenario(&oracle, &jobs, policy, &cfg);
+            let r = run_scenario(&oracle, &jobs, policy);
             assert!(r.utilization > 0.0 && r.utilization <= 1.0 + 1e-9);
             for j in &r.jobs {
                 assert!(j.finish >= j.arrival);
@@ -321,12 +306,7 @@ mod tests {
             (0.0, crate::arrivals::WorkloadKind::Epol, 1),
             (0.0, crate::arrivals::WorkloadKind::Epol, 1),
         ]);
-        let r = run_scenario(
-            &oracle,
-            &jobs,
-            Policy::FcfsExclusive,
-            &TenantSimConfig::default(),
-        );
+        let r = run_scenario(&oracle, &jobs, Policy::FcfsExclusive);
         let t_excl = r.jobs[0].t_exclusive;
         assert!((r.jobs[0].finish - t_excl).abs() < 1e-9);
         assert!((r.jobs[1].finish - 2.0 * t_excl).abs() < 1e-9);

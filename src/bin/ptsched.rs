@@ -686,12 +686,7 @@ fn tenant_request(state: &ServeState, v: &Value) -> Result<String, String> {
     // Width probes are requests to this process's own service, so they
     // share its schedule cache and warm tables with plain requests.
     let oracle = pt_tenant::AdmissionOracle::new(&state.service, machine);
-    let report = pt_tenant::run_scenario(
-        &oracle,
-        &jobs,
-        policy,
-        &pt_tenant::TenantSimConfig::default(),
-    );
+    let report = pt_tenant::run_scenario(&oracle, &jobs, policy);
     let per_job: Vec<Value> = report
         .jobs
         .iter()
