@@ -197,7 +197,6 @@ fn run_campaign(w: &Workload, seed: u64, workers: usize) -> CampaignEntry {
         faults: faults.clone(),
         recorder: Some(recorder.clone()),
         deadline: Some(w.policy.clone()),
-        resize: None,
     };
     let t0 = Instant::now();
     let result = team.run_with(&w.program, &store, &opts);

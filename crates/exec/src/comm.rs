@@ -12,16 +12,12 @@
 //!
 //! Unlike MPI, collectives here are *abortable*: the internal barrier is an
 //! [`EpochBarrier`] that can be poisoned when a peer of the group fails.
-//! Every collective has two forms:
-//!
-//! * a `try_*` form returning `Result<_, CollectiveAborted>`, for callers
-//!   that handle aborts themselves, and
-//! * the classic infallible form, which **unwinds** with a
-//!   [`CollectiveAborted`] sentinel payload when the communicator is
-//!   poisoned.  Task code using the infallible API therefore never hangs on
-//!   a dead peer; the [`Team`](crate::Team) runtime catches the sentinel
-//!   and reports the originating failure as a typed
-//!   [`ExecError`](crate::ExecError).
+//! A collective on a poisoned communicator **unwinds** with a
+//! [`CollectiveAborted`] sentinel payload instead of waiting for a rank
+//! that will never arrive.  Task code therefore never hangs on a dead
+//! peer; the [`Team`](crate::Team) runtime catches the sentinel and
+//! reports the originating failure as a typed
+//! [`ExecError`](crate::ExecError).
 //!
 //! After a failed run the runtime calls [`GroupComm::reset`] (once no
 //! thread can be inside a collective) so the same communicator — and hence
@@ -47,12 +43,6 @@ impl std::fmt::Debug for GroupComm {
             .field("size", &self.size)
             .finish_non_exhaustive()
     }
-}
-
-/// Unwind with the abort sentinel (skips the panic hook — this is control
-/// flow, not a bug report).
-fn abort_unwind() -> ! {
-    std::panic::resume_unwind(Box::new(CollectiveAborted))
 }
 
 impl GroupComm {
@@ -94,39 +84,36 @@ impl GroupComm {
         self.barrier.reset();
     }
 
-    /// Synchronise all ranks of the group.
+    /// Synchronise all ranks of the group.  Every collective below is built
+    /// on this barrier, so this is where all of them abort.
     ///
     /// # Panics
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
-    /// poisoned (see the module docs).
+    /// (or becomes) poisoned (see the module docs).
     pub fn barrier(&self) {
-        if self.try_barrier().is_err() {
-            abort_unwind();
+        if self.barrier.wait().is_err() {
+            // resume_unwind skips the panic hook: an abort is control flow,
+            // not a bug report.
+            std::panic::resume_unwind(Box::new(CollectiveAborted));
         }
-    }
-
-    /// Synchronise all ranks; `Err` if the communicator is (or becomes)
-    /// poisoned.
-    pub fn try_barrier(&self) -> Result<(), CollectiveAborted> {
-        self.barrier.wait().map_err(|_| CollectiveAborted)
     }
 
     /// Grow the slot buffer to at least `total` f64 cells.  Collective: all
     /// ranks must call with the same value.
-    fn ensure_capacity(&self, rank: usize, total: usize) -> Result<(), CollectiveAborted> {
+    fn ensure_capacity(&self, rank: usize, total: usize) {
         if self.slots_read().len() >= total {
             // Everyone sees the same length (growth only happens inside
             // this collective), so all ranks take the same branch.
-            return Ok(());
+            return;
         }
-        self.try_barrier()?;
+        self.barrier();
         if rank == 0 {
             let mut w = self.slots.write().unwrap_or_else(PoisonError::into_inner);
             while w.len() < total {
                 w.push(AtomicU64::new(0));
             }
         }
-        self.try_barrier()
+        self.barrier();
     }
 
     /// Allgather with equal block sizes: rank `r` contributes `src`;
@@ -137,18 +124,6 @@ impl GroupComm {
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
     /// poisoned; panics on mismatched buffer lengths (programmer error).
     pub fn allgather(&self, rank: usize, src: &[f64], dst: &mut [f64]) {
-        if self.try_allgather(rank, src, dst).is_err() {
-            abort_unwind();
-        }
-    }
-
-    /// Fallible form of [`allgather`](Self::allgather).
-    pub fn try_allgather(
-        &self,
-        rank: usize,
-        src: &[f64],
-        dst: &mut [f64],
-    ) -> Result<(), CollectiveAborted> {
         let len = src.len();
         assert_eq!(
             dst.len(),
@@ -156,7 +131,7 @@ impl GroupComm {
             "dst must hold one block per rank"
         );
         let counts = vec![len; self.size];
-        self.try_allgatherv(rank, src, &counts, dst)
+        self.allgatherv(rank, src, &counts, dst);
     }
 
     /// Allgather with per-rank block sizes (`MPI_Allgatherv`): rank `r`
@@ -167,28 +142,15 @@ impl GroupComm {
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
     /// poisoned; panics on mismatched buffer lengths (programmer error).
     pub fn allgatherv(&self, rank: usize, src: &[f64], counts: &[usize], dst: &mut [f64]) {
-        if self.try_allgatherv(rank, src, counts, dst).is_err() {
-            abort_unwind();
-        }
-    }
-
-    /// Fallible form of [`allgatherv`](Self::allgatherv).
-    pub fn try_allgatherv(
-        &self,
-        rank: usize,
-        src: &[f64],
-        counts: &[usize],
-        dst: &mut [f64],
-    ) -> Result<(), CollectiveAborted> {
         assert_eq!(counts.len(), self.size, "one count per rank");
         assert_eq!(src.len(), counts[rank], "src must match counts[rank]");
         let total: usize = counts.iter().sum();
         assert_eq!(dst.len(), total, "dst must hold all blocks");
         if self.size == 1 {
             dst.copy_from_slice(src);
-            return Ok(());
+            return;
         }
-        self.ensure_capacity(rank, total)?;
+        self.ensure_capacity(rank, total);
         let offset: usize = counts[..rank].iter().sum();
         {
             let slots = self.slots_read();
@@ -196,14 +158,14 @@ impl GroupComm {
                 slots[offset + i].store(v.to_bits(), Ordering::Relaxed);
             }
         }
-        self.try_barrier()?;
+        self.barrier();
         {
             let slots = self.slots_read();
             for (i, d) in dst.iter_mut().enumerate() {
                 *d = f64::from_bits(slots[i].load(Ordering::Relaxed));
             }
         }
-        self.try_barrier()
+        self.barrier();
     }
 
     /// Broadcast `buf` from `root` to all ranks.
@@ -212,37 +174,25 @@ impl GroupComm {
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
     /// poisoned; panics if `root` is out of range (programmer error).
     pub fn bcast(&self, rank: usize, root: usize, buf: &mut [f64]) {
-        if self.try_bcast(rank, root, buf).is_err() {
-            abort_unwind();
-        }
-    }
-
-    /// Fallible form of [`bcast`](Self::bcast).
-    pub fn try_bcast(
-        &self,
-        rank: usize,
-        root: usize,
-        buf: &mut [f64],
-    ) -> Result<(), CollectiveAborted> {
         assert!(root < self.size, "root out of range");
         if self.size == 1 {
-            return Ok(());
+            return;
         }
-        self.ensure_capacity(rank, buf.len())?;
+        self.ensure_capacity(rank, buf.len());
         if rank == root {
             let slots = self.slots_read();
             for (i, &v) in buf.iter().enumerate() {
                 slots[i].store(v.to_bits(), Ordering::Relaxed);
             }
         }
-        self.try_barrier()?;
+        self.barrier();
         if rank != root {
             let slots = self.slots_read();
             for (i, d) in buf.iter_mut().enumerate() {
                 *d = f64::from_bits(slots[i].load(Ordering::Relaxed));
             }
         }
-        self.try_barrier()
+        self.barrier();
     }
 
     /// Element-wise sum-allreduce of `buf` across the group.
@@ -251,24 +201,16 @@ impl GroupComm {
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
     /// poisoned.
     pub fn allreduce_sum(&self, rank: usize, buf: &mut [f64]) {
-        if self.try_allreduce_sum(rank, buf).is_err() {
-            abort_unwind();
-        }
-    }
-
-    /// Fallible form of [`allreduce_sum`](Self::allreduce_sum).
-    pub fn try_allreduce_sum(&self, rank: usize, buf: &mut [f64]) -> Result<(), CollectiveAborted> {
         if self.size == 1 {
-            return Ok(());
+            return;
         }
         let n = buf.len();
         let mut gathered = vec![0.0; n * self.size];
         let src = buf.to_vec();
-        self.try_allgather(rank, &src, &mut gathered)?;
+        self.allgather(rank, &src, &mut gathered);
         for (i, d) in buf.iter_mut().enumerate() {
             *d = (0..self.size).map(|r| gathered[r * n + i]).sum();
         }
-        Ok(())
     }
 
     /// Max-allreduce of a scalar.
@@ -277,20 +219,12 @@ impl GroupComm {
     /// Unwinds with a [`CollectiveAborted`] sentinel if the communicator is
     /// poisoned.
     pub fn allreduce_max_scalar(&self, rank: usize, v: f64) -> f64 {
-        match self.try_allreduce_max_scalar(rank, v) {
-            Ok(m) => m,
-            Err(_) => abort_unwind(),
-        }
-    }
-
-    /// Fallible form of [`allreduce_max_scalar`](Self::allreduce_max_scalar).
-    pub fn try_allreduce_max_scalar(&self, rank: usize, v: f64) -> Result<f64, CollectiveAborted> {
         if self.size == 1 {
-            return Ok(v);
+            return v;
         }
         let mut gathered = vec![0.0; self.size];
-        self.try_allgather(rank, &[v], &mut gathered)?;
-        Ok(gathered.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+        self.allgather(rank, &[v], &mut gathered);
+        gathered.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -413,16 +347,17 @@ mod tests {
             std::thread::spawn(move || {
                 // Rank 0 enters the collective; rank 1 never will.
                 let mut dst = vec![0.0; 2];
-                comm.try_allgather(0, &[1.0], &mut dst)
+                comm.allgather(0, &[1.0], &mut dst);
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         comm.poison();
-        assert_eq!(peer.join().unwrap(), Err(CollectiveAborted));
+        let payload = peer.join().expect_err("the blocked peer must unwind");
+        assert!(payload.downcast_ref::<CollectiveAborted>().is_some());
     }
 
     #[test]
-    fn infallible_wrapper_unwinds_with_sentinel() {
+    fn poisoned_barrier_unwinds_with_sentinel() {
         let comm = GroupComm::new(2);
         comm.poison();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -436,7 +371,7 @@ mod tests {
     fn reset_restores_collectives() {
         let comm = Arc::new(GroupComm::new(2));
         comm.poison();
-        assert!(comm.try_barrier().is_err());
+        assert!(comm.is_poisoned());
         comm.reset();
         run_spmd_on(&comm);
 

@@ -4,10 +4,9 @@
 //! [`Team::run`](crate::Team::run); panics are reserved for documented
 //! programmer contract violations (mismatched buffer lengths, out-of-range
 //! ranks).  [`CollectiveAborted`] is the *unwind sentinel* used internally
-//! to abort the infallible collective wrappers when a peer fails — the
-//! runtime catches it and translates it into a typed error, so task code
-//! written against the infallible API participates in recovery without
-//! changes.
+//! to abort the group collectives when a peer fails — the runtime catches
+//! it and translates it into a typed error, so task code calling the
+//! collectives participates in recovery without handling aborts itself.
 
 use std::fmt;
 
@@ -84,8 +83,8 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Unwind sentinel carried by the infallible collective wrappers when the
-/// group communicator is poisoned.  The worker loop downcasts panic
+/// Unwind sentinel carried by the group collectives when the group
+/// communicator is poisoned.  The worker loop downcasts panic
 /// payloads to this type to tell abort victims apart from genuine task
 /// panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

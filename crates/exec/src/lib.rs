@@ -57,4 +57,4 @@ pub use fault::{ChaosConfig, FaultAction, FaultKind, FaultPlan};
 pub use heartbeat::{HeartbeatBoard, LaneState};
 pub use program::{block_range, GroupPlan, Program, TaskCtx, TaskFn};
 pub use store::{DataStore, Snapshot};
-pub use team::{replan, ResizeHandle, RetryPolicy, RunOptions, Team, EXEC_PID};
+pub use team::{replan, RetryPolicy, RunOptions, Team, EXEC_PID};

@@ -25,9 +25,9 @@ use std::sync::{Arc, PoisonError, RwLock};
 #[derive(Debug, Default)]
 pub struct DataStore {
     map: RwLock<HashMap<String, Arc<RwLock<Vec<f64>>>>>,
-    /// Bytes published through [`put`](Self::put) /
-    /// [`write_block`](Self::write_block) — the shared-memory proxy for
-    /// re-distribution traffic, surfaced by the observability layer.
+    /// Bytes published through [`put`](Self::put) — the shared-memory
+    /// proxy for re-distribution traffic, surfaced by the observability
+    /// layer.
     bytes_written: AtomicU64,
 }
 
@@ -90,20 +90,9 @@ impl DataStore {
         self.handle(name).map(|h| read(&h).clone())
     }
 
-    /// Shared handle to an array (create it empty if missing).
+    /// Shared handle to an array, if present.
     pub fn handle(&self, name: &str) -> Option<Arc<RwLock<Vec<f64>>>> {
         read(&self.map).get(name).cloned()
-    }
-
-    /// Shared handle, creating a zero-length array if missing.
-    pub fn handle_or_default(&self, name: &str) -> Arc<RwLock<Vec<f64>>> {
-        if let Some(h) = self.handle(name) {
-            return h;
-        }
-        let mut map = write(&self.map);
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(RwLock::new(Vec::new())))
-            .clone()
     }
 
     /// Run a closure over an array under the read lock.
@@ -111,22 +100,8 @@ impl DataStore {
         self.handle(name).map(|h| f(&read(&h)))
     }
 
-    /// Write a contiguous block into an array (growing it if needed).
-    /// Used by SPMD writers publishing disjoint owned ranges.
-    pub fn write_block(&self, name: &str, offset: usize, data: &[f64]) {
-        self.bytes_written
-            .fetch_add((data.len() * 8) as u64, Ordering::Relaxed);
-        let h = self.handle_or_default(name);
-        let mut v = write(&h);
-        if v.len() < offset + data.len() {
-            v.resize(offset + data.len(), 0.0);
-        }
-        v[offset..offset + data.len()].copy_from_slice(data);
-    }
-
-    /// Total bytes written through [`put`](Self::put) and
-    /// [`write_block`](Self::write_block) over the store's lifetime
-    /// (monotonic; restores and removes don't subtract).
+    /// Total bytes written through [`put`](Self::put) over the store's
+    /// lifetime (monotonic; restores and removes don't subtract).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written.load(Ordering::Relaxed)
     }
@@ -212,33 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn write_block_grows_and_places() {
-        let s = DataStore::new();
-        s.write_block("x", 2, &[5.0, 6.0]);
-        assert_eq!(s.get("x"), Some(vec![0.0, 0.0, 5.0, 6.0]));
-        s.write_block("x", 0, &[1.0]);
-        assert_eq!(s.get("x"), Some(vec![1.0, 0.0, 5.0, 6.0]));
-    }
-
-    #[test]
-    fn concurrent_disjoint_block_writes() {
-        let s = DataStore::new();
-        s.put("y", vec![0.0; 64]);
-        std::thread::scope(|scope| {
-            for r in 0..8 {
-                let s = &s;
-                scope.spawn(move || {
-                    s.write_block("y", r * 8, &[r as f64; 8]);
-                });
-            }
-        });
-        let y = s.get("y").unwrap();
-        for r in 0..8 {
-            assert!(y[r * 8..(r + 1) * 8].iter().all(|&v| v == r as f64));
-        }
-    }
-
-    #[test]
     fn names_sorted_and_remove() {
         let s = DataStore::new();
         s.put("b", vec![]);
@@ -281,11 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn bytes_written_counts_puts_and_blocks() {
+    fn bytes_written_counts_puts_monotonically() {
         let s = DataStore::new();
         assert_eq!(s.bytes_written(), 0);
         s.put("a", vec![1.0, 2.0]); // 16 bytes
-        s.write_block("a", 0, &[3.0]); // 8 bytes
+        s.put("a", vec![3.0]); // 8 bytes
         s.remove("a");
         assert_eq!(s.bytes_written(), 24); // monotonic: remove doesn't subtract
     }

@@ -66,7 +66,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::heartbeat::{HeartbeatBoard, LaneState};
 use crate::program::{GroupPlan, Program, TaskCtx, TaskFn};
 use crate::store::{DataStore, Snapshot};
-use pt_obs::{keys, Recorder, TraceRecorder};
+use pt_obs::{keys, Arg, Recorder, TraceRecorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -181,9 +181,6 @@ pub struct RunOptions {
     /// Fail-slow detection and recovery (default: none — no monitor thread,
     /// no heartbeats; see the module docs).
     pub deadline: Option<DeadlinePolicy>,
-    /// Malleable resize channel (default: none — resizes reduce to one
-    /// `Option` branch per layer; see [`ResizeHandle`]).
-    pub resize: Option<ResizeHandle>,
 }
 
 impl RunOptions {
@@ -197,105 +194,6 @@ impl RunOptions {
     pub fn with_deadline(mut self, policy: DeadlinePolicy) -> RunOptions {
         self.deadline = Some(policy);
         self
-    }
-
-    /// Attach a malleable resize channel.
-    pub fn with_resize(mut self, handle: ResizeHandle) -> RunOptions {
-        self.resize = Some(handle);
-        self
-    }
-}
-
-/// A clonable channel through which an external controller — a
-/// multi-tenant scheduler, a monitor thread, a test — asks a running
-/// program to malleably change its width.
-///
-/// Requests take effect at layer **entry** boundaries: logical rank 0
-/// decides a pending request before the entry barrier, the barrier
-/// publishes the verdict to every rank, the attempt stops at the boundary,
-/// and the driver re-plans the not-yet-run layers onto the new width
-/// (shrink *and* regrow — M-tasks are moldable) before resuming at the
-/// same layer.  Nothing rolls back: no task of the boundary layer has run
-/// yet, so the store is exactly the committed state of the previous layer.
-///
-/// [`request`](Self::request) is asynchronous (applied at the next
-/// boundary, latest wins); [`request_at`](Self::request_at) is scripted
-/// (applied exactly at one layer's entry — deterministic replay for
-/// tests).  Widths are clamped to `1..=alive workers`; a request matching
-/// the current width is a no-op.  A request consumed by an attempt that
-/// *fails* concurrently (e.g. the watchdog fires at the same boundary) is
-/// dropped — the failure wins; asynchronous requests can simply be
-/// re-issued.
-#[derive(Clone, Debug, Default)]
-pub struct ResizeHandle {
-    inner: Arc<ResizeInner>,
-}
-
-#[derive(Debug, Default)]
-struct ResizeInner {
-    /// Latest asynchronous target width (0 = none pending).
-    target: AtomicUsize,
-    /// Scripted `(layer, width)` requests, applied at that layer's entry.
-    scripted: Mutex<Vec<(usize, usize)>>,
-    /// Resizes applied by runs carrying this handle.
-    applied: AtomicU64,
-}
-
-impl ResizeHandle {
-    /// A fresh channel with no pending requests.
-    pub fn new() -> ResizeHandle {
-        ResizeHandle::default()
-    }
-
-    /// Request a resize to `width` at the next layer boundary.  Overwrites
-    /// any not-yet-applied asynchronous request (latest wins).
-    pub fn request(&self, width: usize) {
-        assert!(width >= 1, "cannot resize to zero workers");
-        self.inner.target.store(width, Ordering::Release);
-    }
-
-    /// Script a resize to `width` at the entry boundary of `layer`
-    /// (0-based).  Scripted requests win over asynchronous ones at their
-    /// layer; several for one layer apply last-wins.
-    pub fn request_at(&self, layer: usize, width: usize) {
-        assert!(width >= 1, "cannot resize to zero workers");
-        lock(&self.inner.scripted).push((layer, width));
-    }
-
-    /// Resizes actually applied by runs carrying this handle.
-    pub fn applied(&self) -> u64 {
-        self.inner.applied.load(Ordering::Relaxed)
-    }
-
-    /// Whether any request is still pending.
-    pub fn pending(&self) -> bool {
-        self.inner.target.load(Ordering::Acquire) != 0 || !lock(&self.inner.scripted).is_empty()
-    }
-
-    /// Decide the request (if any) for the entry of `layer`: drain scripted
-    /// entries for the layer (last wins), else take the asynchronous
-    /// target; clamp to `1..=roster` and drop no-ops against `current`.
-    fn take(&self, layer: usize, roster: usize, current: usize) -> Option<usize> {
-        let mut target = None;
-        {
-            let mut scripted = lock(&self.inner.scripted);
-            scripted.retain(|&(l, w)| {
-                if l == layer {
-                    target = Some(w);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if target.is_none() {
-            match self.inner.target.swap(0, Ordering::AcqRel) {
-                0 => {}
-                t => target = Some(t),
-            }
-        }
-        let t = target?.clamp(1, roster);
-        (t != current).then_some(t)
     }
 }
 
@@ -422,11 +320,6 @@ struct RunShared {
     snapshot: Mutex<Option<Snapshot>>,
     /// Fail-slow machinery (present iff the run carries a deadline policy).
     fail_slow: Option<Arc<FailSlowShared>>,
-    /// Malleable resize channel (present iff the run carries one).
-    resize: Option<ResizeHandle>,
-    /// `(boundary layer, new width)` decided by rank 0 at a layer entry;
-    /// the attempt stops there and the driver re-plans and resumes.
-    resize_decision: Mutex<Option<(usize, usize)>>,
 }
 
 struct WorkerReport {
@@ -559,9 +452,6 @@ impl Team {
         program.validate().map_err(ExecError::InvalidProgram)?;
         let snapshots = opts.retry.max_attempts > 1 || opts.deadline.is_some();
         let mut program = Arc::new(program.clone());
-        // Resizes re-plan from the caller's original program, so repeated
-        // shrink/regrow cycles never compound replanning rounding.
-        let base_program = program.clone();
         let mut start_layer = 0usize;
         let mut attempt = 1u32;
         let start = Instant::now();
@@ -596,8 +486,6 @@ impl Team {
                 failure: Mutex::new(None),
                 snapshot: Mutex::new(None),
                 fail_slow,
-                resize: opts.resize.clone(),
-                resize_decision: Mutex::new(None),
             });
             let req = Arc::new(RunRequest {
                 program: program.clone(),
@@ -667,29 +555,6 @@ impl Team {
             }
             let Some((layer, err)) = failure else {
                 debug_assert!(!any_lost, "worker loss must record a failure");
-                if let Some((layer, width)) = lock(&shared.resize_decision).take() {
-                    // Malleable resize: the attempt stopped at the entry of
-                    // `layer` with nothing of it run, so the store needs no
-                    // rollback — re-plan the remaining layers onto the new
-                    // width and resume at the boundary.
-                    program = Arc::new(replan(&base_program, width));
-                    if let Some(h) = &opts.resize {
-                        h.inner.applied.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(r) = rec {
-                        r.add(keys::RESIZES, 1);
-                        r.instant(
-                            EXEC_PID,
-                            driver,
-                            "resize",
-                            "exec",
-                            vec![("layer", layer.into()), ("width", width.into())],
-                        );
-                    }
-                    start_layer = layer;
-                    attempt = 1;
-                    continue;
-                }
                 if let Some(r) = rec {
                     r.add(
                         keys::REDIST_BYTES,
@@ -788,9 +653,11 @@ fn finalize_hedges(shared: &RunShared, rec: Option<&TraceRecorder>, driver: u32)
 /// sequence (M-tasks are moldable, so task bodies adapt via
 /// `ctx.rank`/`ctx.size`).
 ///
-/// Used internally for shrink-and-continue after worker loss and for
-/// [`ResizeHandle`] boundary resizes; public so multi-tenant layers can
-/// re-target a program between gang time slices.
+/// Used internally for shrink-and-continue after worker loss.  It is also
+/// the one way to resize a program: a group keeps its workers for a whole
+/// layer, so a caller that wants another width re-plans the remaining
+/// layers and runs them as a new program — `pt-tenant`'s gang-timesharing
+/// executor does this between its one-layer slices.
 pub fn replan(program: &Program, n: usize) -> Program {
     assert!(n >= 1, "cannot re-plan onto zero workers");
     let mut p = program.clone();
@@ -889,24 +756,10 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
         } else {
             1
         };
-        // Logical rank 0 decides a pending malleable resize before the
-        // entry barrier; the barrier publishes the verdict, so every rank
-        // observes the same decision and leaves the attempt at the same
-        // boundary.  One `Option` branch when no channel is attached.
-        let mut resized = false;
-        if me == 0 {
-            if let Some(h) = &sh.resize {
-                if let Some(w) = h.take(layer_idx, sh.roster.len(), req.program.required_workers())
-                {
-                    *lock(&sh.resize_decision) = Some((layer_idx, w));
-                    resized = true;
-                }
-            }
-        }
         // Logical rank 0 snapshots the store before anyone starts the
         // layer; the entry barrier publishes the snapshot and guarantees no
         // task of this layer has run yet.
-        if sh.snapshots && me == 0 && !resized {
+        if sh.snapshots && me == 0 {
             let t0 = rec.map_or(0.0, Recorder::now_us);
             *lock(&sh.snapshot) = Some(req.store.snapshot());
             if let Some(r) = rec {
@@ -926,106 +779,54 @@ fn run_layers_inner(idx: usize, me: usize, req: &RunRequest) -> bool {
             return false;
         }
         record_barrier(rec, tid, layer_idx, "barrier:enter", bar_t0);
-        if sh.resize.is_some() && lock(&sh.resize_decision).is_some() {
-            // A resize was decided at this boundary: every rank leaves the
-            // attempt here (nothing of this layer has run) and the driver
-            // re-plans the remaining layers onto the new width.
-            return false;
-        }
         if let Some(fs) = fs {
             fs.board.begin_layer(me, layer_idx);
         }
+        // Count one injected fault and mark it on this worker's lane.
+        let fault_instant = |name: &str, extra: Option<Arg>| {
+            if let Some(r) = rec {
+                r.add(keys::FAULTS_INJECTED, 1);
+                let mut args = vec![("layer", layer_idx.into()), ("attempt", attempt.into())];
+                args.extend(extra);
+                r.instant(EXEC_PID, tid, name, "fault", args);
+            }
+        };
         let mut inject_panic = false;
         let mut slow = 1.0f64;
         let mut stall = false;
         for kind in sh.faults.firing(layer_idx, me, attempt) {
             match kind {
                 FaultKind::Delay(d) => {
+                    let delay_us = d.as_micros() as u64;
                     if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.add(keys::FAULT_DELAY_US, d.as_micros() as u64);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:delay",
-                            "fault",
-                            vec![
-                                ("layer", layer_idx.into()),
-                                ("attempt", attempt.into()),
-                                ("delay_us", (d.as_micros() as usize).into()),
-                            ],
-                        );
+                        r.add(keys::FAULT_DELAY_US, delay_us);
                     }
+                    fault_instant("fault:delay", Some(("delay_us", delay_us.into())));
                     std::thread::sleep(*d);
                     if let Some(fs) = fs {
                         fs.board.stamp(me);
                     }
                 }
                 FaultKind::Panic => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:panic",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    fault_instant("fault:panic", None);
                     inject_panic = true;
                 }
                 FaultKind::Flaky { p } => {
                     if sh.faults.flaky_fires(*p, layer_idx, me, attempt) {
-                        if let Some(r) = rec {
-                            r.add(keys::FAULTS_INJECTED, 1);
-                            r.instant(
-                                EXEC_PID,
-                                tid,
-                                "fault:flaky",
-                                "fault",
-                                vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                            );
-                        }
+                        fault_instant("fault:flaky", None);
                         inject_panic = true;
                     }
                 }
                 FaultKind::SlowFactor(f) => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:slow",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    fault_instant("fault:slow", None);
                     slow = slow.max(*f);
                 }
                 FaultKind::Stall => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:stall",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    fault_instant("fault:stall", None);
                     stall = true;
                 }
                 FaultKind::Lose => {
-                    if let Some(r) = rec {
-                        r.add(keys::FAULTS_INJECTED, 1);
-                        r.instant(
-                            EXEC_PID,
-                            tid,
-                            "fault:lose",
-                            "fault",
-                            vec![("layer", layer_idx.into()), ("attempt", attempt.into())],
-                        );
-                    }
+                    fault_instant("fault:lose", None);
                     // Record first, then poison, then shrink the barrier:
                     // peers that unwind or arrive afterwards must observe
                     // the failure.
@@ -1889,116 +1690,6 @@ mod tests {
         assert_eq!(shrunk.layers[0][0].tasks.len(), 3);
     }
 
-    /// A width-independent data-parallel layer: scale `v` by `factor`
-    /// block-wise and allgather the result (same output for any width).
-    fn scale_layer(factor: f64) -> Arc<TaskFn> {
-        Arc::new(move |ctx: &TaskCtx| {
-            let v = ctx.store.get("v").unwrap();
-            let n = v.len();
-            let range = ctx.block_range(n);
-            let local: Vec<f64> = v[range].iter().map(|x| x * factor).collect();
-            let counts: Vec<usize> = (0..ctx.size)
-                .map(|r| crate::program::block_range(n, r, ctx.size).len())
-                .collect();
-            let mut full = vec![0.0; n];
-            ctx.comm.allgatherv(ctx.rank, &local, &counts, &mut full);
-            if ctx.rank == 0 {
-                ctx.store.put("v", full);
-            }
-        })
-    }
-
-    /// `layers` data-parallel scaling layers, all on `0..width`, with a
-    /// distinct factor per layer so layer order is observable.
-    fn scale_program(layers: usize, width: usize) -> Program {
-        let mut program =
-            Program::single_layer(vec![GroupPlan::new(0..width, vec![scale_layer(2.0)])]);
-        for l in 1..layers {
-            program.push_layer(vec![GroupPlan::new(
-                0..width,
-                vec![scale_layer(1.0 + l as f64)],
-            )]);
-        }
-        program
-    }
-
-    #[test]
-    fn scripted_resize_is_bit_identical_to_uninterrupted_run() {
-        let team = Team::new(4);
-        let seed: Vec<f64> = (0..13).map(|i| i as f64 * 0.25 + 1.0).collect();
-        let baseline = DataStore::new();
-        baseline.put("v", seed.clone());
-        team.run(&scale_program(6, 4), &baseline).unwrap();
-
-        let store = DataStore::new();
-        store.put("v", seed);
-        let h = ResizeHandle::new();
-        h.request_at(1, 2); // shrink at entry of layer 1
-        h.request_at(3, 3); // regrow at entry of layer 3
-        h.request_at(4, 4); // regrow to the full width
-        let opts = RunOptions::default().with_resize(h.clone());
-        team.run_with(&scale_program(6, 4), &store, &opts).unwrap();
-        assert_eq!(h.applied(), 3);
-        assert!(!h.pending());
-        assert_eq!(store.snapshot(), baseline.snapshot());
-    }
-
-    #[test]
-    fn resize_changes_group_width_at_the_boundary() {
-        let team = Team::new(4);
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let mut program: Option<Program> = None;
-        for l in 0..5usize {
-            let sizes = sizes.clone();
-            let task: Arc<TaskFn> = Arc::new(move |ctx: &TaskCtx| {
-                if ctx.rank == 0 {
-                    lock(&sizes).push((l, ctx.size));
-                }
-            });
-            let plan = vec![GroupPlan::new(0..4, vec![task])];
-            match &mut program {
-                None => program = Some(Program::single_layer(plan)),
-                Some(p) => {
-                    p.push_layer(plan);
-                }
-            }
-        }
-        let h = ResizeHandle::new();
-        h.request_at(2, 2);
-        h.request_at(2, 3); // several requests for one layer: last wins
-        let opts = RunOptions::default().with_resize(h.clone());
-        let store = DataStore::new();
-        team.run_with(&program.unwrap(), &store, &opts).unwrap();
-        assert_eq!(h.applied(), 1);
-        assert_eq!(*lock(&sizes), vec![(0, 4), (1, 4), (2, 3), (3, 3), (4, 3)]);
-    }
-
-    #[test]
-    fn noop_and_async_resize_requests() {
-        let team = Team::new(3);
-        let seed: Vec<f64> = (0..7).map(|i| i as f64).collect();
-        let h = ResizeHandle::new();
-        let opts = RunOptions::default().with_resize(h.clone());
-
-        // A request matching the current width is dropped without a replan.
-        h.request(3);
-        let store = DataStore::new();
-        store.put("v", seed.clone());
-        team.run_with(&scale_program(3, 3), &store, &opts).unwrap();
-        assert_eq!(h.applied(), 0);
-        assert!(!h.pending());
-
-        // An asynchronous request applies at the next boundary (here the
-        // first layer's entry) and the shrunk run computes the same result.
-        let baseline = store.snapshot();
-        let store2 = DataStore::new();
-        store2.put("v", seed);
-        h.request(2);
-        team.run_with(&scale_program(3, 3), &store2, &opts).unwrap();
-        assert_eq!(h.applied(), 1);
-        assert_eq!(store2.snapshot(), baseline);
-    }
-
     #[test]
     fn backoff_is_capped_and_deterministically_jittered() {
         let p = RetryPolicy::attempts(8)
@@ -2096,7 +1787,6 @@ mod tests {
                     .with_dead_after(Duration::from_millis(40))
                     .with_poll(Duration::from_millis(2)),
             ),
-            resize: None,
         };
         team.run_with(&program, &store, &opts).unwrap();
         // allreduce_max of identical values is group-size independent, so

@@ -79,8 +79,6 @@ pub mod keys {
     /// Seconds since the last heartbeat of the laggiest active rank,
     /// observed at each monitor tick (histogram).
     pub const HEARTBEAT_AGE: &str = "exec.heartbeat_age_s";
-    /// Malleable resizes applied at layer boundaries (shrink or regrow).
-    pub const RESIZES: &str = "exec.resizes";
     /// Cost-table misses (`CostTable::evaluations`) during scheduling.
     pub const COST_EVALUATIONS: &str = "sched.cost_evaluations";
     /// Layers scheduled.

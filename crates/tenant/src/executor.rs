@@ -5,9 +5,10 @@
 //! round-robin slices — one layer of one job's program, then one of the
 //! next — with every job keeping its own private [`DataStore`].  Width
 //! changes (shrink to admit a newcomer, regrow when one leaves) happen
-//! between slices: each slice is re-planned onto the width in effect
-//! ([`pt_exec::replan`] — the same mechanism `ResizeHandle` applies at
-//! layer boundaries inside a run).
+//! between slices, i.e. at layer boundaries: a slice whose job has a width
+//! other than its build width in effect is re-planned onto it
+//! ([`pt_exec::replan`], the executor's one resize mechanism — a group
+//! keeps its workers for a whole layer).
 //!
 //! Because the solvers' task bodies are layout-independent (same
 //! per-component arithmetic at any `ctx.size` — the property the
@@ -118,7 +119,7 @@ impl TenantExecutor {
                 };
                 // Re-plan the slice onto the width in effect; a no-op when
                 // the width matches the build width.
-                let slice = if slice.required_workers() == width {
+                let slice = if job.program.required_workers() == width {
                     slice
                 } else {
                     replan(&slice, width)
@@ -145,8 +146,10 @@ impl TenantExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pt_exec::{GroupPlan, TaskCtx, TaskFn};
     use pt_ode::pab::{startup, state_to_store};
     use pt_ode::{Bruss2d, Epol, Irk, OdeSystem, Pab};
+    use std::sync::Mutex;
 
     fn concat_steps(step: &Program, steps: usize) -> Program {
         let mut p = Program::default();
@@ -264,5 +267,54 @@ mod tests {
             baseline,
             "resized run differs from uninterrupted baseline"
         );
+    }
+
+    /// `(layer, group width)` pairs recorded by rank 0 of each layer.
+    type WidthLog = Arc<Mutex<Vec<(usize, usize)>>>;
+
+    /// A one-group-per-layer program whose layer `l` runs on
+    /// `0..widths[l]` and logs the width it actually ran at.
+    fn probe_program(widths: &[usize], log: &WidthLog) -> Program {
+        let mut program = Program::default();
+        for (l, &w) in widths.iter().enumerate() {
+            let log = log.clone();
+            let task: Arc<TaskFn> = Arc::new(move |ctx: &TaskCtx| {
+                if ctx.rank == 0 {
+                    log.lock().expect("width log").push((l, ctx.size));
+                }
+            });
+            program.push_layer(vec![GroupPlan::new(0..w, vec![task])]);
+        }
+        program
+    }
+
+    /// Each layer runs at the width its plan entry sets; several entries
+    /// for one layer apply last-wins, and an entry at the width already in
+    /// effect is no resize.
+    #[test]
+    fn width_plan_sets_each_layer_width() {
+        let log = WidthLog::default();
+        let job = TenantJob::new("probe", probe_program(&[4; 5], &log), DataStore::new())
+            .resize_at(2, 2)
+            .resize_at(2, 3)
+            .resize_at(4, 3);
+        let runs = TenantExecutor::new(4).run(&[job]).unwrap();
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(0, 4), (1, 4), (2, 3), (3, 3), (4, 3)]
+        );
+        assert_eq!(runs[0].resizes, 1);
+    }
+
+    /// With no width plan a job keeps its build layout: a layer narrower
+    /// than the program's build width is not re-laid out onto the full
+    /// width.
+    #[test]
+    fn empty_width_plan_keeps_the_build_layout() {
+        let log = WidthLog::default();
+        let job = TenantJob::new("probe", probe_program(&[1, 4, 2], &log), DataStore::new());
+        let runs = TenantExecutor::new(4).run(&[job]).unwrap();
+        assert_eq!(*log.lock().unwrap(), vec![(0, 1), (1, 4), (2, 2)]);
+        assert_eq!(runs[0].resizes, 0);
     }
 }

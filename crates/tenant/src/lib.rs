@@ -6,8 +6,8 @@
 //! trace-driven, [`arrivals`]), a policy decides admission and core
 //! allotments against the live platform ([`policy`]), and running jobs are
 //! **malleable**: shrunk to admit newcomers and regrown when capacity
-//! frees, with the width change applied at a layer boundary (`pt-exec`'s
-//! `ResizeHandle` inside a run, [`pt_exec::replan`] between gang slices).
+//! frees, with the width change applied at a layer boundary by
+//! [`pt_exec::replan`] between gang slices.
 //!
 //! Components:
 //!

@@ -4,7 +4,7 @@
 //! Policies are *pure*: given the present jobs (arrival order), the machine
 //! width and the oracle, they return one allotment per job (0 = queued).
 //! The mechanism that realizes a decision — shrink/regrow at layer
-//! boundaries — lives in `pt-exec` ([`pt_exec::ResizeHandle`]) and the
+//! boundaries, [`pt_exec::replan`] between slices — lives in the
 //! [`executor`](crate::executor); the scenario simulator charges a resize
 //! penalty instead.
 

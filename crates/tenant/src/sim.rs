@@ -7,8 +7,8 @@
 //! prediction error).  Allotments are recomputed at every arrival and
 //! completion; a width change of a running job charges
 //! [`RESIZE_PENALTY_S`] seconds of paused progress, the modeled cost of the
-//! executor's boundary shrink/regrow (snapshot, replan, re-entry — see
-//! `pt-exec`'s `ResizeHandle`).
+//! executor's boundary shrink/regrow (re-planning the next layer with
+//! [`pt_exec::replan`] and re-entering the team).
 //!
 //! Reported figures:
 //! * **makespan** — last finish time of the batch;

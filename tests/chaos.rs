@@ -91,7 +91,6 @@ proptest! {
                 faults: faults.clone(),
                 recorder: None,
                 deadline: Some(fail_slow_policy(program.layers.len())),
-                resize: None,
             };
             team.run_with(&program, &store, &opts)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e} (faults {:?})", faults.actions()));

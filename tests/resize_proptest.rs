@@ -8,15 +8,17 @@
 //! tenant scheduler may squeeze or regrow a running job at any boundary
 //! without perturbing the numerics.  It holds because the solvers' task
 //! bodies are layout-independent (per-component arithmetic, allgather
-//! assembly, no width-dependent reduction orders), and the executor's
-//! replan only re-partitions *future* layers.  The schedules are drawn by
-//! proptest: a handful of `(layer, width)` requests per run, including
-//! repeated layers (last wins), no-op requests matching the current
-//! width, and shrink-to-one.
+//! assembly, no width-dependent reduction orders).  Widths change the one
+//! way the executor offers: the [`TenantExecutor`] runs the job a layer at
+//! a time and re-plans each layer onto the width in effect
+//! (`pt_exec::replan`).  The schedules are drawn by proptest: a handful of
+//! `(layer, width)` entries per run, including repeated layers (last
+//! wins), entries matching the current width, and shrink-to-one.
 
-use parallel_tasks::exec::{DataStore, Program, ResizeHandle, RunOptions, Team};
+use parallel_tasks::exec::{DataStore, Program, Team};
 use parallel_tasks::ode::pab::{startup, state_to_store};
 use parallel_tasks::ode::{Bruss2d, Diirk, Epol, Irk, OdeSystem, Pab, Pabm};
+use parallel_tasks::tenant::{TenantExecutor, TenantJob};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -117,8 +119,8 @@ fn solver_cases() -> Vec<SolverCase> {
     ]
 }
 
-/// Derive a resize schedule from the proptest-drawn seed: `n` scripted
-/// `(layer, width)` requests anywhere in the program, any width in
+/// Derive a resize schedule from the proptest-drawn seed: `n`
+/// `(layer, width)` entries anywhere in the program, any width in
 /// `1..=team width` (no-ops and duplicates included on purpose).
 fn schedule(seed: u64, n: usize, layers: usize, width: usize) -> Vec<(usize, usize)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -138,21 +140,19 @@ proptest! {
         n in 1usize..5,
     ) {
         for case in solver_cases() {
-            let team = Team::new(case.width);
-
             // Uninterrupted baseline.
             let (program, baseline) = (case.build)();
-            team.run(&program, &baseline).unwrap();
+            Team::new(case.width).run(&program, &baseline).unwrap();
 
-            // Same program under a scripted resize schedule.
+            // Same program, re-planned between layers under the schedule.
             let (program, store) = (case.build)();
-            let handle = ResizeHandle::new();
             let plan = schedule(seed, n, program.layers.len(), case.width);
-            for &(layer, width) in &plan {
-                handle.request_at(layer, width);
-            }
-            let opts = RunOptions::default().with_resize(handle.clone());
-            team.run_with(&program, &store, &opts).unwrap();
+            let job = plan
+                .iter()
+                .fold(TenantJob::new(case.name, program, store.clone()), |job, &(layer, width)| {
+                    job.resize_at(layer, width)
+                });
+            TenantExecutor::new(case.width).run(&[job]).unwrap();
 
             prop_assert_eq!(
                 store.snapshot(),
