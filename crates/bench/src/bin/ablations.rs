@@ -126,14 +126,14 @@ fn main() {
     for threshold in [512.0, 4096.0, 65536.0] {
         let mut m = CostModel::new(&spec);
         m.ring_threshold = threshold;
-        let seq_cons = MappingStrategy::Consecutive.mapping(&spec, cores).sequence;
-        let seq_scat = MappingStrategy::Scattered.mapping(&spec, cores).sequence;
+        let cons = MappingStrategy::Consecutive.mapping(&spec, cores);
+        let scat = MappingStrategy::Scattered.mapping(&spec, cores);
         let bytes = 8.0 * 1024.0 * cores as f64; // 8 KiB per core
         rows.push((
             format!("ring if block >= {} B", threshold as usize),
             vec![
-                1e3 * m.allgather(&ctx, &seq_cons, bytes),
-                1e3 * m.allgather(&ctx, &seq_scat, bytes),
+                1e3 * m.allgather(&ctx, cons.sequence(), bytes),
+                1e3 * m.allgather(&ctx, scat.sequence(), bytes),
             ],
         ));
     }

@@ -172,7 +172,7 @@ fn main() {
     // matrix this PR removed) trip them but tenant noise does not.
     let scale_reps = if quick { 1 } else { 3 };
     for (name, graph, p, layered_gate, flat_gate) in [
-        ("epol_r8", &cases[0].graph, 65536usize, 1000.0, 2000.0),
+        ("epol_r8", &cases[0].graph, 65536usize, 100.0, 2000.0),
         ("bt_mz_c", &cases[1].graph, 65536, 300.0, 300.0),
         ("bt_mz_e", &bt_e, 4096, 100.0, 100.0),
         ("bt_mz_e", &bt_e, 65536, 300.0, 600.0),

@@ -43,7 +43,7 @@ fn main() {
             .iter()
             .map(|kib| {
                 let total = kib * 1024.0 * 256.0;
-                1e3 * model.allgather(&ctx, &mapping.sequence, total)
+                1e3 * model.allgather(&ctx, mapping.sequence(), total)
             })
             .collect();
         rows.push((s.name(), values));

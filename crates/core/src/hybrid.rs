@@ -98,6 +98,21 @@ impl ProcessLayout {
     pub fn max_threads(&self) -> usize {
         self.processes.iter().map(|p| p.threads).max().unwrap_or(1)
     }
+
+    /// Effective parallel capacity for `task`: the first thread of each
+    /// process counts fully, additional threads at
+    /// `cfg.thread_efficiency`, capped at the task's useful cores.
+    pub fn capacity(&self, task: &MTask, cfg: &HybridConfig) -> f64 {
+        let capacity: f64 = self
+            .processes
+            .iter()
+            .map(|p| 1.0 + (p.threads as f64 - 1.0) * cfg.thread_efficiency)
+            .sum();
+        match task.max_cores {
+            Some(cap) => capacity.min(cap as f64),
+            None => capacity,
+        }
+    }
 }
 
 /// Execution time of an M-task under a hybrid layout: compute uses all
@@ -114,18 +129,7 @@ pub fn hybrid_task_time(
     if layout.processes.is_empty() {
         return 0.0;
     }
-    // Effective parallel capacity: first thread of each process counts
-    // fully, additional threads at cfg.thread_efficiency.
-    let capacity: f64 = layout
-        .processes
-        .iter()
-        .map(|p| 1.0 + (p.threads as f64 - 1.0) * cfg.thread_efficiency)
-        .sum();
-    let capacity = match task.max_cores {
-        Some(cap) => capacity.min(cap as f64),
-        None => capacity,
-    };
-    let compute = model.spec.compute_time(task.work) / capacity;
+    let compute = model.spec.compute_time(task.work) / layout.capacity(task, cfg);
 
     let reps = layout.reps();
     let sync = cfg.thread_sync_s * (layout.max_threads() as f64).log2().max(0.0);

@@ -15,7 +15,7 @@
 //!   `d = 1` is scattered, `d = cores_per_node` is consecutive.
 
 use pt_machine::{ClusterSpec, CoreId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// The mapping strategy selecting the physical core sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,17 +109,39 @@ impl std::fmt::Display for MappingStrategy {
 }
 
 /// The mapping function `F_W`: position `i` of the symbolic core sequence →
-/// physical core `sequence[i]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// physical core `sequence()[i]`.
+///
+/// The sequence never repeats a core: every constructor takes a window of
+/// a strategy's permutation of the machine, and deserialisation rejects
+/// repeats.  So two symbolic ranges map to the same physical cores exactly
+/// when they are the same range, and one range's cores lie inside
+/// another's exactly when the range does.  The simulators decide set
+/// relations between groups from their ranges on that guarantee.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mapping {
     /// Physical cores in sequence order (truncated to the scheduled core
     /// count).
-    pub sequence: Vec<CoreId>,
+    sequence: Vec<CoreId>,
     /// The strategy that produced the sequence.
     pub strategy: MappingStrategy,
 }
 
 impl Mapping {
+    /// Physical cores in sequence order.
+    pub fn sequence(&self) -> &[CoreId] {
+        &self.sequence
+    }
+
+    /// The mapping of the symbolic cores `range` alone, renumbered from 0:
+    /// a lower-level schedule that runs on that slice of the upper level's
+    /// cores sees it as its whole machine.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Mapping {
+        Mapping {
+            sequence: self.sequence[range].to_vec(),
+            strategy: self.strategy,
+        }
+    }
+
     /// Map a set of symbolic core indices to physical cores.
     pub fn map(&self, symbolic: &[usize]) -> Vec<CoreId> {
         symbolic.iter().map(|&s| self.sequence[s]).collect()
@@ -138,6 +160,21 @@ impl Mapping {
     /// True if no cores are mapped.
     pub fn is_empty(&self) -> bool {
         self.sequence.is_empty()
+    }
+}
+
+/// Rejects a sequence that repeats a core, so a deserialized mapping keeps
+/// the guarantee every constructed one has.
+impl Deserialize for Mapping {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let sequence = Vec::<CoreId>::deserialize(serde::field(v, "sequence")?)?;
+        let strategy = MappingStrategy::deserialize(serde::field(v, "strategy")?)?;
+        let mut sorted = sequence.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(Error::msg(format!("mapping repeats core {}", w[0].0)));
+        }
+        Ok(Mapping { sequence, strategy })
     }
 }
 
@@ -196,7 +233,7 @@ mod tests {
         }
         // First four sequence entries: core slot 0 of nodes 0..4.
         assert_eq!(
-            labels(&spec, &m.sequence[..4]),
+            labels(&spec, &m.sequence()[..4]),
             vec!["0.0.0", "1.0.0", "2.0.0", "3.0.0"]
         );
     }
@@ -207,7 +244,7 @@ mod tests {
         let spec = fig_platform();
         let m = MappingStrategy::Mixed(2).mapping(&spec, 16);
         assert_eq!(
-            labels(&spec, &m.sequence[..6]),
+            labels(&spec, &m.sequence()[..6]),
             vec!["0.0.0", "0.0.1", "1.0.0", "1.0.1", "2.0.0", "2.0.1"]
         );
         // A group of 4 symbolic cores = 2 cores each of 2 nodes.

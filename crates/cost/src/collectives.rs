@@ -1,7 +1,7 @@
 //! Collective communication and task execution cost model.
 
 use crate::context::CommContext;
-use pt_machine::{ClusterSpec, CommLevel, CoreId};
+use pt_machine::{ClusterSpec, CoreId};
 use pt_mtask::{CollectiveKind, CommOp, MTask};
 
 /// Per-member block-size threshold above which the allgather uses the
@@ -165,21 +165,33 @@ impl<'a> CostModel<'a> {
         if a == b {
             return 0.0;
         }
-        let level = self.spec.level(a, b);
-        let link = self.spec.link_at(level);
-        if level == CommLevel::CrossNode {
-            let na = self.spec.label(a).node;
-            let nb = self.spec.label(b).node;
-            let share = ctx.sharing(na).max(ctx.sharing(nb));
+        self.labelled_p2p(ctx, label(self.spec, a), label(self.spec, b), bytes)
+    }
+
+    /// [`p2p`](Self::p2p) between two distinct cores given their
+    /// `(node, processor)` labels.
+    pub(crate) fn labelled_p2p(
+        &self,
+        ctx: &CommContext,
+        (na, pa): (u32, u32),
+        (nb, pb): (u32, u32),
+        bytes: f64,
+    ) -> f64 {
+        if na != nb {
+            let link = self.spec.inter_node;
+            let share = ctx.sharing(na as usize).max(ctx.sharing(nb as usize));
             let eff_bw = link.bytes_per_s.min(self.spec.nic_bytes_per_s / share);
             link.latency_s + bytes / eff_bw
+        } else if pa != pb {
+            self.spec.intra_node.transfer_time(bytes)
         } else {
-            link.transfer_time(bytes)
+            self.spec.intra_processor.transfer_time(bytes)
         }
     }
 
-    /// Time of one communication *step* in which all the given core pairs
-    /// transfer `bytes` simultaneously.
+    /// Time of one communication *step* in which every rank pair of
+    /// `pairs` transfers `bytes` simultaneously — both ways when
+    /// `both_ways`, as in an exchange.
     ///
     /// Crossing flows that leave or enter the same node share that node's
     /// NIC: the effective bandwidth of a flow is
@@ -187,35 +199,60 @@ impl<'a> CostModel<'a> {
     /// This intra-collective contention is what makes a ring allgather over
     /// scattered cores slow — every rank sends cross-node at once — while a
     /// consecutive layout crosses each node boundary exactly once.
-    pub fn step_time(&self, ctx: &CommContext, pairs: &[(CoreId, CoreId)], bytes: f64) -> f64 {
-        let mut out_flows = vec![0.0f64; self.spec.nodes];
-        let mut in_flows = vec![0.0f64; self.spec.nodes];
-        for &(a, b) in pairs {
-            if self.spec.level(a, b) == CommLevel::CrossNode {
-                out_flows[self.spec.label(a).node] += 1.0;
-                in_flows[self.spec.label(b).node] += 1.0;
+    ///
+    /// The step lasts as long as its slowest pair.  A pair inside a node
+    /// costs its level's constant.  A crossing pair costs
+    /// `latency + bytes / eff`, which can only grow as `eff` shrinks, and
+    /// `nic / x` can only shrink as `x` grows; IEEE rounding keeps both
+    /// monotone.  So the slowest crossing pair is priced once, at the
+    /// largest `flows · sharers` of any sending and of any receiving node,
+    /// and that one evaluation equals the per-pair maximum to the bit.
+    fn step(
+        &self,
+        g: &mut Group,
+        pairs: impl Iterator<Item = (usize, usize)>,
+        both_ways: bool,
+        bytes: f64,
+    ) -> f64 {
+        if g.ranks.is_empty() {
+            g.label(self.spec);
+        }
+        let (mut same_proc, mut same_node, mut cross) = (false, false, false);
+        for (a, b) in pairs {
+            let ((na, pa), (nb, pb)) = (g.ranks[a], g.ranks[b]);
+            if na != nb {
+                g.nodes[na as usize].out += 1;
+                g.nodes[nb as usize].inn += 1;
+                if both_ways {
+                    g.nodes[nb as usize].out += 1;
+                    g.nodes[na as usize].inn += 1;
+                }
+                cross = true;
+            } else if pa != pb {
+                same_node = true;
+            } else if g.cores[a] != g.cores[b] {
+                same_proc = true;
             }
         }
         let mut worst = 0.0f64;
-        for &(a, b) in pairs {
-            if a == b {
-                continue;
+        if same_proc {
+            worst = worst.max(self.spec.intra_processor.transfer_time(bytes));
+        }
+        if same_node {
+            worst = worst.max(self.spec.intra_node.transfer_time(bytes));
+        }
+        if cross {
+            // The busiest NICs, clearing every count for the next step.
+            // Idle nodes contribute `0 · share`, which the max ignores.
+            let (mut hot_out, mut hot_in) = (0.0f64, 0.0f64);
+            for n in &mut g.nodes {
+                hot_out = hot_out.max(f64::from(std::mem::take(&mut n.out)) * n.share);
+                hot_in = hot_in.max(f64::from(std::mem::take(&mut n.inn)) * n.share);
             }
-            let level = self.spec.level(a, b);
-            let link = self.spec.link_at(level);
-            let t = if level == CommLevel::CrossNode {
-                let na = self.spec.label(a).node;
-                let nb = self.spec.label(b).node;
-                let nic = self.spec.nic_bytes_per_s;
-                let eff = link
-                    .bytes_per_s
-                    .min(nic / (out_flows[na] * ctx.sharing(na)))
-                    .min(nic / (in_flows[nb] * ctx.sharing(nb)));
-                link.latency_s + bytes / eff
-            } else {
-                link.transfer_time(bytes)
-            };
-            worst = worst.max(t);
+            let link = self.spec.inter_node;
+            let nic = self.spec.nic_bytes_per_s;
+            let eff = link.bytes_per_s.min(nic / hot_out).min(nic / hot_in);
+            worst = worst.max(link.latency_s + bytes / eff);
         }
         worst
     }
@@ -227,43 +264,34 @@ impl<'a> CostModel<'a> {
     /// scatter + allgather scheme real MPI libraries switch to, whose
     /// allgather phase inherits the ring's mapping sensitivity.
     pub fn bcast(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let q = cores.len();
+        self.group_bcast(&mut Group::new(ctx, cores), bytes)
+    }
+
+    fn group_bcast(&self, g: &mut Group, bytes: f64) -> f64 {
+        let q = g.cores.len();
         if q <= 1 {
             return 0.0;
         }
+        let mut time = 0.0;
         if bytes >= DEFAULT_SAG_BCAST_THRESHOLD && q > 4 {
             // Binomial scatter: the root first ships half the payload to
             // the far half, then the halves recurse (payload and reach
-            // halve together).
-            let mut time = 0.0;
+            // halve together).  The senders of a round are the ranks whose
+            // `reach` bit is clear.
             let mut reach = q.next_power_of_two() / 2;
             let mut chunk = bytes / 2.0;
             while reach >= 1 {
-                let pairs: Vec<(CoreId, CoreId)> = (0..q)
-                    .filter_map(|src| {
-                        let dst = src + reach;
-                        ((src / reach).is_multiple_of(2) && dst < q)
-                            .then(|| (cores[src], cores[dst]))
-                    })
-                    .collect();
-                if !pairs.is_empty() {
-                    time += self.step_time(ctx, &pairs, chunk);
-                }
+                let senders = (0..q - reach).filter(|src| (src & reach) == 0);
+                time += self.step(g, senders.map(|src| (src, src + reach)), false, chunk);
                 chunk /= 2.0;
                 reach /= 2;
             }
-            return time + self.allgather(ctx, cores, bytes);
+            return time + self.group_allgather(g, bytes);
         }
-        let mut time = 0.0;
         let mut reach = 1usize;
         while reach < q {
-            let pairs: Vec<(CoreId, CoreId)> = (0..reach.min(q))
-                .filter_map(|src| {
-                    let dst = src + reach;
-                    (dst < q).then(|| (cores[src], cores[dst]))
-                })
-                .collect();
-            time += self.step_time(ctx, &pairs, bytes);
+            let senders = 0..reach.min(q - reach);
+            time += self.step(g, senders.map(|src| (src, src + reach)), false, bytes);
             reach *= 2;
         }
         time
@@ -278,81 +306,50 @@ impl<'a> CostModel<'a> {
     /// Small totals use recursive doubling (log-depth, distance-doubling
     /// partners).
     pub fn allgather(&self, ctx: &CommContext, cores: &[CoreId], total_bytes: f64) -> f64 {
-        let q = cores.len();
+        self.group_allgather(&mut Group::new(ctx, cores), total_bytes)
+    }
+
+    fn group_allgather(&self, g: &mut Group, total_bytes: f64) -> f64 {
+        let q = g.cores.len();
         if q <= 1 {
             return 0.0;
         }
         let block = total_bytes / q as f64;
         if block >= self.ring_threshold && q > 2 {
-            self.allgather_ring(ctx, cores, block)
-        } else {
-            self.allgather_rd(ctx, cores, block)
+            // All q−1 steps use the same neighbour links simultaneously;
+            // each step moves one block per rank to its successor.
+            return (q - 1) as f64 * self.step(g, ring_pairs(q), false, block);
         }
-    }
-
-    fn allgather_ring(&self, ctx: &CommContext, cores: &[CoreId], block: f64) -> f64 {
-        let q = cores.len();
-        // All q−1 steps use the same neighbour links simultaneously; each
-        // step moves one block per rank to its successor.
-        let pairs: Vec<(CoreId, CoreId)> = (0..q).map(|i| (cores[i], cores[(i + 1) % q])).collect();
-        (q - 1) as f64 * self.step_time(ctx, &pairs, block)
-    }
-
-    fn allgather_rd(&self, ctx: &CommContext, cores: &[CoreId], block: f64) -> f64 {
-        let q = cores.len();
         // Recursive doubling on ⌈log2 q⌉ rounds; non-power-of-two groups pay
         // an extra fix-up round (as in MPI implementations).
         let mut time = 0.0;
         let mut dist = 1usize;
         let mut chunk = block;
         while dist < q {
-            let mut pairs = Vec::new();
-            for i in 0..q {
-                let j = i ^ dist;
-                if j < q && j > i {
-                    pairs.push((cores[i], cores[j]));
-                    pairs.push((cores[j], cores[i]));
-                }
-            }
-            time += self.step_time(ctx, &pairs, chunk);
+            time += self.step(g, exchange_pairs(q, dist), true, chunk);
             chunk *= 2.0;
             dist *= 2;
         }
         if !q.is_power_of_two() {
             // Fix-up: one extra exchange of the remainder blocks.
-            let pairs: Vec<(CoreId, CoreId)> =
-                (0..q).map(|i| (cores[i], cores[(i + 1) % q])).collect();
-            time += self.step_time(ctx, &pairs, block);
+            time += self.step(g, ring_pairs(q), false, block);
         }
         time
     }
 
     /// Allreduce over the group: recursive-doubling exchange of the full
-    /// vector per round.
+    /// vector per round, ⌈log2 q⌉ rounds.  Round `r` always pairs rank 0
+    /// with rank `2^r < q`, so no round is empty.
     pub fn allreduce(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let q = cores.len();
-        if q <= 1 {
-            return 0.0;
-        }
-        let rounds = (q as f64).log2().ceil() as usize;
+        self.group_allreduce(&mut Group::new(ctx, cores), bytes)
+    }
+
+    fn group_allreduce(&self, g: &mut Group, bytes: f64) -> f64 {
+        let q = g.cores.len();
         let mut time = 0.0;
         let mut dist = 1usize;
-        for _ in 0..rounds {
-            let mut pairs = Vec::new();
-            for i in 0..q {
-                let j = i ^ dist;
-                if j < q && j > i {
-                    pairs.push((cores[i], cores[j]));
-                    pairs.push((cores[j], cores[i]));
-                }
-            }
-            let round = if pairs.is_empty() {
-                // Non-power-of-two fallback: charge the worst group link.
-                self.worst_link_time(ctx, cores, bytes)
-            } else {
-                self.step_time(ctx, &pairs, bytes)
-            };
-            time += round;
+        while dist < q {
+            time += self.step(g, exchange_pairs(q, dist), true, bytes);
             dist *= 2;
         }
         time
@@ -365,153 +362,29 @@ impl<'a> CostModel<'a> {
 
     /// Halo exchange with both rank neighbours.
     pub fn neighbor_exchange(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let q = cores.len();
+        self.group_neighbor_exchange(&mut Group::new(ctx, cores), bytes)
+    }
+
+    fn group_neighbor_exchange(&self, g: &mut Group, bytes: f64) -> f64 {
+        let q = g.cores.len();
         if q <= 1 {
             return 0.0;
         }
-        let mut pairs = Vec::with_capacity(2 * (q - 1));
-        for i in 0..q - 1 {
-            pairs.push((cores[i], cores[i + 1]));
-            pairs.push((cores[i + 1], cores[i]));
-        }
-        2.0 * self.step_time(ctx, &pairs, bytes)
-    }
-
-    /// Worst pairwise [`p2p`](Self::p2p) time within the group.
-    ///
-    /// `p2p` depends only on the `(node, processor)` labels of its
-    /// endpoints: intra-processor and intra-node transfers are
-    /// label-independent constants, and a cross-node transfer depends only
-    /// on the two node ids (through NIC sharing).  So instead of the
-    /// all-pairs max over `q²/2` pairs, dedup to one representative core
-    /// per distinct node plus two intra-level flags — value-identical by
-    /// construction (the test oracle below asserts bit-equality).
-    fn worst_link_time(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let mut seen_core = std::collections::HashSet::new();
-        let mut seen_label = std::collections::HashSet::new();
-        let mut seen_node = std::collections::HashSet::new();
-        // One representative core per distinct node.
-        let mut node_reps: Vec<(usize, CoreId)> = Vec::new();
-        let mut intra_proc = false;
-        let mut intra_node = false;
-        for &c in cores {
-            // An exact duplicate core forms only pairs that an earlier
-            // occurrence already forms (plus the zero-cost self pair).
-            if !seen_core.insert(c.0) {
-                continue;
-            }
-            let l = self.spec.label(c);
-            if !seen_label.insert((l.node, l.processor)) {
-                // Distinct core sharing a processor with an earlier one.
-                intra_proc = true;
-                continue;
-            }
-            if seen_node.insert(l.node) {
-                node_reps.push((l.node, c));
-            } else {
-                // Distinct processor on an already-seen node.
-                intra_node = true;
-            }
-        }
-        let mut worst = 0.0f64;
-        if intra_proc {
-            worst = worst.max(
-                self.spec
-                    .link_at(CommLevel::SameProcessor)
-                    .transfer_time(bytes),
-            );
-        }
-        if intra_node {
-            worst = worst.max(self.spec.link_at(CommLevel::SameNode).transfer_time(bytes));
-        }
-        // Cross-node: every representative pair travels the same inter-node
-        // link, and `p2p` is monotone non-decreasing in the *larger* of the
-        // two endpoints' NIC sharing factors.  The worst pair therefore
-        // contains the max-sharing node, and pairing it with any other
-        // representative evaluates the identical expression the dense
-        // max-fold would have returned — one `p2p` call instead of the
-        // former O(reps²) loop (the last quadratic factor of the
-        // non-power-of-two allreduce fallback).
-        if node_reps.len() >= 2 {
-            let mut hot = 0usize;
-            let mut hot_share = ctx.sharing(node_reps[0].0);
-            for (i, &(n, _)) in node_reps.iter().enumerate().skip(1) {
-                let s = ctx.sharing(n);
-                if s > hot_share {
-                    hot = i;
-                    hot_share = s;
-                }
-            }
-            let partner = usize::from(hot == 0);
-            worst = worst.max(self.p2p(ctx, node_reps[hot].1, node_reps[partner].1, bytes));
-        }
-        worst
-    }
-
-    /// The dense node-representative loop the argmax fold replaced, kept as
-    /// an oracle for the bit-equality tests below.
-    #[cfg(test)]
-    fn worst_link_time_rep_pairs(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let mut seen_core = std::collections::HashSet::new();
-        let mut seen_label = std::collections::HashSet::new();
-        let mut node_reps: Vec<(usize, CoreId)> = Vec::new();
-        let mut intra_proc = false;
-        let mut intra_node = false;
-        for &c in cores {
-            if !seen_core.insert(c.0) {
-                continue;
-            }
-            let l = self.spec.label(c);
-            if !seen_label.insert((l.node, l.processor)) {
-                intra_proc = true;
-                continue;
-            }
-            if node_reps.iter().any(|&(n, _)| n == l.node) {
-                intra_node = true;
-            } else {
-                node_reps.push((l.node, c));
-            }
-        }
-        let mut worst = 0.0f64;
-        if intra_proc {
-            worst = worst.max(
-                self.spec
-                    .link_at(CommLevel::SameProcessor)
-                    .transfer_time(bytes),
-            );
-        }
-        if intra_node {
-            worst = worst.max(self.spec.link_at(CommLevel::SameNode).transfer_time(bytes));
-        }
-        for i in 0..node_reps.len() {
-            for j in i + 1..node_reps.len() {
-                worst = worst.max(self.p2p(ctx, node_reps[i].1, node_reps[j].1, bytes));
-            }
-        }
-        worst
-    }
-
-    /// The original all-pairs formulation, kept as the oracle for the
-    /// bit-equality tests of the deduplicated [`worst_link_time`].
-    #[cfg(test)]
-    fn worst_link_time_all_pairs(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..cores.len() {
-            for j in i + 1..cores.len() {
-                worst = worst.max(self.p2p(ctx, cores[i], cores[j], bytes));
-            }
-        }
-        worst
+        2.0 * self.step(g, (0..q - 1).map(|i| (i, i + 1)), true, bytes)
     }
 
     /// Time of a single internal communication operation on a group.
     pub fn comm_op(&self, ctx: &CommContext, cores: &[CoreId], op: &CommOp) -> f64 {
+        self.group_comm_op(&mut Group::new(ctx, cores), op)
+    }
+
+    fn group_comm_op(&self, g: &mut Group, op: &CommOp) -> f64 {
         let once = match op.kind {
-            CollectiveKind::Broadcast => self.bcast(ctx, cores, op.bytes),
-            CollectiveKind::Allgather => self.allgather(ctx, cores, op.bytes),
-            CollectiveKind::Allreduce => self.allreduce(ctx, cores, op.bytes),
-            CollectiveKind::Barrier => self.barrier(ctx, cores),
-            CollectiveKind::NeighborExchange => self.neighbor_exchange(ctx, cores, op.bytes),
+            CollectiveKind::Broadcast => self.group_bcast(g, op.bytes),
+            CollectiveKind::Allgather => self.group_allgather(g, op.bytes),
+            CollectiveKind::Allreduce => self.group_allreduce(g, op.bytes),
+            CollectiveKind::Barrier => self.group_allreduce(g, 8.0),
+            CollectiveKind::NeighborExchange => self.group_neighbor_exchange(g, op.bytes),
         };
         once * op.count
     }
@@ -519,19 +392,21 @@ impl<'a> CostModel<'a> {
     /// `T(M, q, mp)`: full execution time of an M-task on the given physical
     /// cores (the mapping pattern *is* the identity of those cores).
     pub fn task_time(&self, ctx: &CommContext, task: &MTask, cores: &[CoreId]) -> f64 {
-        let useful = match task.max_cores {
-            Some(cap) => &cores[..cores.len().min(cap)],
-            None => cores,
-        };
-        if useful.is_empty() {
+        if useful_cores(task, cores).is_empty() {
             return 0.0;
         }
-        let comm: f64 = task
-            .comm
+        self.compute_share(task, cores) + self.comm_share(ctx, task, cores)
+    }
+
+    /// The communication part of [`task_time`](Self::task_time): every
+    /// internal operation of `task` on its useful cores, with the group
+    /// labelled once for all of them.
+    pub fn comm_share(&self, ctx: &CommContext, task: &MTask, cores: &[CoreId]) -> f64 {
+        let mut g = Group::new(ctx, useful_cores(task, cores));
+        task.comm
             .iter()
-            .map(|op| self.comm_op(ctx, useful, op))
-            .sum();
-        self.compute_share(task, cores) + comm
+            .map(|op| self.group_comm_op(&mut g, op))
+            .sum()
     }
 
     /// The compute part of [`task_time`](Self::task_time) on the same
@@ -539,10 +414,7 @@ impl<'a> CostModel<'a> {
     /// simulators can subtract it from the total to report the
     /// communication share without re-deriving the speed logic.
     pub fn compute_share(&self, task: &MTask, cores: &[CoreId]) -> f64 {
-        let useful = match task.max_cores {
-            Some(cap) => &cores[..cores.len().min(cap)],
-            None => cores,
-        };
+        let useful = useful_cores(task, cores);
         if useful.is_empty() {
             return 0.0;
         }
@@ -568,9 +440,142 @@ impl<'a> CostModel<'a> {
     }
 }
 
+/// The `(node, processor)` of a core, both machine-wide: two cores share
+/// a node, or a processor, exactly when these labels match.
+pub(crate) fn label(spec: &ClusterSpec, core: CoreId) -> (u32, u32) {
+    let proc = div(core.0, spec.cores_per_processor);
+    let node = div(proc, spec.processors_per_node);
+    let fits = "a machine has fewer than 2^32 processors";
+    (
+        u32::try_from(node).expect(fits),
+        u32::try_from(proc).expect(fits),
+    )
+}
+
+/// `n / d`, by a shift when `d` is a power of two, as on every preset
+/// machine.  Labelling is the per-rank work of pricing a wide group, and
+/// plain division there made cold EPOL R = 8 plans at P = 4096 about a
+/// fifth slower on a 2-vCPU VM.
+#[inline]
+fn div(n: usize, d: usize) -> usize {
+    if d.is_power_of_two() {
+        n >> d.trailing_zeros()
+    } else {
+        n / d
+    }
+}
+
+/// The cores of a group that take part in `task`: all of them, or the
+/// first `max_cores`.
+fn useful_cores<'c>(task: &MTask, cores: &'c [CoreId]) -> &'c [CoreId] {
+    match task.max_cores {
+        Some(cap) => &cores[..cores.len().min(cap)],
+        None => cores,
+    }
+}
+
+/// Every rank to its successor, the last to the first.
+fn ring_pairs(q: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..q).map(move |i| (i, if i + 1 == q { 0 } else { i + 1 }))
+}
+
+/// Every recursive-doubling pair `(i, i ^ dist)`, once; the exchange runs
+/// it both ways.
+fn exchange_pairs(q: usize, dist: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..q).filter_map(move |i| {
+        let j = i ^ dist;
+        (j > i && j < q).then_some((i, j))
+    })
+}
+
+/// A group's ranks labelled once for pricing, with the flow counters its
+/// collectives reuse step after step.
+///
+/// The machine model prices a transfer only by the tree level it crosses
+/// and, across nodes, by how many flows share each endpoint's NIC.  So a
+/// rank needs two labels: its node, numbered within the group so that the
+/// flow counters are as long as the group's node list rather than the
+/// machine's, and its machine-wide processor.  They are derived on the
+/// first step, once per rank, and a step then classifies each pair by
+/// comparing labels.  An operation that never steps (a lone rank, a task
+/// without communication) labels nothing.
+struct Group<'c> {
+    cores: &'c [CoreId],
+    ctx: &'c CommContext,
+    /// `(group-local node, processor)` of every rank, once labelled.
+    ranks: Vec<(u32, u32)>,
+    /// Per group-local node, in machine order: the context's sharing
+    /// factor and the current step's crossing flows (zero between steps).
+    nodes: Vec<NodeFlows>,
+}
+
+struct NodeFlows {
+    id: u32,
+    share: f64,
+    out: u32,
+    inn: u32,
+}
+
+impl<'c> Group<'c> {
+    fn new(ctx: &'c CommContext, cores: &'c [CoreId]) -> Group<'c> {
+        Group {
+            cores,
+            ctx,
+            ranks: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    fn label(&mut self, spec: &ClusterSpec) {
+        self.ranks = self.cores.iter().map(|&c| label(spec, c)).collect();
+        let flows = |id: u32| NodeFlows {
+            id,
+            share: self.ctx.sharing(id as usize),
+            out: 0,
+            inn: 0,
+        };
+        let lo = self.ranks.iter().map(|r| r.0).min().unwrap_or(0);
+        let hi = self.ranks.iter().map(|r| r.0).max().unwrap_or(0);
+        let span = (hi - lo) as usize + 1;
+        if span <= 2 * self.ranks.len() {
+            // The group's nodes are dense in the machine (every mapping
+            // strategy makes them so for wide groups): number them through
+            // a table over their id span, where absent nodes stay `MAX`.
+            let mut local = vec![u32::MAX; span];
+            for r in &self.ranks {
+                local[(r.0 - lo) as usize] = 0;
+            }
+            for (id, l) in (lo..).zip(&mut local) {
+                if *l == 0 {
+                    *l = self.nodes.len() as u32;
+                    self.nodes.push(flows(id));
+                }
+            }
+            for r in &mut self.ranks {
+                r.0 = local[(r.0 - lo) as usize];
+            }
+        } else {
+            // Sparse: sort the node ids and search them, once per run of
+            // ranks on one node.
+            self.nodes = self.ranks.iter().map(|r| flows(r.0)).collect();
+            self.nodes.sort_unstable_by_key(|n| n.id);
+            self.nodes.dedup_by_key(|n| n.id);
+            let mut last = (u32::MAX, 0u32);
+            for r in &mut self.ranks {
+                if r.0 != last.0 {
+                    let local = self.nodes.binary_search_by_key(&r.0, |n| n.id);
+                    last = (r.0, local.expect("node is labelled") as u32);
+                }
+                r.0 = last.1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use pt_machine::platforms;
 
     fn cores(ids: &[usize]) -> Vec<CoreId> {
@@ -707,101 +712,19 @@ mod tests {
     }
 
     #[test]
-    fn worst_link_time_dedup_is_bit_equal_to_all_pairs() {
-        let spec = platforms::chic().with_nodes(8); // 32 cores, 2 procs/node
-        let m = CostModel::new(&spec);
-        let ctx = CommContext::uniform(&spec);
-        let consecutive: Vec<CoreId> = (0..24).map(CoreId).collect();
-        let scattered: Vec<CoreId> = (0..24).map(|i| CoreId((i % 8) * 4 + i / 8)).collect();
-        let node_local = cores(&[0, 1, 2, 3]);
-        let proc_local = cores(&[0, 1]);
-        let with_dupes = cores(&[5, 5, 5, 9, 9, 0]);
-        let singleton = cores(&[7]);
-        let empty: Vec<CoreId> = vec![];
-        for group in [
-            &consecutive,
-            &scattered,
-            &node_local,
-            &proc_local,
-            &with_dupes,
-            &singleton,
-            &empty,
-        ] {
-            for bytes in [8.0, 4096.0, 1e6] {
-                let fast = m.worst_link_time(&ctx, group, bytes);
-                let slow = m.worst_link_time_all_pairs(&ctx, group, bytes);
-                assert!(
-                    fast.to_bits() == slow.to_bits(),
-                    "dedup {fast} != all-pairs {slow} for {group:?} @ {bytes}B"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn worst_link_time_dedup_matches_under_contention() {
-        let spec = platforms::chic().with_nodes(4);
-        let m = CostModel::new(&spec);
-        let mut ctx = CommContext::uniform(&spec);
-        // Asymmetric NIC sharing: the cross-node max must still pick the
-        // same value as the all-pairs scan.
-        ctx.sharers[1] = 3.0;
-        ctx.sharers[2] = 7.0;
-        let group: Vec<CoreId> = (0..16).map(CoreId).collect();
-        let fast = m.worst_link_time(&ctx, &group, 1e5);
-        let slow = m.worst_link_time_all_pairs(&ctx, &group, 1e5);
-        assert_eq!(fast.to_bits(), slow.to_bits());
-    }
-
-    #[test]
-    fn worst_link_time_argmax_fold_matches_dense_rep_loop() {
-        // The fold replaced the O(reps²) representative loop; sweep sharing
-        // patterns (max share at the front, middle, back, tied, uniform)
-        // and assert bit-equality against the retained dense oracle.
-        let spec = platforms::chic().with_nodes(8);
-        let m = CostModel::new(&spec);
-        let group: Vec<CoreId> = (0..32).map(CoreId).collect();
-        let patterns: Vec<Vec<(usize, f64)>> = vec![
-            vec![],
-            vec![(0, 9.0)],
-            vec![(3, 9.0)],
-            vec![(7, 9.0)],
-            vec![(1, 4.0), (6, 4.0)],
-            vec![(0, 2.0), (2, 8.0), (5, 3.0)],
-        ];
-        for pat in patterns {
-            let mut ctx = CommContext::uniform(&spec);
-            for &(n, s) in &pat {
-                ctx.sharers[n] = s;
-            }
-            for bytes in [8.0, 4096.0, 1e6] {
-                let fast = m.worst_link_time(&ctx, &group, bytes);
-                let dense = m.worst_link_time_rep_pairs(&ctx, &group, bytes);
-                let all = m.worst_link_time_all_pairs(&ctx, &group, bytes);
-                assert_eq!(
-                    fast.to_bits(),
-                    dense.to_bits(),
-                    "pattern {pat:?} @ {bytes}B"
-                );
-                assert_eq!(fast.to_bits(), all.to_bits(), "pattern {pat:?} @ {bytes}B");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_non_power_of_two_is_bit_equal_to_all_pairs_fallback() {
-        // The non-power-of-two allreduce charges `worst_link_time` for any
-        // round whose recursive-doubling pairing comes up empty.  Rebuild
-        // the round loop with the all-pairs oracle in that slot and assert
-        // the production path (hashed node dedup + argmax fold) stays
-        // bit-equal on non-power-of-two groups, consecutive and scattered,
-        // under asymmetric NIC sharing.
+    fn allreduce_non_power_of_two_is_bit_equal_to_per_pair_rounds() {
+        // Rebuild the recursive-doubling rounds with the code's own
+        // ⌈log2 q⌉ round count, price each round pair by pair, and assert
+        // the labelled, folded allreduce is bit-equal on non-power-of-two
+        // groups, consecutive and scattered, under asymmetric NIC sharing.
+        // Every round has a pair: the old worst-link fallback for an empty
+        // round was unreachable.
         let spec = platforms::chic().with_nodes(8);
         let m = CostModel::new(&spec);
         let mut ctx = CommContext::uniform(&spec);
         ctx.sharers[2] = 5.0;
         ctx.sharers[6] = 3.0;
-        let oracle = |group: &[CoreId], bytes: f64| -> f64 {
+        let rounds_by_pair = |group: &[CoreId], bytes: f64| -> f64 {
             let q = group.len();
             if q <= 1 {
                 return 0.0;
@@ -818,11 +741,8 @@ mod tests {
                         pairs.push((group[j], group[i]));
                     }
                 }
-                time += if pairs.is_empty() {
-                    m.worst_link_time_all_pairs(&ctx, group, bytes)
-                } else {
-                    m.step_time(&ctx, &pairs, bytes)
-                };
+                assert!(!pairs.is_empty(), "round with distance {dist} of q={q}");
+                time += oracle::step_time(&m, &ctx, &pairs, bytes);
                 dist *= 2;
             }
             time
@@ -833,21 +753,11 @@ mod tests {
             for group in [&consecutive, &scattered] {
                 for bytes in [8.0, 4096.0, 1e6] {
                     let fast = m.allreduce(&ctx, group, bytes);
-                    let slow = oracle(group, bytes);
+                    let slow = rounds_by_pair(group, bytes);
                     assert_eq!(
                         fast.to_bits(),
                         slow.to_bits(),
-                        "allreduce dedup {fast} != oracle {slow} for q={q} @ {bytes}B"
-                    );
-                    // The fallback's ingredient stays bit-equal on its own.
-                    let w = m.worst_link_time(&ctx, group, bytes);
-                    assert_eq!(
-                        w.to_bits(),
-                        m.worst_link_time_all_pairs(&ctx, group, bytes).to_bits()
-                    );
-                    assert_eq!(
-                        w.to_bits(),
-                        m.worst_link_time_rep_pairs(&ctx, group, bytes).to_bits()
+                        "allreduce {fast} != per-pair rounds {slow} for q={q} @ {bytes}B"
                     );
                 }
             }

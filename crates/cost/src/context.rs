@@ -33,15 +33,17 @@ impl CommContext {
     }
 
     /// Build the context for a set of groups communicating concurrently.
+    ///
+    /// O(nodes + Σq): each node remembers the last group that counted it,
+    /// so a group counts each of its nodes once.
     pub fn from_groups<G: AsRef<[CoreId]>>(spec: &ClusterSpec, groups: &[G]) -> CommContext {
         let mut counts = vec![0u32; spec.nodes];
-        for g in groups {
-            let mut seen = vec![false; spec.nodes];
+        let mut counted_by = vec![usize::MAX; spec.nodes];
+        for (i, g) in groups.iter().enumerate() {
             for &c in g.as_ref() {
-                seen[spec.label(c).node] = true;
-            }
-            for (n, s) in seen.iter().enumerate() {
-                if *s {
+                let n = spec.label(c).node;
+                if counted_by[n] != i {
+                    counted_by[n] = i;
                     counts[n] += 1;
                 }
             }

@@ -30,16 +30,140 @@ pub mod redist;
 pub mod symbolic;
 pub mod table;
 
+// The per-pair oracle names the crate as `pt_cost`, as it does when other
+// crates' tests include it.
+#[cfg(test)]
+extern crate self as pt_cost;
+#[cfg(test)]
+mod oracle;
+
 pub use collectives::{CostModel, SpeedClasses};
 pub use context::CommContext;
+pub use redist::Overlap;
 pub use symbolic::task_time_optimistic;
 pub use table::{CostTable, TableStore};
 
 #[cfg(test)]
 mod tests {
-    use crate::{CommContext, CostModel};
-    use pt_machine::{platforms, CoreId};
-    use pt_mtask::{CollectiveKind, CommOp, MTask};
+    use crate::{oracle, CommContext, CostModel, Overlap};
+    use proptest::prelude::*;
+    use pt_machine::{platforms, ClusterSpec, CoreId};
+    use pt_mtask::{CollectiveKind, CommOp, EdgeData, MTask, RedistPattern};
+
+    /// A machine of the given shape (non-power-of-two widths included),
+    /// its first `slow` nodes at half speed, and the given NIC sharers.
+    fn machine(
+        nodes: usize,
+        ppn: usize,
+        cpp: usize,
+        slow: usize,
+        sharers: &[u32],
+    ) -> (ClusterSpec, CommContext) {
+        let spec = ClusterSpec {
+            nodes,
+            processors_per_node: ppn,
+            cores_per_processor: cpp,
+            ..platforms::chic()
+        };
+        let spec = if slow > 0 {
+            spec.with_slow_nodes(slow, 0.5)
+        } else {
+            spec
+        };
+        let mut ctx = CommContext::uniform(&spec);
+        for (s, &f) in ctx.sharers.iter_mut().zip(sharers) {
+            *s = f64::from(f);
+        }
+        (spec, ctx)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn pricing_is_bit_equal_to_the_per_pair_oracle(
+            shape in (1usize..10, 1usize..4, 1usize..4, 0usize..3),
+            sharers in prop::collection::vec(1u32..6, 0..10),
+            strategy in 0usize..3,
+            windows in ((0usize..1000, 1usize..40), (0usize..1000, 1usize..40)),
+            log_bytes in 0.0f64..7.0,
+            count in 0.5f64..3.0,
+            cap in 0usize..48,
+        ) {
+            let (nodes, ppn, cpp, slow) = shape;
+            let (spec, ctx) = machine(nodes, ppn, cpp, slow.min(nodes - 1), &sharers);
+            let m = CostModel::new(&spec);
+            let p = spec.total_cores();
+            let seq = mapped_sequence(&spec, strategy);
+            let window = |(lo, len): (usize, usize)| {
+                let lo = lo % p;
+                &seq[lo..(lo + len).min(p)]
+            };
+            let (src, dst) = (window(windows.0), window(windows.1));
+            let bytes = 10f64.powf(log_bytes);
+            for kind in [
+                CollectiveKind::Broadcast,
+                CollectiveKind::Allgather,
+                CollectiveKind::Allreduce,
+                CollectiveKind::Barrier,
+                CollectiveKind::NeighborExchange,
+            ] {
+                let op = CommOp::new(kind, bytes, count);
+                let fast = m.comm_op(&ctx, src, &op);
+                let slow = oracle::comm_op(&m, &ctx, src, &op);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{:?} on {:?}: {} vs {}", kind, src, fast, slow);
+            }
+            let task = MTask::with_comm(
+                "t",
+                1e9,
+                vec![CommOp::allgather(bytes, count), CommOp::new(CollectiveKind::Allreduce, 64.0, 2.0)],
+            );
+            let task = if cap > 0 { task.max_cores(cap) } else { task };
+            let fast = m.task_time(&ctx, &task, src);
+            prop_assert_eq!(fast.to_bits(), oracle::task_time(&m, &ctx, &task, src).to_bits());
+            let split = m.compute_share(&task, src) + m.comm_share(&ctx, &task, src);
+            prop_assert_eq!(fast.to_bits(), split.to_bits());
+
+            let overlap = if oracle::same_set(src, dst) {
+                Overlap::Same
+            } else if oracle::subset(dst, src) {
+                Overlap::Inside
+            } else {
+                Overlap::Other
+            };
+            for pattern in [RedistPattern::Replicated, RedistPattern::Block, RedistPattern::Orthogonal] {
+                let edge = EdgeData { bytes, pattern };
+                let fast = m.redist_time(&ctx, &edge, src, dst, overlap);
+                let slow = oracle::redist_time(&m, &ctx, &edge, src, dst);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{:?} {:?} -> {:?}", pattern, src, dst);
+            }
+            let groups: Vec<&[CoreId]> = seq.chunks(src.len()).collect();
+            prop_assert_eq!(
+                CommContext::from_groups(&spec, &groups),
+                oracle::from_groups(&spec, &groups)
+            );
+            let fast = m.orthogonal_exchange(&groups, bytes);
+            prop_assert_eq!(fast.to_bits(), oracle::orthogonal_exchange(&m, &groups, bytes).to_bits());
+        }
+    }
+
+    /// Consecutive, scattered or mixed(2) core sequence of the machine —
+    /// the placements a mapping produces (rebuilt here: pt-core depends on
+    /// this crate).
+    fn mapped_sequence(spec: &ClusterSpec, strategy: usize) -> Vec<CoreId> {
+        let cpn = spec.cores_per_node();
+        let d = [cpn, 1, 2][strategy].min(cpn);
+        let mut seq = Vec::with_capacity(spec.total_cores());
+        let mut base = 0;
+        while base < cpn {
+            let width = d.min(cpn - base);
+            for node in 0..spec.nodes {
+                seq.extend((0..width).map(|k| CoreId(node * cpn + base + k)));
+            }
+            base += width;
+        }
+        seq
+    }
 
     #[test]
     fn task_time_splits_compute_linearly() {

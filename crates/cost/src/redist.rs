@@ -1,17 +1,30 @@
 //! Data re-distribution costs between cooperating M-tasks
 //! (`TRe(M1, M2, q1, q2, mp1, mp2)` of paper §3.1).
 
-use crate::collectives::CostModel;
+use crate::collectives::{label, CostModel};
 use crate::context::CommContext;
 use pt_machine::CoreId;
-#[cfg(test)]
-use pt_mtask::{dist::redistribution_volumes, Distribution};
 use pt_mtask::{EdgeData, RedistPattern};
+
+/// How the consumer group of an edge sits relative to its producer group.
+///
+/// A mapping never repeats a physical core, so the simulators read this
+/// off the groups' symbolic core sets — in O(1) for the contiguous ranges
+/// of a layered schedule — instead of comparing physical core lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Overlap {
+    /// Both groups are the same set of cores.
+    Same,
+    /// Every consumer core is also a producer core.
+    Inside,
+    /// Anything else.
+    Other,
+}
 
 impl CostModel<'_> {
     /// Re-distribution time for the datum of `edge` moving from the group
     /// that executed the producer (`src`) to the group executing the
-    /// consumer (`dst`).
+    /// consumer (`dst`), where `overlap` says how the two core sets relate.
     ///
     /// If both tasks ran on the same set of cores the data is already
     /// resident and the cost is zero — this is what linear-chain contraction
@@ -22,11 +35,9 @@ impl CostModel<'_> {
         edge: &EdgeData,
         src: &[CoreId],
         dst: &[CoreId],
+        overlap: Overlap,
     ) -> f64 {
-        if edge.pattern == RedistPattern::None || edge.bytes == 0.0 {
-            return 0.0;
-        }
-        if same_set(src, dst) {
+        if edge.pattern == RedistPattern::None || edge.bytes == 0.0 || overlap == Overlap::Same {
             return 0.0;
         }
         match edge.pattern {
@@ -35,7 +46,7 @@ impl CostModel<'_> {
                 // The producer group holds a full copy on every core; if the
                 // consumers are a subset of those cores the data is already
                 // resident.
-                if subset(dst, src) {
+                if overlap == Overlap::Inside {
                     return 0.0;
                 }
                 // Otherwise: broadcast from one producer core into the
@@ -75,8 +86,9 @@ impl CostModel<'_> {
     /// pass walks exactly that band in the same s-major order the dense
     /// `redistribution_volumes` matrix would be traversed in, with the same
     /// overlap values, so the floating-point accumulation is bit-identical
-    /// to the all-pairs formulation (kept below under `#[cfg(test)]` as the
-    /// oracle) while costing O(qs + qd) instead of O(qs · qd).
+    /// to the all-pairs formulation (the test oracle's `block_redist_dense`)
+    /// while costing O(qs + qd) instead of O(qs · qd).  A pair is priced from
+    /// its endpoints' labels, not by re-deriving their tree level.
     fn block_redist(&self, ctx: &CommContext, bytes: f64, src: &[CoreId], dst: &[CoreId]) -> f64 {
         let qs = src.len();
         let qd = dst.len();
@@ -93,6 +105,7 @@ impl CostModel<'_> {
             if slo >= shi {
                 break; // later source ranks own nothing either
             }
+            let from = label(self.spec, src[s]);
             for d in slo / cd..=(shi - 1) / cd {
                 let dlo = (d * cd).min(elems);
                 let dhi = ((d + 1) * cd).min(elems);
@@ -100,39 +113,8 @@ impl CostModel<'_> {
                 if v == 0 || src[s] == dst[d] {
                     continue;
                 }
-                let t = self.p2p(ctx, src[s], dst[d], v as f64 * per_elem);
-                send_time[s] += t;
-                recv_time[d] += t;
-            }
-        }
-        let worst_send = send_time.iter().copied().fold(0.0, f64::max);
-        let worst_recv = recv_time.iter().copied().fold(0.0, f64::max);
-        worst_send.max(worst_recv)
-    }
-
-    /// The original dense-matrix formulation, kept as the oracle for the
-    /// bit-equality tests of the banded [`block_redist`](Self::block_redist).
-    #[cfg(test)]
-    fn block_redist_dense(
-        &self,
-        ctx: &CommContext,
-        bytes: f64,
-        src: &[CoreId],
-        dst: &[CoreId],
-    ) -> f64 {
-        let qs = src.len();
-        let qd = dst.len();
-        let elems = 1 << 20;
-        let per_elem = bytes / elems as f64;
-        let vol = redistribution_volumes(elems, Distribution::Block, qs, Distribution::Block, qd);
-        let mut send_time = vec![0.0f64; qs];
-        let mut recv_time = vec![0.0f64; qd];
-        for (s, row) in vol.iter().enumerate() {
-            for (d, &v) in row.iter().enumerate() {
-                if v == 0 || src[s] == dst[d] {
-                    continue;
-                }
-                let t = self.p2p(ctx, src[s], dst[d], v as f64 * per_elem);
+                let to = label(self.spec, dst[d]);
+                let t = self.labelled_p2p(ctx, from, to, v as f64 * per_elem);
                 send_time[s] += t;
                 recv_time[d] += t;
             }
@@ -147,8 +129,10 @@ impl CostModel<'_> {
     /// blocks (total volume `total_bytes` per orthogonal set), all positions
     /// concurrently (paper §4.2, the `{s1, s5, s9, s13}` example of Fig. 9).
     ///
-    /// Requires equal group sizes (the solvers' schedules guarantee this);
-    /// groups of differing sizes fall back to the worst pairing.
+    /// The solvers' schedules give every group the same size.  Groups of
+    /// differing sizes contribute to set `j` the core at the proportional
+    /// position `j · q / min_q` of their own group, where `min_q` is the
+    /// smallest group size and so the number of sets.
     pub fn orthogonal_exchange<G: AsRef<[CoreId]>>(&self, groups: &[G], total_bytes: f64) -> f64 {
         if groups.len() <= 1 {
             return 0.0;
@@ -205,29 +189,10 @@ fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> V
     out
 }
 
-/// True if every core of `a` is also in `b`.
-fn subset(a: &[CoreId], b: &[CoreId]) -> bool {
-    if a.len().saturating_mul(b.len()) <= 64 * 64 {
-        return a.iter().all(|c| b.contains(c));
-    }
-    let b: std::collections::HashSet<usize> = b.iter().map(|c| c.0).collect();
-    a.iter().all(|c| b.contains(&c.0))
-}
-
-fn same_set(a: &[CoreId], b: &[CoreId]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut aa: Vec<CoreId> = a.to_vec();
-    let mut bb: Vec<CoreId> = b.to_vec();
-    aa.sort_unstable();
-    bb.sort_unstable();
-    aa == bb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use pt_machine::platforms;
 
     fn ids(r: std::ops::Range<usize>) -> Vec<CoreId> {
@@ -249,7 +214,11 @@ mod tests {
                 bytes: 1e6,
                 pattern,
             };
-            assert_eq!(m.redist_time(&ctx, &e, &g, &g), 0.0, "{pattern:?}");
+            assert_eq!(
+                m.redist_time(&ctx, &e, &g, &g, Overlap::Same),
+                0.0,
+                "{pattern:?}"
+            );
         }
     }
 
@@ -259,7 +228,13 @@ mod tests {
         let m = CostModel::new(&spec);
         let ctx = CommContext::uniform(&spec);
         assert_eq!(
-            m.redist_time(&ctx, &EdgeData::ordering(), &ids(0..4), &ids(4..8)),
+            m.redist_time(
+                &ctx,
+                &EdgeData::ordering(),
+                &ids(0..4),
+                &ids(4..8),
+                Overlap::Other
+            ),
             0.0
         );
     }
@@ -270,7 +245,7 @@ mod tests {
         let m = CostModel::new(&spec);
         let ctx = CommContext::uniform(&spec);
         let e = EdgeData::replicated(1e6);
-        let t = m.redist_time(&ctx, &e, &ids(0..4), &ids(4..8));
+        let t = m.redist_time(&ctx, &e, &ids(0..4), &ids(4..8), Overlap::Other);
         assert!(t > 0.0);
         // Must be at least one cross-node transfer.
         assert!(t >= spec.inter_node.transfer_time(1e6));
@@ -285,8 +260,8 @@ mod tests {
             bytes: 1e6,
             pattern: RedistPattern::Block,
         };
-        let within = m.redist_time(&ctx, &e, &ids(0..2), &ids(2..4));
-        let across = m.redist_time(&ctx, &e, &ids(0..2), &ids(4..6));
+        let within = m.redist_time(&ctx, &e, &ids(0..2), &ids(2..4), Overlap::Other);
+        let across = m.redist_time(&ctx, &e, &ids(0..2), &ids(4..6), Overlap::Other);
         assert!(within < across);
     }
 
@@ -304,8 +279,8 @@ mod tests {
             bytes: 2e6,
             pattern: RedistPattern::Block,
         };
-        let t1 = m.redist_time(&ctx, &e1, &ids(0..4), &ids(4..8));
-        let t2 = m.redist_time(&ctx, &e2, &ids(0..4), &ids(4..8));
+        let t1 = m.redist_time(&ctx, &e1, &ids(0..4), &ids(4..8), Overlap::Other);
+        let t2 = m.redist_time(&ctx, &e2, &ids(0..4), &ids(4..8), Overlap::Other);
         assert!(t2 > 1.8 * t1 && t2 < 2.2 * t1);
     }
 
@@ -351,7 +326,7 @@ mod tests {
             let dst: Vec<CoreId> = (0..qd).map(|i| CoreId((i * 11 + 1) % 64)).collect();
             for bytes in [8.0, 4096.0, 1e6] {
                 let fast = m.block_redist(&ctx, bytes, &src, &dst);
-                let slow = m.block_redist_dense(&ctx, bytes, &src, &dst);
+                let slow = oracle::block_redist_dense(&m, &ctx, bytes, &src, &dst);
                 assert_eq!(
                     fast.to_bits(),
                     slow.to_bits(),

@@ -23,9 +23,9 @@
 use crate::report::{SimReport, TaskTiming};
 use crate::Simulator;
 use pt_core::{Mapping, SymbolicSchedule};
-use pt_cost::CommContext;
+use pt_cost::{CommContext, Overlap};
 use pt_machine::{ClusterSpec, CoreId};
-use pt_mtask::{TaskGraph, TaskId};
+use pt_mtask::{RedistPattern, TaskGraph, TaskId};
 
 impl Simulator<'_> {
     /// Simulate a flat schedule under a mapping.
@@ -75,6 +75,8 @@ impl Simulator<'_> {
         let mut finish = vec![f64::NAN; graph.len()];
         let mut entry_of = vec![u32::MAX; graph.len()];
         let mut resolver = FinishResolver::new(graph.len());
+        // Scratch marks over the symbolic cores for `overlap`.
+        let mut marks = vec![false; sched.total_cores];
         let mut report = SimReport::default();
         report.tasks.reserve(sched.entries.len());
 
@@ -105,9 +107,14 @@ impl Simulator<'_> {
                 let src = entry_of[pr.0];
                 if src != u32::MAX {
                     let edge = *graph.edge(pr, entry.task).expect("edge exists");
-                    redist_total +=
-                        self.model
-                            .redist_time(ctx, &edge, &mapped[src as usize], cores);
+                    // Ordering edges move nothing; skip relating the groups.
+                    if edge.pattern != RedistPattern::None && edge.bytes != 0.0 {
+                        let src = src as usize;
+                        let overlap = overlap(&sched.entries[src].cores, &entry.cores, &mut marks);
+                        redist_total +=
+                            self.model
+                                .redist_time(ctx, &edge, &mapped[src], cores, overlap);
+                    }
                 }
             }
             let data_ready = preds_done + redist_total;
@@ -136,6 +143,24 @@ impl Simulator<'_> {
         }
         report.makespan = report.tasks.iter().map(|t| t.finish).fold(0.0, f64::max);
         report
+    }
+}
+
+/// How the symbolic core set `dst` relates to `src`.  A mapping never
+/// repeats a physical core, so the mapped sets relate alike.  One pass
+/// over each set: `marks` is all false before and after.
+fn overlap(src: &[usize], dst: &[usize], marks: &mut [bool]) -> Overlap {
+    for &c in src {
+        marks[c] = true;
+    }
+    let inside = dst.iter().all(|&c| marks[c]);
+    for &c in src {
+        marks[c] = false;
+    }
+    match (inside, src.len() == dst.len()) {
+        (true, true) => Overlap::Same,
+        (true, false) => Overlap::Inside,
+        (false, _) => Overlap::Other,
     }
 }
 
@@ -359,11 +384,13 @@ impl FinishResolver {
 
 #[cfg(test)]
 mod reference {
-    //! The original all-pairs O(n²) formulation, kept verbatim as the
-    //! oracle the optimized pass is checked against (bit-identical
-    //! `SimReport`s, see the proptest below).
+    //! The original all-pairs O(n²) formulation, kept as the oracle the
+    //! optimized pass is checked against (bit-identical `SimReport`s, see
+    //! the proptest below), pricing through the cost model's per-pair
+    //! oracle.
 
     use super::*;
+    use crate::cost_oracle as oracle;
     use std::collections::HashMap;
 
     impl Simulator<'_> {
@@ -432,7 +459,7 @@ mod reference {
                                 );
                             }
                         }
-                        CommContext::from_groups(spec, &concurrent)
+                        oracle::from_groups(spec, &concurrent)
                     }
                 };
                 let mut preds_done = 0.0f64;
@@ -442,7 +469,7 @@ mod reference {
                     preds_done = preds_done.max(pf);
                     if let Some(src) = placement.get(&pr) {
                         let edge = *graph.edge(pr, entry.task).expect("edge exists");
-                        redist_total += self.model.redist_time(&ctx, &edge, src, &cores);
+                        redist_total += oracle::redist_time(self.model, &ctx, &edge, src, &cores);
                     }
                 }
                 let data_ready = preds_done + redist_total;
@@ -452,7 +479,7 @@ mod reference {
                     .fold(0.0f64, f64::max);
                 let start = data_ready.max(cores_ready);
                 let task = graph.task(entry.task);
-                let dur = self.model.task_time(&ctx, task, &cores);
+                let dur = oracle::task_time(self.model, &ctx, task, &cores);
                 let compute = self.model.compute_share(task, &cores);
                 let end = start + dur;
                 for &c in &cores {
@@ -678,6 +705,45 @@ mod tests {
         let rep = sim.simulate_flat(&g, &sched, &mapping);
         let idx = rep.index();
         assert!(rep.tasks[idx[&tail]].start >= rep.tasks[idx[&head]].finish);
+    }
+
+    #[test]
+    fn overlap_matches_physical_set_comparison() {
+        use crate::cost_oracle as oracle;
+        use pt_cost::Overlap;
+        // Contiguous, strided, unsorted and singleton symbolic sets.
+        let spec = platforms::chic().with_nodes(4);
+        let mapping = MappingStrategy::Scattered.mapping(&spec, 16);
+        let sets: Vec<Vec<usize>> = vec![
+            (0..16).collect(),
+            (0..8).collect(),
+            (8..16).collect(),
+            (0..16).step_by(2).collect(),
+            (0..16).step_by(4).collect(),
+            vec![5, 1, 9],
+            vec![9, 5, 1],
+            (4..12).rev().collect(),
+            vec![7],
+        ];
+        let mut marks = vec![false; 16];
+        for src in &sets {
+            for dst in &sets {
+                let (ps, pd) = (mapping.map(src), mapping.map(dst));
+                let want = if oracle::same_set(&ps, &pd) {
+                    Overlap::Same
+                } else if oracle::subset(&pd, &ps) {
+                    Overlap::Inside
+                } else {
+                    Overlap::Other
+                };
+                assert_eq!(
+                    super::overlap(src, dst, &mut marks),
+                    want,
+                    "{src:?} -> {dst:?}"
+                );
+                assert!(marks.iter().all(|m| !m), "marks left set");
+            }
+        }
     }
 
     // ---- bit-identity against the reference oracle ----------------------

@@ -31,6 +31,12 @@ pub use trace::{chrome_events, chrome_trace, reconcile_samples, SIM_PID_BASE};
 use pt_core::hybrid::HybridConfig;
 use pt_cost::CostModel;
 
+/// The cost model's per-pair reference pricing, the oracle of the
+/// simulators' bit-identity tests (pt-cost's own tests use the same file).
+#[cfg(test)]
+#[path = "../../cost/src/oracle.rs"]
+mod cost_oracle;
+
 /// The simulator: cost model plus optional hybrid execution scheme.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {

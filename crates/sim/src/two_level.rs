@@ -26,10 +26,7 @@ impl Simulator<'_> {
         let mut loop_time = std::collections::HashMap::new();
         for (&loop_id, (offset, inner)) in &sched.loops {
             let body = &prog.loops[&loop_id];
-            let sub_mapping = Mapping {
-                sequence: mapping.sequence[*offset..*offset + inner.total_cores].to_vec(),
-                strategy: mapping.strategy,
-            };
+            let sub_mapping = mapping.slice(*offset..*offset + inner.total_cores);
             let rep = self.simulate_layered(&body.graph, inner, &sub_mapping);
             loop_time.insert(loop_id, rep.makespan * body.est_iters);
             loop_reports.push((loop_id, rep));

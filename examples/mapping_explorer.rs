@@ -51,7 +51,7 @@ fn main() {
         );
         for s in MappingStrategy::all_for(&spec) {
             let mapping = s.mapping(&spec, cores);
-            let global = model.allgather(&ctx, &mapping.sequence, bytes as f64);
+            let global = model.allgather(&ctx, mapping.sequence(), bytes as f64);
             let groups: Vec<Vec<CoreId>> = (0..4)
                 .map(|g| mapping.map_range(g * cores / 4..(g + 1) * cores / 4))
                 .collect();

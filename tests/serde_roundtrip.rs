@@ -79,4 +79,7 @@ fn mapping_roundtrip() {
         let back: parallel_tasks::core::Mapping = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
     }
+    // A mapping never repeats a core; the simulators rely on it.
+    let repeated = r#"{"sequence":[0,1,4,1],"strategy":{"Mixed":2}}"#;
+    assert!(serde_json::from_str::<parallel_tasks::core::Mapping>(repeated).is_err());
 }
