@@ -1,7 +1,7 @@
 //! Schedule-construction benchmark gate.
 //!
 //! Times how long the layer scheduler (Algorithm 1: chain contraction →
-//! layering → memoized g-sweep → heap LPT → adjustment) takes to *build* a
+//! layering → best-first g-sweep → heap LPT → adjustment) takes to *build* a
 //! schedule — not the simulated makespan — for the workhorse graphs of the
 //! evaluation:
 //!
@@ -130,9 +130,9 @@ fn main() {
     let scale_reps = if quick { 1 } else { 3 };
     for (name, graph, p, gate_ms) in [
         ("epol_r8", &epol, 65536usize, 10.0),
-        ("bt_mz_c", &bt, 65536, 100.0),
-        ("bt_mz_e", &bt_e, 4096, 2000.0),
-        ("bt_mz_e", &bt_e, 65536, 3000.0),
+        ("bt_mz_c", &bt, 65536, 20.0),
+        ("bt_mz_e", &bt_e, 4096, 250.0),
+        ("bt_mz_e", &bt_e, 65536, 300.0),
     ] {
         let (median, min) = time_schedule(graph, p, scale_reps, 1);
         println!("{name} P={p}: median {median:.2} ms, min {min:.2} ms (gate {gate_ms} ms)");

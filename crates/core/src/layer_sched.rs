@@ -14,6 +14,26 @@
 //!    uniprocessor analogue).  The `g` minimising the layer makespan
 //!    `Tact(g)` wins, then the **group adjustment** resizes the subsets
 //!    proportionally to their assigned work.
+//!
+//! The scheduler finds that winner by a best-first branch and bound
+//! instead of one LPT run per candidate (a layer with one candidate takes
+//! `g = 1` without a search).  The candidates sharing `b = ⌊P/g⌋` form a
+//! *run* (there are O(√P) of them): their LPT runs price every task at
+//! widths `b` and `b + 1` only.  With `m = min(t(b), t(b + 1))` per task,
+//! any candidate `g` of the run has a float LPT makespan of at least
+//! `max(max m, Σm · (1 − 4nε) / g)` for a layer of `n` tasks: some group
+//! holds the largest task, the busiest group carries at least the average
+//! load, and the slack covers the rounding of both float sums (the LPT's
+//! per-group sums and `Σm`).  A run bounds its candidates over a prefix
+//! of one fixed task order (decreasing time at the narrowest candidate
+//! width), and refining the prefix only raises the bound.  A min-heap
+//! keyed by `(bound, smallest g)` pops runs, which double their prefix,
+//! and candidates, which run LPT; once a run's prefix is complete its
+//! candidates enter with their own bounds (the `g` that divides `P` uses
+//! `t(b)` alone).  The search stops when the popped key exceeds the
+//! incumbent's `(makespan, g)`, so most runs are dismissed after pricing a
+//! prefix of the layer, and the winner is exactly the plain ascending
+//! sweep's: the smallest makespan, then the smallest `g`.
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
@@ -45,14 +65,9 @@ impl Ord for TotalF64 {
 /// smallest accumulated time" — for small `g` that beats the heap.
 const LPT_HEAP_THRESHOLD: usize = 16;
 
-/// Minimum `candidates × tasks` product before the g-sweep fans out across
-/// threads; below it the spawn overhead outweighs the sweep itself.
-const PARALLEL_SWEEP_MIN_WORK: usize = 1 << 14;
-
-/// Minimum layer size before the g-sweep consults the makespan lower bound
-/// to prune candidates; below it the bound costs as much as running the
-/// candidate outright.
-const LB_PRUNE_MIN_TASKS: usize = 64;
+/// Tasks a run's first refinement prices; each later one doubles the
+/// run's priced prefix.
+const FIRST_PREFIX: usize = 64;
 
 /// Per-task times at one width, cached so consecutive candidates sharing a
 /// width (`⌊P/g⌋` repeats for many `g`) skip the table walk entirely.
@@ -72,9 +87,7 @@ impl CachedTimes {
     ) -> &'s [f64] {
         if self.width != width {
             self.width = width;
-            self.times.clear();
-            self.times
-                .extend(tasks.iter().map(|(id, m)| table.symbolic(*id, m, width)));
+            table.symbolic_into(tasks, width, &mut self.times);
         }
         &self.times
     }
@@ -154,12 +167,14 @@ pub struct LayerScheduler<'a> {
     /// chain members may then land on different groups and pay
     /// re-distribution).
     pub contract_chains: bool,
-    /// Worker threads for the g-sweep (`None`: use
-    /// `std::thread::available_parallelism`, falling back to 1).  The
-    /// result is identical for any worker count: every candidate's
-    /// makespan is a pure function of the inputs, and the reduction picks
-    /// the smallest makespan with the smallest `g` breaking ties, in any
-    /// partition order.
+    /// Worker threads for the g-sweep (`None`: one).  Each worker searches
+    /// the candidates `g ≡ w (mod workers)` on its own, repeating the
+    /// bound work for its share of every run: on a 2-vCPU host two threads
+    /// beat one on BT-MZ E at P = 4096 but lost on BT-MZ C at P ≤ 256 and
+    /// on BT-MZ E at P = 65536.  The result is identical for any
+    /// worker count: every candidate's makespan is a pure function of the
+    /// inputs, and the reduction picks the smallest makespan with the
+    /// smallest `g` breaking ties, in any partition order.
     pub sweep_workers: Option<usize>,
     /// Trace recorder for scheduling-phase spans and metrics (`None` — the
     /// default — keeps the hot path free of instrumentation beyond one
@@ -210,8 +225,7 @@ impl<'a> LayerScheduler<'a> {
         self
     }
 
-    /// Pin the number of g-sweep worker threads (mainly for tests and
-    /// benchmarks; the default tracks the machine).
+    /// Pin the number of g-sweep worker threads (the default is one).
     pub fn with_sweep_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one sweep worker");
         self.sweep_workers = Some(workers);
@@ -257,10 +271,9 @@ impl<'a> LayerScheduler<'a> {
     /// across layers; returns the adjusted group sizes and the per-group
     /// ordered task lists (ids refer to the graph the tasks came from).
     ///
-    /// The candidate group counts `g = 1..=min(tasks, total)` are swept in
-    /// parallel across [`sweep_workers`](Self::sweep_workers) threads when
-    /// the layer is large enough to pay for the fan-out; the winner's LPT
-    /// run is serial.  A fixed group count is clamped to
+    /// The candidate group counts `g = 1..=min(tasks, total)` are searched
+    /// across [`sweep_workers`](Self::sweep_workers) threads; the winner's
+    /// LPT run is serial.  A fixed group count is clamped to
     /// `min(tasks, total)`.
     pub(crate) fn schedule_layer_scratch(
         &self,
@@ -278,9 +291,14 @@ impl<'a> LayerScheduler<'a> {
         let rec = self.recorder.as_deref();
 
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
-        let best_g = match self.fixed_groups {
-            Some(g) => g.clamp(1, max_g),
-            None => self.sweep(table, tasks, total, max_g, scratch),
+        let (best_g, lpt_runs) = match self.fixed_groups {
+            Some(g) => (g.clamp(1, max_g), 0),
+            // A lone candidate wins without a search.
+            None if max_g == 1 => (1, 0),
+            None => {
+                let won = self.sweep(table, tasks, total, max_g, scratch);
+                (won.g, won.lpt_runs)
+            }
         };
         if let Some(r) = rec {
             r.span_args(
@@ -289,7 +307,11 @@ impl<'a> LayerScheduler<'a> {
                 "g_sweep",
                 "sched",
                 t0,
-                vec![("candidates", max_g.into()), ("best_g", best_g.into())],
+                vec![
+                    ("candidates", max_g.into()),
+                    ("lpt_runs", lpt_runs.into()),
+                    ("best_g", best_g.into()),
+                ],
             );
         }
 
@@ -407,8 +429,8 @@ impl<'a> LayerScheduler<'a> {
         (sizes, assignment)
     }
 
-    /// Sweep `g = 1..=max_g`, returning the `g` with the smallest layer
-    /// makespan (smallest `g` on ties).
+    /// Search `g = 1..=max_g` for the smallest layer makespan (smallest
+    /// `g` on ties).
     fn sweep(
         &self,
         table: &CostTable<'_>,
@@ -416,64 +438,38 @@ impl<'a> LayerScheduler<'a> {
         total: usize,
         max_g: usize,
         scratch: &mut LptScratch,
-    ) -> usize {
-        // An explicit worker count is honoured as-is; otherwise small
-        // sweeps stay serial without even asking for the core count
-        // (`available_parallelism` re-reads cgroup state on every call).
-        let workers = match self.sweep_workers {
-            Some(w) => w.min(max_g),
-            None if max_g * tasks.len() < PARALLEL_SWEEP_MIN_WORK => 1,
-            None => default_workers().min(max_g),
-        };
+    ) -> Sweep {
+        let workers = self.sweep_workers.unwrap_or(1).min(max_g);
         if workers <= 1 {
-            return sweep_range(table, tasks, total, (1..=max_g).collect(), scratch)
-                .expect("at least one candidate group count")
-                .1;
+            let all: Vec<usize> = (1..=max_g).collect();
+            return best_first(table, tasks, total, &all, scratch);
         }
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     s.spawn(move || {
-                        let mut scratch = LptScratch::default();
                         let mine: Vec<usize> = (1 + w..=max_g).step_by(workers).collect();
-                        sweep_range(table, tasks, total, mine, &mut scratch)
+                        best_first(table, tasks, total, &mine, &mut LptScratch::default())
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .filter_map(|h| h.join().expect("sweep worker panicked"))
+                .map(|h| h.join().expect("sweep worker panicked"))
                 .reduce(|a, b| {
-                    // Smallest makespan; smallest g breaks ties — the same
-                    // winner the sequential ascending sweep would pick.
-                    match a.0.total_cmp(&b.0) {
-                        std::cmp::Ordering::Less => a,
-                        std::cmp::Ordering::Greater => b,
-                        std::cmp::Ordering::Equal => {
-                            if a.1 <= b.1 {
-                                a
-                            } else {
-                                b
-                            }
-                        }
+                    let won = if key_cmp((b.makespan, b.g), (a.makespan, a.g)).is_lt() {
+                        b
+                    } else {
+                        a
+                    };
+                    Sweep {
+                        lpt_runs: a.lpt_runs + b.lpt_runs,
+                        ..won
                     }
                 })
-                .expect("at least one candidate group count")
-                .1
+                .expect("at least one sweep worker")
         })
     }
-}
-
-/// `std::thread::available_parallelism`, queried once per process (each
-/// call re-reads cgroup limits, which is far too slow for a per-layer
-/// decision).
-fn default_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1)
-    })
 }
 
 /// Per-core speed prefix sums over the symbolic range: `cum[i]` is the
@@ -627,65 +623,195 @@ fn het_assign(
     acc.iter().copied().fold(0.0, f64::max)
 }
 
-/// Evaluate the LPT makespan of each candidate group count in `candidates`,
-/// returning the best `(makespan, g)` (first wins ties, so pass candidates
-/// in ascending order).
-fn sweep_range(
-    table: &CostTable<'_>,
-    tasks: &[(TaskId, &MTask)],
-    total: usize,
-    candidates: Vec<usize>,
-    scratch: &mut LptScratch,
-) -> Option<(f64, usize)> {
-    // Cheap path for small layers: the lower bound costs nearly as much as
-    // the LPT run it tries to skip (both are two fills plus a linear scan),
-    // so pruning only pays past this size.  Pruning never changes the
-    // winner, so neither does skipping it.
-    let prune = tasks.len() >= LB_PRUNE_MIN_TASKS;
-    let mut best: Option<(f64, usize)> = None;
-    for g in candidates {
-        // A candidate whose lower bound cannot *strictly* beat the best
-        // makespan can be skipped without affecting the winner (ties keep
-        // the earlier, smaller g).
-        if let Some((bt, _)) = best {
-            if prune && candidate_lower_bound(table, tasks, g, total, scratch) >= bt {
-                continue;
-            }
-        }
-        let t_act = assign_lpt(table, tasks, g, total, scratch, None);
-        if best.is_none_or(|(bt, _)| t_act < bt) {
-            best = Some((t_act, g));
-        }
-    }
-    best
+/// The winner of a g-sweep — the smallest float LPT makespan, then the
+/// smallest `g` — and the LPT runs the sweep spent finding it.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    makespan: f64,
+    g: usize,
+    lpt_runs: usize,
 }
 
-/// A lower bound on the LPT makespan of candidate `g`: every task runs for
-/// at least the cheaper of its two subset-width times, some group holds the
-/// largest such task, and the busiest group is at least the average load.
-fn candidate_lower_bound(
+/// The sweep's order on `(makespan, g)`: the winner is the minimum.
+fn key_cmp(a: (f64, usize), b: (f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The largest and the float sum of per-task times over a prefix of the
+/// bound order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Partial {
+    largest: f64,
+    sum: f64,
+}
+
+impl Partial {
+    fn add(&mut self, t: f64) {
+        self.largest = self.largest.max(t);
+        self.sum += t;
+    }
+
+    /// A lower bound on the float LPT makespan of at most `g` groups whose
+    /// per-task times are at least the added ones, `slack` shrinking the
+    /// average-load term below its rounding error.
+    fn bound(self, g: usize, slack: f64) -> f64 {
+        self.largest.max(self.sum * slack / g as f64)
+    }
+}
+
+/// Candidates sharing `b = ⌊total/g⌋`, with bounds over the priced prefix
+/// of the bound order.
+struct Run<'c> {
+    /// The candidates, ascending.
+    gs: &'c [usize],
+    /// Their shared `⌊total/g⌋`.
+    b: usize,
+    /// Whether some candidate has groups of width `b + 1`.
+    wide: bool,
+    /// Tasks of the bound order priced so far.
+    prefix: usize,
+    /// Over `min(t(b), t(b + 1))` (`t(b)` when not `wide`): bounds every
+    /// candidate.
+    either: Partial,
+    /// Over `t(b)` alone: bounds the candidate that divides `total`.
+    narrow: Partial,
+}
+
+impl<'c> Run<'c> {
+    fn new(gs: &'c [usize], total: usize) -> Self {
+        Run {
+            gs,
+            b: total / gs[0],
+            wide: gs.iter().any(|&g| !total.is_multiple_of(g)),
+            prefix: 0,
+            either: Partial::default(),
+            narrow: Partial::default(),
+        }
+    }
+
+    /// Price the next chunk of `ordered`, doubling the prefix.
+    fn refine(
+        &mut self,
+        table: &CostTable<'_>,
+        ordered: &[(TaskId, &MTask)],
+        lo: &mut Vec<f64>,
+        hi: &mut Vec<f64>,
+    ) {
+        let end = (2 * self.prefix).max(FIRST_PREFIX).min(ordered.len());
+        let chunk = &ordered[self.prefix..end];
+        table.symbolic_into(chunk, self.b, lo);
+        if self.wide {
+            table.symbolic_into(chunk, self.b + 1, hi);
+        }
+        for (i, &t) in lo.iter().enumerate() {
+            self.narrow.add(t);
+            self.either.add(if self.wide { t.min(hi[i]) } else { t });
+        }
+        self.prefix = end;
+    }
+
+    /// The bound of every candidate over the priced prefix.
+    fn bound(&self, slack: f64) -> f64 {
+        let g_max = *self.gs.last().expect("runs are non-empty");
+        self.either.bound(g_max, slack)
+    }
+
+    /// The bound of candidate `g` of a complete run.
+    fn candidate_bound(&self, g: usize, total: usize, slack: f64) -> f64 {
+        if total.is_multiple_of(g) {
+            self.narrow
+        } else {
+            self.either
+        }
+        .bound(g, slack)
+    }
+}
+
+/// The exact best-first search of the module docs over `candidates`
+/// (ascending group counts).
+fn best_first(
     table: &CostTable<'_>,
     tasks: &[(TaskId, &MTask)],
-    g: usize,
     total: usize,
+    candidates: &[usize],
     scratch: &mut LptScratch,
-) -> f64 {
-    let base = total / g;
-    let extra = total % g;
-    let lo = scratch.lo.fill(table, tasks, base);
-    let hi: &[f64] = if extra > 0 {
-        scratch.hi.fill(table, tasks, base + 1)
-    } else {
-        lo
-    };
-    let mut largest = 0.0f64;
-    let mut sum = 0.0f64;
-    for (&l, &h) in lo.iter().zip(hi) {
-        let m = l.min(h);
-        largest = largest.max(m);
-        sum += m;
+) -> Sweep {
+    let n = tasks.len();
+    let slack = rounding_slack(n);
+    let g_max = *candidates
+        .last()
+        .expect("at least one candidate group count");
+    let ordered = bound_order(table, tasks, total / g_max, scratch);
+    let mut runs: Vec<Run<'_>> = candidates
+        .chunk_by(|a, b| total / a == total / b)
+        .map(|gs| Run::new(gs, total))
+        .collect();
+    // `Some(i)` is run `i`, keyed by its smallest `g`; `None` is the
+    // candidate `g`, which enters once its run has left the heap, so no
+    // two entries share a `g`.
+    let mut heap: BinaryHeap<Reverse<(TotalF64, usize, Option<usize>)>> = runs
+        .iter()
+        .enumerate()
+        .map(|(i, run)| Reverse((TotalF64(0.0), run.gs[0], Some(i))))
+        .collect();
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+    let mut best: Option<(f64, usize)> = None;
+    let mut lpt_runs = 0;
+    while let Some(Reverse((TotalF64(bound), g, node))) = heap.pop() {
+        if best.is_some_and(|b| key_cmp((bound, g), b).is_gt()) {
+            break;
+        }
+        match node {
+            Some(i) => {
+                let run = &mut runs[i];
+                run.refine(table, &ordered, &mut lo, &mut hi);
+                if run.prefix < n {
+                    heap.push(Reverse((TotalF64(run.bound(slack)), g, Some(i))));
+                } else {
+                    for &g in run.gs {
+                        let bound = run.candidate_bound(g, total, slack);
+                        heap.push(Reverse((TotalF64(bound), g, None)));
+                    }
+                }
+            }
+            None => {
+                let t_act = assign_lpt(table, tasks, g, total, scratch, None);
+                lpt_runs += 1;
+                if best.is_none_or(|b| key_cmp((t_act, g), b).is_lt()) {
+                    best = Some((t_act, g));
+                }
+            }
+        }
     }
-    largest.max(sum / g as f64)
+    let (makespan, g) = best.expect("the search ends with an incumbent");
+    Sweep {
+        makespan,
+        g,
+        lpt_runs,
+    }
+}
+
+/// The factor `1 − 4nε` that keeps the average-load term of a bound over
+/// `n` tasks below every float LPT makespan it bounds.
+fn rounding_slack(n: usize) -> f64 {
+    1.0 - 4.0 * n as f64 * f64::EPSILON
+}
+
+/// `tasks` by decreasing time at `width`, index breaking ties.
+fn bound_order<'t>(
+    table: &CostTable<'_>,
+    tasks: &[(TaskId, &'t MTask)],
+    width: usize,
+    scratch: &mut LptScratch,
+) -> Vec<(TaskId, &'t MTask)> {
+    let times = scratch.lo.fill(table, tasks, width);
+    let mut order: Vec<(TotalF64, u32)> = times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (TotalF64(t), i as u32))
+        .collect();
+    order.sort_unstable_by(lpt_cmp);
+    order.iter().map(|&(_, i)| tasks[i as usize]).collect()
 }
 
 /// The modified greedy assignment (Algorithm 1 line 10): the `total` cores
@@ -981,6 +1107,147 @@ mod tests {
             let t_fresh = assign_lpt(&table, &list, g, total, &mut fresh, Some(&mut asg_fresh));
             assert_eq!(t_shared.to_bits(), t_fresh.to_bits(), "g={g}");
             assert_eq!(asg_shared, asg_fresh, "g={g}");
+        }
+    }
+
+    /// Algorithm 1's plain sweep, the oracle for [`best_first`]: one LPT
+    /// run per candidate in ascending order, the first minimum kept.
+    /// Returns the winner's `(makespan, g)`.
+    fn sweep_all(
+        table: &CostTable<'_>,
+        tasks: &[(TaskId, &MTask)],
+        total: usize,
+        candidates: &[usize],
+        scratch: &mut LptScratch,
+    ) -> (f64, usize) {
+        let mut best: Option<(f64, usize)> = None;
+        for &g in candidates {
+            let t_act = assign_lpt(table, tasks, g, total, scratch, None);
+            if best.is_none_or(|(bt, _)| t_act < bt) {
+                best = Some((t_act, g));
+            }
+        }
+        best.expect("at least one candidate group count")
+    }
+
+    /// A task of the oracle proptest: work in coarse buckets over four
+    /// decades (exact time ties), a collective for a quarter of the tasks
+    /// (so one communication-bound task often sets the makespan of
+    /// candidates in different runs alike, and an exact makespan tie must
+    /// go to the smaller `g`) whose allgather block crosses the ring
+    /// threshold somewhere in `1..=4096` cores (so `Tsymb` is not monotone
+    /// in the width), and an optional core cap.
+    fn drawn_task(i: usize, (work, comm, log_bytes, cap): (u32, u32, u32, u32)) -> MTask {
+        let bytes = 1024.0 * f64::from(1u32 << log_bytes);
+        let ops = match comm {
+            1 => vec![CommOp::allgather(bytes, 1.0)],
+            2 => vec![CommOp::new(
+                pt_mtask::CollectiveKind::NeighborExchange,
+                bytes,
+                3.0,
+            )],
+            3 => vec![
+                CommOp::allgather(bytes, 2.0),
+                CommOp::bcast(bytes / 8.0, 1.0),
+            ],
+            _ => vec![],
+        };
+        let work = 1e8 * f64::from(1 + work % 6) / 10f64.powi((work / 6) as i32);
+        let task = MTask::with_comm(format!("t{i}"), work, ops);
+        if cap < 12 {
+            task.max_cores(1 << cap)
+        } else {
+            task
+        }
+    }
+
+    /// Best-first on the layer of `knobs` ([`drawn_task`]) at `total`
+    /// cores against the plain sweep: the same `g` and makespan bits with
+    /// 1 and 3 sweep threads, and every bound the search can key on, at
+    /// every prefix, at most the float LPT makespan of each candidate it
+    /// covers.
+    fn check_search(
+        knobs: &[(u32, u32, u32, u32)],
+        total: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let spec = platforms::chic();
+        let model = CostModel::new(&spec);
+        let tasks: Vec<MTask> = knobs
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| drawn_task(i, k))
+            .collect();
+        let list: Vec<(TaskId, &MTask)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (TaskId(i), t))
+            .collect();
+        let table = CostTable::with_width(&model, list.len(), total);
+        let max_g = list.len().min(total);
+        let all: Vec<usize> = (1..=max_g).collect();
+        let mut scratch = LptScratch::default();
+        let (makespan, g) = sweep_all(&table, &list, total, &all, &mut scratch);
+        for workers in [1, 3] {
+            let won = LayerScheduler::new(&model)
+                .with_sweep_workers(workers)
+                .sweep(&table, &list, total, max_g, &mut scratch);
+            proptest::prop_assert_eq!(
+                (won.g, won.makespan.to_bits()),
+                (g, makespan.to_bits()),
+                "{} workers: g {} vs the plain sweep's {}",
+                workers,
+                won.g,
+                g
+            );
+        }
+
+        let slack = rounding_slack(list.len());
+        let ordered = bound_order(&table, &list, total / max_g, &mut scratch);
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        for gs in all.chunk_by(|a, b| total / a == total / b) {
+            let lpt: Vec<f64> = gs
+                .iter()
+                .map(|&g| assign_lpt(&table, &list, g, total, &mut scratch, None))
+                .collect();
+            let floor = lpt.iter().copied().fold(f64::INFINITY, f64::min);
+            let mut run = Run::new(gs, total);
+            while run.prefix < list.len() {
+                run.refine(&table, &ordered, &mut lo, &mut hi);
+                let bound = run.bound(slack);
+                proptest::prop_assert!(
+                    bound <= floor,
+                    "run {:?} at prefix {}: bound {} > LPT {}",
+                    gs,
+                    run.prefix,
+                    bound,
+                    floor
+                );
+            }
+            for (&g, &mk) in gs.iter().zip(&lpt) {
+                let bound = run.candidate_bound(g, total, slack);
+                proptest::prop_assert!(bound <= mk, "g = {}: bound {} > LPT {}", g, bound, mk);
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn best_first_finds_the_plain_sweeps_winner_with_sound_bounds(
+            knobs in proptest::collection::vec((0u32..24, 0u32..12, 0u32..14, 0u32..48), 64..160),
+            total in 1usize..4097,
+        ) {
+            check_search(&knobs, total)?;
+        }
+
+        #[test]
+        fn best_first_matches_the_plain_sweep_on_small_layers(
+            knobs in proptest::collection::vec((0u32..24, 0u32..12, 0u32..14, 0u32..48), 1..64),
+            total in 1usize..4097,
+        ) {
+            check_search(&knobs, total)?;
         }
     }
 

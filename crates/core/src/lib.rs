@@ -9,12 +9,13 @@
 //!    ([`LayerScheduler`], its Algorithm 1) contracts linear chains,
 //!    partitions the graph into layers of independent tasks, sweeps the
 //!    group count `g = 1..P` per layer with a greedy LPT assignment, and
-//!    finally adjusts group sizes to the assigned work.  Large sweeps
-//!    spread their candidates `g` over threads; each candidate's LPT run
-//!    is one serial loop, so the schedule is the same for any thread
-//!    count.  The baselines [`Cpa`] and [`Cpr`] (Radulescu & van Gemund)
-//!    are provided for the comparison of the paper's Fig. 13, as is the
-//!    trivial [`DataParallel`] reference schedule.
+//!    finally adjusts group sizes to the assigned work.  The sweep is an
+//!    exact best-first search that runs LPT only for candidates whose
+//!    lower bound does not exceed the best makespan found, so the schedule
+//!    is the one the full sweep picks, for any sweep thread count.  The
+//!    baselines [`Cpa`] and [`Cpr`] (Radulescu & van Gemund) are provided
+//!    for the comparison of the paper's Fig. 13, as is the trivial
+//!    [`DataParallel`] reference schedule.
 //! 2. **Mapping** — the assignment of symbolic to physical cores
 //!    ([`MappingStrategy`]: consecutive, scattered, mixed(d); §3.4).
 //! 3. **Hybrid layout** — optionally folding consecutive same-node cores of

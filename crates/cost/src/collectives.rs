@@ -1,7 +1,7 @@
 //! Collective communication and task execution cost model.
 
 use crate::context::CommContext;
-use pt_machine::{ClusterSpec, CoreId};
+use pt_machine::{ClusterSpec, CoreId, LinkParams};
 use pt_mtask::{CollectiveKind, CommOp, MTask};
 
 /// Per-member block-size threshold above which the allgather uses the
@@ -129,15 +129,27 @@ pub struct CostModel<'a> {
     pub ring_threshold: f64,
     /// Precomputed core-speed classes of `spec`.
     classes: SpeedClasses,
+    /// The link every symbolic cost charges (see
+    /// [`task_time_symbolic`](Self::task_time_symbolic)), derived from
+    /// `spec` once.
+    pub(crate) symbolic_link: LinkParams,
 }
 
 impl<'a> CostModel<'a> {
     /// Model with default algorithm thresholds.
     pub fn new(spec: &'a ClusterSpec) -> Self {
+        // Default mapping pattern `dmp`: slowest link for everything, with
+        // worst-case NIC sharing (all cores of a node sending at once), so
+        // the symbolic cost is an upper bound for *any* physical mapping.
+        let mut symbolic_link = spec.slowest_link();
+        symbolic_link.bytes_per_s = symbolic_link
+            .bytes_per_s
+            .min(spec.nic_bytes_per_s / spec.cores_per_node() as f64);
         CostModel {
             spec,
             ring_threshold: DEFAULT_RING_THRESHOLD,
             classes: SpeedClasses::build(spec),
+            symbolic_link,
         }
     }
 

@@ -13,7 +13,8 @@ use pt_mtask::{CollectiveKind, CommOp, MTask};
 
 impl CostModel<'_> {
     /// Upper-bound execution time of `task` on `q` symbolic cores (uniform
-    /// slowest-level network).
+    /// slowest-level network under worst-case NIC sharing, the default
+    /// mapping pattern `dmp`).
     pub fn task_time_symbolic(&self, task: &MTask, q: usize) -> f64 {
         debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
         let q = match task.max_cores {
@@ -26,18 +27,10 @@ impl CostModel<'_> {
             return f64::INFINITY;
         }
         let compute = self.spec.compute_time(task.work) / q as f64;
-        // Default mapping pattern `dmp`: slowest link for everything, with
-        // worst-case NIC sharing (all cores of a node sending at once), so
-        // the symbolic cost is an upper bound for *any* physical mapping.
-        let mut link = self.spec.slowest_link();
-        let worst_sharing = self.spec.cores_per_node() as f64;
-        link.bytes_per_s = link
-            .bytes_per_s
-            .min(self.spec.nic_bytes_per_s / worst_sharing);
         let comm: f64 = task
             .comm
             .iter()
-            .map(|op| symbolic_comm_op(op, q, link, self.ring_threshold))
+            .map(|op| symbolic_comm_op(op, q, self.symbolic_link, self.ring_threshold))
             .sum();
         compute + comm
     }

@@ -292,13 +292,53 @@ impl<'a> CostTable<'a> {
         self.store().evaluations()
     }
 
+    /// Memoized [`CostModel::task_time_symbolic`] of every task of `tasks`
+    /// at width `q`, written to `out` in order: exactly what
+    /// [`symbolic`](Self::symbolic) returns per task, with the same
+    /// evaluation count, but the width's column is fetched once and the
+    /// miss counter is bumped once per call.
+    pub fn symbolic_into(&self, tasks: &[(TaskId, &MTask)], q: usize, out: &mut Vec<f64>) {
+        debug_assert!(q >= 1, "zero-core width priced");
+        let column = self.column(Kind::Symbolic, q, 0);
+        let mut misses = 0;
+        out.clear();
+        out.extend(tasks.iter().map(|&(id, task)| match task.max_cores {
+            // A capped width lives in another column.
+            Some(cap) if cap < q => self.symbolic(id, task, q),
+            _ => memo(column.and_then(|c| c.get(id.0)), &mut misses, || {
+                self.model.task_time_symbolic_class(task, q, 0)
+            }),
+        }));
+        self.add_misses(misses);
+    }
+
+    /// The memo column of `(kind, q, class)`, or `None` when the pair lies
+    /// outside the table (priced correctly, just uncached).
+    fn column(&self, kind: Kind, q: usize, class: usize) -> Option<&[AtomicU64]> {
+        let store = self.store();
+        if q >= store.widths || class >= store.classes {
+            return None;
+        }
+        let slot = class * 2 * store.widths
+            + match kind {
+                Kind::Symbolic => q,
+                Kind::Optimistic => store.widths + q,
+            };
+        store.columns.column(slot)
+    }
+
+    fn add_misses(&self, misses: usize) {
+        if misses > 0 {
+            self.store().misses.fetch_add(misses, Ordering::Relaxed);
+        }
+    }
+
     fn lookup(&self, kind: Kind, id: TaskId, task: &MTask, q: usize, class: usize) -> f64 {
         debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
         debug_assert!(
             class < self.model.num_classes(),
             "class {class} out of range for this machine"
         );
-        let store = self.store();
         // Capped widths all hit the capped entry.
         let q = match task.max_cores {
             Some(cap) if cap < q => cap,
@@ -307,37 +347,35 @@ impl<'a> CostTable<'a> {
         if q == 0 {
             return f64::INFINITY;
         }
+        let cell = self.column(kind, q, class).and_then(|c| c.get(id.0));
+        let mut misses = 0;
         // The class functions delegate to the homogeneous ones at nominal
         // speed, so class 0 of a uniform machine prices (and caches)
         // bit-identically to the historic path.
-        let compute = || {
-            store.misses.fetch_add(1, Ordering::Relaxed);
-            match kind {
-                Kind::Symbolic => self.model.task_time_symbolic_class(task, q, class),
-                Kind::Optimistic => self.model.task_time_optimistic_class(task, q, class),
-            }
-        };
-        // Out-of-range pairs stay correct, just uncached.
-        if id.0 >= store.tasks || q >= store.widths || class >= store.classes {
-            return compute();
-        }
-        let slot = class * 2 * store.widths
-            + match kind {
-                Kind::Symbolic => q,
-                Kind::Optimistic => store.widths + q,
-            };
-        let Some(col) = store.columns.column(slot) else {
-            return compute();
-        };
-        let cell = &col[id.0];
-        let bits = cell.load(Ordering::Relaxed);
+        let value = memo(cell, &mut misses, || match kind {
+            Kind::Symbolic => self.model.task_time_symbolic_class(task, q, class),
+            Kind::Optimistic => self.model.task_time_optimistic_class(task, q, class),
+        });
+        self.add_misses(misses);
+        value
+    }
+}
+
+/// The value of one memo cell: read it, or on a miss (or with no cell)
+/// `compute` it, store it and count the miss.
+#[inline]
+fn memo(cell: Option<&AtomicU64>, misses: &mut usize, compute: impl FnOnce() -> f64) -> f64 {
+    if let Some(bits) = cell.map(|c| c.load(Ordering::Relaxed)) {
         if bits != UNSET {
             return f64::from_bits(bits);
         }
-        let value = compute();
-        cell.store(value.to_bits(), Ordering::Relaxed);
-        value
     }
+    *misses += 1;
+    let value = compute();
+    if let Some(cell) = cell {
+        cell.store(value.to_bits(), Ordering::Relaxed);
+    }
+    value
 }
 
 #[cfg(test)]
@@ -476,6 +514,49 @@ mod tests {
             }
         }
         assert_eq!(table.evaluations(), warm);
+    }
+
+    #[test]
+    fn symbolic_into_matches_per_cell_lookups() {
+        // Two tables priced the same way, one a cell at a time and one a
+        // column at a time, must agree to the bit and in evaluation count:
+        // uncapped and capped tasks (caps below, at and above the width),
+        // widths past the table, and ids past the table (one id beyond
+        // the 3 the table covers), on a uniform machine and on class 0 of
+        // a non-uniform one.
+        let ts = [
+            MTask::with_comm("a", 1e9, vec![CommOp::allgather(8e5, 2.0)]),
+            MTask::compute("b", 3e8).max_cores(4),
+            MTask::with_comm("c", 7e8, vec![CommOp::bcast(1e4, 1.0)]).max_cores(16),
+            MTask::compute("d", 2e8),
+        ];
+        let list: Vec<(TaskId, &MTask)> =
+            ts.iter().enumerate().map(|(i, t)| (TaskId(i), t)).collect();
+        for spec in [
+            platforms::chic().with_nodes(8),
+            platforms::chic().with_nodes(8).with_slow_nodes(2, 0.5),
+        ] {
+            let model = CostModel::new(&spec);
+            let cells = CostTable::with_width(&model, 3, 16);
+            let columns = CostTable::with_width(&model, 3, 16);
+            let mut out = Vec::new();
+            // Repeats hit warm cells; 17 and 40 lie past the table.
+            for q in [1usize, 4, 7, 16, 7, 17, 40, 1] {
+                let before = (cells.evaluations(), columns.evaluations());
+                let expected: Vec<u64> = list
+                    .iter()
+                    .map(|&(id, t)| cells.symbolic(id, t, q).to_bits())
+                    .collect();
+                columns.symbolic_into(&list, q, &mut out);
+                let got: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
+                assert_eq!(got, expected, "q={q}");
+                assert_eq!(
+                    columns.evaluations() - before.1,
+                    cells.evaluations() - before.0,
+                    "q={q}"
+                );
+            }
+        }
     }
 
     #[test]
