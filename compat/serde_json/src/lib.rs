@@ -41,11 +41,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Arrays and objects nested deeper than this fail to parse, as with
+/// upstream's default recursion limit: the parser recurses once per level,
+/// and unbounded input depth would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Deserialize a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -145,6 +151,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,14 +198,28 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {other:?} at offset {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -381,6 +403,20 @@ mod tests {
         let nested: Vec<Vec<u64>> = vec![vec![1], vec![], vec![2, 3]];
         let s = to_string(&nested).unwrap();
         assert_eq!(from_str::<Vec<Vec<u64>>>(&s).unwrap(), nested);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&deep(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&deep(MAX_DEPTH + 1)).is_err());
+        // Unterminated, far beyond any stack: an error, not an abort.
+        let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(200) + "1" + &"}".repeat(200);
+        assert!(from_str::<Value>(&objects).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str::<Value>(&objects).is_ok());
     }
 
     #[test]

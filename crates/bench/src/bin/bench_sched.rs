@@ -34,6 +34,7 @@
 use pt_bench::measure::{self, juropa_p};
 use pt_cost::CostModel;
 use serde::Serialize;
+use std::time::Duration;
 
 const CORE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -81,7 +82,9 @@ fn time_schedule(graph: &pt_mtask::TaskGraph, p: usize, reps: usize, batch: usiz
     let sched = pt_core::LayerScheduler::new(&model);
     let schedule = sched.schedule(graph);
     assert!(schedule.validate().is_ok(), "invalid schedule for P = {p}");
-    measure::median_min_ms(reps, batch, || sched.schedule(graph))
+    let (median, min, _) =
+        measure::median_min_ms(reps, batch, Duration::ZERO, || sched.schedule(graph));
+    (median, min)
 }
 
 fn main() {

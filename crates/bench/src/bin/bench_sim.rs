@@ -27,9 +27,12 @@
 //! Per timing the benchmark records the median (`sim_ms`) and the minimum
 //! (`min_ms`) over the repetitions; gates compare `min_ms` — simulation is
 //! deterministic, so the spread is one-sided container noise and the
-//! minimum is the robust estimate of what the code costs.
+//! minimum is the robust estimate of what the code costs.  A full run
+//! samples every row for at least [`BUDGET`] and [`MIN_REPS`] samples, so
+//! fast and slow rows get the same chance of a quiet stretch and the
+//! minima of two runs are comparable.
 //!
-//! `--quick` reduces repetitions and skips class D for CI smoke runs
+//! `--quick` takes one sample per row and skips class D for CI smoke runs
 //! (still covering P = 65536 and class E); its noisy single-rep timings go
 //! where [`pt_bench::report::write`] puts quick runs, never over the
 //! committed gate numbers.
@@ -38,6 +41,12 @@ use pt_bench::measure::{self, juropa_p};
 use pt_core::{LayerScheduler, MappingStrategy};
 use pt_cost::CostModel;
 use serde::Serialize;
+use std::time::Duration;
+
+/// Sampling time per row of a full run.
+const BUDGET: Duration = Duration::from_millis(500);
+/// Fewest samples per row of a full run.
+const MIN_REPS: usize = 5;
 
 const CORE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -84,22 +93,32 @@ struct Report {
 struct Case {
     name: &'static str,
     graph: pt_mtask::TaskGraph,
-    /// Repetitions per core count (full mode).
-    reps: usize,
     flat_baseline: &'static [f64; 4],
     layered_baseline: &'static [f64; 4],
 }
 
-/// Time both simulators for one `(graph, P)` pair.
-fn time_pair(graph: &pt_mtask::TaskGraph, p: usize, reps: usize) -> ((f64, f64), (f64, f64)) {
+/// `(median, min, samples)` of one simulator on one `(graph, P)` pair.
+type Timing = (f64, f64, usize);
+
+/// Time both simulators for one `(graph, P)` pair, each sampled for
+/// `budget` and at least `min_reps` times.
+fn time_pair(
+    graph: &pt_mtask::TaskGraph,
+    p: usize,
+    (budget, min_reps): (Duration, usize),
+) -> (Timing, Timing) {
     let spec = juropa_p(p);
     let model = CostModel::new(&spec);
     let sim = pt_sim::Simulator::new(&model);
     let sched = LayerScheduler::new(&model).schedule(graph);
     let flat = sched.to_symbolic();
     let mapping = MappingStrategy::Consecutive.mapping(&spec, p);
-    let layered = measure::median_min_ms(reps, 1, || sim.simulate_layered(graph, &sched, &mapping));
-    let flat = measure::median_min_ms(reps, 1, || sim.simulate_flat(graph, &flat, &mapping));
+    let layered = measure::median_min_ms(min_reps, 1, budget, || {
+        sim.simulate_layered(graph, &sched, &mapping)
+    });
+    let flat = measure::median_min_ms(min_reps, 1, budget, || {
+        sim.simulate_flat(graph, &flat, &mapping)
+    });
     (layered, flat)
 }
 
@@ -110,21 +129,18 @@ fn main() {
         Case {
             name: "epol_r8",
             graph: pt_ode::Epol::new(8).step_graph(&pt_ode::Bruss2d::new(500), 2),
-            reps: 100,
             flat_baseline: &BASELINE_FLAT_EPOL_MS,
             layered_baseline: &BASELINE_LAYERED_EPOL_MS,
         },
         Case {
             name: "bt_mz_c",
             graph: pt_nas::bt_mz(pt_nas::Class::C).step_graph(2),
-            reps: 20,
             flat_baseline: &BASELINE_FLAT_BT_C_MS,
             layered_baseline: &BASELINE_LAYERED_BT_C_MS,
         },
         Case {
             name: "bt_mz_d",
             graph: pt_nas::bt_mz(pt_nas::Class::D).step_graph(2),
-            reps: 5,
             flat_baseline: &BASELINE_FLAT_BT_D_MS,
             layered_baseline: &BASELINE_LAYERED_BT_D_MS,
         },
@@ -134,12 +150,17 @@ fn main() {
         cases.pop(); // class D is too heavy for a smoke run
     }
 
+    // A quick run takes one sample per row.
+    let sampling = if quick {
+        (Duration::ZERO, 1)
+    } else {
+        (BUDGET, MIN_REPS)
+    };
     let mut results = Vec::new();
     for case in &cases {
-        let reps = if quick { 1 } else { case.reps };
         for (i, &p) in CORE_COUNTS.iter().enumerate() {
-            let (layered, flat) = time_pair(&case.graph, p, reps);
-            for (simulator, (median, min), baseline) in [
+            let (layered, flat) = time_pair(&case.graph, p, sampling);
+            for (simulator, (median, min, reps), baseline) in [
                 ("layered", layered, case.layered_baseline[i]),
                 ("flat", flat, case.flat_baseline[i]),
             ] {
@@ -170,15 +191,14 @@ fn main() {
     // P ∈ {4096, 65536}.  Ceilings are ≈3× the calm-container medians so
     // real complexity regressions (like the dense O(q²) block-redist
     // matrix this PR removed) trip them but tenant noise does not.
-    let scale_reps = if quick { 1 } else { 3 };
     for (name, graph, p, layered_gate, flat_gate) in [
         ("epol_r8", &cases[0].graph, 65536usize, 100.0, 2000.0),
         ("bt_mz_c", &cases[1].graph, 65536, 300.0, 300.0),
         ("bt_mz_e", &bt_e, 4096, 100.0, 100.0),
         ("bt_mz_e", &bt_e, 65536, 300.0, 600.0),
     ] {
-        let (layered, flat) = time_pair(graph, p, scale_reps);
-        for (simulator, (median, min), gate_ms) in [
+        let (layered, flat) = time_pair(graph, p, sampling);
+        for (simulator, (median, min, reps), gate_ms) in [
             ("layered", layered, layered_gate),
             ("flat", flat, flat_gate),
         ] {
@@ -196,7 +216,7 @@ fn main() {
                 baseline_ms: None,
                 speedup: None,
                 gate_ms: Some(gate_ms),
-                reps: scale_reps,
+                reps,
             });
         }
     }
@@ -210,9 +230,9 @@ fn main() {
         .find(|e| e.graph == "bt_mz_c" && e.simulator == "flat" && e.cores == 4096)
         .expect("flat bt_mz_c at P=4096 is always benchmarked");
     let limit_ms = BASELINE_FLAT_BT_C_MS[3] / 5.0;
-    let reps = if quick { 3 } else { 20 };
+    let retry = if quick { (Duration::ZERO, 3) } else { sampling };
     let best = measure::retry_in_later_windows(gate.min_ms, limit_ms, || {
-        let (_, (_, flat_min)) = time_pair(&cases[1].graph, 4096, reps);
+        let (_, (_, flat_min, _)) = time_pair(&cases[1].graph, 4096, retry);
         flat_min
     });
     assert!(

@@ -113,7 +113,8 @@ pub fn arg_value(name: &str) -> Option<String> {
 
 pub mod measure {
     //! Timing shared by the `bench_sched` and `bench_sim` gates: min and
-    //! median over repeated samples, and retries in later time windows.
+    //! median over a count or a time budget of repeated samples, and
+    //! retries in later time windows.
 
     use pt_machine::{platforms, ClusterSpec};
     use std::time::{Duration, Instant};
@@ -126,26 +127,38 @@ pub mod measure {
         platforms::juropa().with_nodes(p / cpn)
     }
 
-    /// `(median, min)` milliseconds per call of `f`, over `reps` samples
-    /// of `batch` back-to-back calls each, after one untimed warm-up call.
+    /// `(median, min, samples)` milliseconds per call of `f`, over samples
+    /// of `batch` back-to-back calls each, after one untimed warm-up call,
+    /// sampling until at least `reps` samples are taken and `budget` has
+    /// passed.
+    ///
     /// Microsecond-scale work needs `batch > 1`: a single 30 µs call is
     /// dominated by timer and scheduling jitter, so even the min over many
     /// one-call samples wobbles past a 1.0× gate; averaging inside each
     /// sample amortises that noise while the min across samples still
-    /// rejects one-sided container load.
-    pub fn median_min_ms<T>(reps: usize, batch: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+    /// rejects one-sided container load.  On a shared host a fixed count
+    /// of a fast call spans a fraction of a second, and its minimum can
+    /// miss every quiet stretch (20-rep minima of one simulation swung 2×
+    /// within a process); a time `budget` gives every timing the same
+    /// chance of one.
+    pub fn median_min_ms<T>(
+        reps: usize,
+        batch: usize,
+        budget: Duration,
+        mut f: impl FnMut() -> T,
+    ) -> (f64, f64, usize) {
         std::hint::black_box(f());
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(f());
-                }
-                t0.elapsed().as_secs_f64() * 1e3 / batch as f64
-            })
-            .collect();
+        let start = Instant::now();
+        let mut times = Vec::new();
+        while times.len() < reps.max(1) || start.elapsed() < budget {
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(f());
+            }
+            times.push(t0.elapsed().as_secs_f64() * 1e3 / batch as f64);
+        }
         times.sort_by(f64::total_cmp);
-        (times[reps / 2], times[0])
+        (times[times.len() / 2], times[0], times.len())
     }
 
     /// The best of `min_ms` and up to four re-measurements, each taken

@@ -3,6 +3,7 @@
 use crate::context::CommContext;
 use pt_machine::{ClusterSpec, CoreId, LinkParams};
 use pt_mtask::{CollectiveKind, CommOp, MTask};
+use std::cell::{Cell, RefCell};
 
 /// Per-member block-size threshold above which the allgather uses the
 /// ring algorithm (mirrors the large-message switch of MVAPICH/MPT, which
@@ -201,72 +202,76 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Time of one communication *step* in which every rank pair of
-    /// `pairs` transfers `bytes` simultaneously — both ways when
-    /// `both_ways`, as in an exchange.
-    ///
-    /// Crossing flows that leave or enter the same node share that node's
-    /// NIC: the effective bandwidth of a flow is
-    /// `min(link, nic / (flows_on_src_nic · sharers), nic / (flows_on_dst_nic · sharers))`.
-    /// This intra-collective contention is what makes a ring allgather over
-    /// scattered cores slow — every rank sends cross-node at once — while a
-    /// consecutive layout crosses each node boundary exactly once.
-    ///
-    /// The step lasts as long as its slowest pair.  A pair inside a node
-    /// costs its level's constant.  A crossing pair costs
-    /// `latency + bytes / eff`, which can only grow as `eff` shrinks, and
-    /// `nic / x` can only shrink as `x` grows; IEEE rounding keeps both
-    /// monotone.  So the slowest crossing pair is priced once, at the
-    /// largest `flows · sharers` of any sending and of any receiving node,
-    /// and that one evaluation equals the per-pair maximum to the bit.
+    /// Time of one communication step of `pattern` on the group, in which
+    /// every rank pair transfers `bytes` simultaneously: the step's shape
+    /// priced at `bytes`.  With `shapes`, each shape is worked out once per
+    /// group and pattern; without, afresh (one operation never repeats a
+    /// pattern, so one-off pricing keeps nothing).
     fn step(
         &self,
         g: &mut Group,
-        pairs: impl Iterator<Item = (usize, usize)>,
-        both_ways: bool,
+        shapes: Option<&mut GroupShapes>,
+        pattern: Pattern,
         bytes: f64,
     ) -> f64 {
-        if g.ranks.is_empty() {
-            g.label(self.spec);
-        }
-        let (mut same_proc, mut same_node, mut cross) = (false, false, false);
-        for (a, b) in pairs {
-            let ((na, pa), (nb, pb)) = (g.ranks[a], g.ranks[b]);
-            if na != nb {
-                g.nodes[na as usize].out += 1;
-                g.nodes[nb as usize].inn += 1;
-                if both_ways {
-                    g.nodes[nb as usize].out += 1;
-                    g.nodes[na as usize].inn += 1;
+        let shape = match shapes {
+            None => g.shape(self.spec, pattern),
+            Some(shapes) => match shapes.0.iter().find(|(p, _)| *p == pattern) {
+                Some(&(_, shape)) => shape,
+                None => {
+                    let shape = g.shape(self.spec, pattern);
+                    shapes.0.push((pattern, shape));
+                    shape
                 }
-                cross = true;
-            } else if pa != pb {
-                same_node = true;
-            } else if g.cores[a] != g.cores[b] {
-                same_proc = true;
-            }
+            },
+        };
+        shape.time(self.spec, bytes)
+    }
+
+    /// One operation of `kind` moving `bytes` on a group: its steps,
+    /// priced on the group's labels and, if given, the shapes already in
+    /// `shapes`.
+    fn group_op(
+        &self,
+        g: &mut Group,
+        mut shapes: Option<&mut GroupShapes>,
+        kind: CollectiveKind,
+        bytes: f64,
+    ) -> f64 {
+        let q = g.cores.len();
+        self.op_steps(kind, q, bytes, &mut |p, b| {
+            self.step(g, shapes.as_deref_mut(), p, b)
+        })
+    }
+
+    /// One operation of `kind` moving `bytes` on `cores`, labelled and
+    /// shaped afresh.
+    fn fresh_op(
+        &self,
+        ctx: &CommContext,
+        cores: &[CoreId],
+        kind: CollectiveKind,
+        bytes: f64,
+    ) -> f64 {
+        self.group_op(&mut Group::new(ctx, cores), None, kind, bytes)
+    }
+
+    /// One operation of `kind` moving `bytes` over `q` ranks, as the sum
+    /// of its steps, each priced by `step(pattern, bytes)`.
+    fn op_steps(
+        &self,
+        kind: CollectiveKind,
+        q: usize,
+        bytes: f64,
+        step: &mut impl FnMut(Pattern, f64) -> f64,
+    ) -> f64 {
+        match kind {
+            CollectiveKind::Broadcast => self.bcast_steps(q, bytes, step),
+            CollectiveKind::Allgather => self.allgather_steps(q, bytes, step),
+            CollectiveKind::Allreduce => allreduce_steps(q, bytes, step),
+            CollectiveKind::Barrier => allreduce_steps(q, 8.0, step),
+            CollectiveKind::NeighborExchange => neighbor_steps(q, bytes, step),
         }
-        let mut worst = 0.0f64;
-        if same_proc {
-            worst = worst.max(self.spec.intra_processor.transfer_time(bytes));
-        }
-        if same_node {
-            worst = worst.max(self.spec.intra_node.transfer_time(bytes));
-        }
-        if cross {
-            // The busiest NICs, clearing every count for the next step.
-            // Idle nodes contribute `0 · share`, which the max ignores.
-            let (mut hot_out, mut hot_in) = (0.0f64, 0.0f64);
-            for n in &mut g.nodes {
-                hot_out = hot_out.max(f64::from(std::mem::take(&mut n.out)) * n.share);
-                hot_in = hot_in.max(f64::from(std::mem::take(&mut n.inn)) * n.share);
-            }
-            let link = self.spec.inter_node;
-            let nic = self.spec.nic_bytes_per_s;
-            let eff = link.bytes_per_s.min(nic / hot_out).min(nic / hot_in);
-            worst = worst.max(link.latency_s + bytes / eff);
-        }
-        worst
     }
 
     /// Broadcast of `bytes` from `cores[0]` to the whole group.
@@ -276,11 +281,10 @@ impl<'a> CostModel<'a> {
     /// scatter + allgather scheme real MPI libraries switch to, whose
     /// allgather phase inherits the ring's mapping sensitivity.
     pub fn bcast(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        self.group_bcast(&mut Group::new(ctx, cores), bytes)
+        self.fresh_op(ctx, cores, CollectiveKind::Broadcast, bytes)
     }
 
-    fn group_bcast(&self, g: &mut Group, bytes: f64) -> f64 {
-        let q = g.cores.len();
+    fn bcast_steps(&self, q: usize, bytes: f64, step: &mut impl FnMut(Pattern, f64) -> f64) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -288,22 +292,19 @@ impl<'a> CostModel<'a> {
         if bytes >= DEFAULT_SAG_BCAST_THRESHOLD && q > 4 {
             // Binomial scatter: the root first ships half the payload to
             // the far half, then the halves recurse (payload and reach
-            // halve together).  The senders of a round are the ranks whose
-            // `reach` bit is clear.
+            // halve together).
             let mut reach = q.next_power_of_two() / 2;
             let mut chunk = bytes / 2.0;
             while reach >= 1 {
-                let senders = (0..q - reach).filter(|src| (src & reach) == 0);
-                time += self.step(g, senders.map(|src| (src, src + reach)), false, chunk);
+                time += step(Pattern::Scatter(reach), chunk);
                 chunk /= 2.0;
                 reach /= 2;
             }
-            return time + self.group_allgather(g, bytes);
+            return time + self.allgather_steps(q, bytes, step);
         }
         let mut reach = 1usize;
         while reach < q {
-            let senders = 0..reach.min(q - reach);
-            time += self.step(g, senders.map(|src| (src, src + reach)), false, bytes);
+            time += step(Pattern::Binomial(reach), bytes);
             reach *= 2;
         }
         time
@@ -318,11 +319,15 @@ impl<'a> CostModel<'a> {
     /// Small totals use recursive doubling (log-depth, distance-doubling
     /// partners).
     pub fn allgather(&self, ctx: &CommContext, cores: &[CoreId], total_bytes: f64) -> f64 {
-        self.group_allgather(&mut Group::new(ctx, cores), total_bytes)
+        self.fresh_op(ctx, cores, CollectiveKind::Allgather, total_bytes)
     }
 
-    fn group_allgather(&self, g: &mut Group, total_bytes: f64) -> f64 {
-        let q = g.cores.len();
+    fn allgather_steps(
+        &self,
+        q: usize,
+        total_bytes: f64,
+        step: &mut impl FnMut(Pattern, f64) -> f64,
+    ) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -330,7 +335,7 @@ impl<'a> CostModel<'a> {
         if block >= self.ring_threshold && q > 2 {
             // All q−1 steps use the same neighbour links simultaneously;
             // each step moves one block per rank to its successor.
-            return (q - 1) as f64 * self.step(g, ring_pairs(q), false, block);
+            return (q - 1) as f64 * step(Pattern::Ring, block);
         }
         // Recursive doubling on ⌈log2 q⌉ rounds; non-power-of-two groups pay
         // an extra fix-up round (as in MPI implementations).
@@ -338,13 +343,13 @@ impl<'a> CostModel<'a> {
         let mut dist = 1usize;
         let mut chunk = block;
         while dist < q {
-            time += self.step(g, exchange_pairs(q, dist), true, chunk);
+            time += step(Pattern::Doubling(dist), chunk);
             chunk *= 2.0;
             dist *= 2;
         }
         if !q.is_power_of_two() {
             // Fix-up: one extra exchange of the remainder blocks.
-            time += self.step(g, ring_pairs(q), false, block);
+            time += step(Pattern::Ring, block);
         }
         time
     }
@@ -353,18 +358,7 @@ impl<'a> CostModel<'a> {
     /// vector per round, ⌈log2 q⌉ rounds.  Round `r` always pairs rank 0
     /// with rank `2^r < q`, so no round is empty.
     pub fn allreduce(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        self.group_allreduce(&mut Group::new(ctx, cores), bytes)
-    }
-
-    fn group_allreduce(&self, g: &mut Group, bytes: f64) -> f64 {
-        let q = g.cores.len();
-        let mut time = 0.0;
-        let mut dist = 1usize;
-        while dist < q {
-            time += self.step(g, exchange_pairs(q, dist), true, bytes);
-            dist *= 2;
-        }
-        time
+        self.fresh_op(ctx, cores, CollectiveKind::Allreduce, bytes)
     }
 
     /// Pure synchronisation: an 8-byte allreduce.
@@ -374,31 +368,12 @@ impl<'a> CostModel<'a> {
 
     /// Halo exchange with both rank neighbours.
     pub fn neighbor_exchange(&self, ctx: &CommContext, cores: &[CoreId], bytes: f64) -> f64 {
-        self.group_neighbor_exchange(&mut Group::new(ctx, cores), bytes)
-    }
-
-    fn group_neighbor_exchange(&self, g: &mut Group, bytes: f64) -> f64 {
-        let q = g.cores.len();
-        if q <= 1 {
-            return 0.0;
-        }
-        2.0 * self.step(g, (0..q - 1).map(|i| (i, i + 1)), true, bytes)
+        self.fresh_op(ctx, cores, CollectiveKind::NeighborExchange, bytes)
     }
 
     /// Time of a single internal communication operation on a group.
     pub fn comm_op(&self, ctx: &CommContext, cores: &[CoreId], op: &CommOp) -> f64 {
-        self.group_comm_op(&mut Group::new(ctx, cores), op)
-    }
-
-    fn group_comm_op(&self, g: &mut Group, op: &CommOp) -> f64 {
-        let once = match op.kind {
-            CollectiveKind::Broadcast => self.group_bcast(g, op.bytes),
-            CollectiveKind::Allgather => self.group_allgather(g, op.bytes),
-            CollectiveKind::Allreduce => self.group_allreduce(g, op.bytes),
-            CollectiveKind::Barrier => self.group_allreduce(g, 8.0),
-            CollectiveKind::NeighborExchange => self.group_neighbor_exchange(g, op.bytes),
-        };
-        once * op.count
+        self.fresh_op(ctx, cores, op.kind, op.bytes) * op.count
     }
 
     /// `T(M, q, mp)`: full execution time of an M-task on the given physical
@@ -407,17 +382,33 @@ impl<'a> CostModel<'a> {
         if useful_cores(task, cores).is_empty() {
             return 0.0;
         }
-        self.compute_share(task, cores) + self.comm_share(ctx, task, cores)
+        self.compute_share(task, cores) + self.comm_share(ctx, task, cores, None)
     }
 
     /// The communication part of [`task_time`](Self::task_time): every
-    /// internal operation of `task` on its useful cores, with the group
-    /// labelled once for all of them.
-    pub fn comm_share(&self, ctx: &CommContext, task: &MTask, cores: &[CoreId]) -> f64 {
-        let mut g = Group::new(ctx, useful_cores(task, cores));
+    /// internal operation of `task` on its useful cores, the group
+    /// labelled at most once for all of them.
+    ///
+    /// A caller pricing many tasks on one group passes the same `shapes`
+    /// for every call on those useful cores in that context, so each step
+    /// pattern is worked out once; without, each is worked out afresh.
+    pub fn comm_share(
+        &self,
+        ctx: &CommContext,
+        task: &MTask,
+        cores: &[CoreId],
+        mut shapes: Option<&mut GroupShapes>,
+    ) -> f64 {
+        let useful = useful_cores(task, cores);
+        if useful.len() < 2 {
+            // A lone rank has no pairs: every operation takes no time, and
+            // the sum is the one a step-by-step pricing returns.
+            return task.comm.iter().map(|op| 0.0 * op.count).sum();
+        }
+        let mut g = Group::new(ctx, useful);
         task.comm
             .iter()
-            .map(|op| self.group_comm_op(&mut g, op))
+            .map(|op| self.group_op(&mut g, shapes.as_deref_mut(), op.kind, op.bytes) * op.count)
             .sum()
     }
 
@@ -486,43 +477,218 @@ fn useful_cores<'c>(task: &MTask, cores: &'c [CoreId]) -> &'c [CoreId] {
     }
 }
 
-/// Every rank to its successor, the last to the first.
-fn ring_pairs(q: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..q).map(move |i| (i, if i + 1 == q { 0 } else { i + 1 }))
+/// Allreduce: a recursive-doubling exchange of the full vector per round.
+fn allreduce_steps(q: usize, bytes: f64, step: &mut impl FnMut(Pattern, f64) -> f64) -> f64 {
+    let mut time = 0.0;
+    let mut dist = 1usize;
+    while dist < q {
+        time += step(Pattern::Doubling(dist), bytes);
+        dist *= 2;
+    }
+    time
 }
 
-/// Every recursive-doubling pair `(i, i ^ dist)`, once; the exchange runs
-/// it both ways.
-fn exchange_pairs(q: usize, dist: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..q).filter_map(move |i| {
-        let j = i ^ dist;
-        (j > i && j < q).then_some((i, j))
-    })
+/// Halo exchange: one step with both rank neighbours, paid twice.
+fn neighbor_steps(q: usize, bytes: f64, step: &mut impl FnMut(Pattern, f64) -> f64) -> f64 {
+    if q <= 1 {
+        return 0.0;
+    }
+    2.0 * step(Pattern::Neighbour, bytes)
 }
 
-/// A group's ranks labelled once for pricing, with the flow counters its
-/// collectives reuse step after step.
-///
+/// Which rank pairs of a `q`-rank group transfer in one step.  Every
+/// collective is a sequence of these, and a step's shape depends on its
+/// pattern and the group only, never on the bytes moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pattern {
+    /// Every rank with its successor, both ways (the halo exchange).
+    Neighbour,
+    /// Every rank to its successor, the last to the first.
+    Ring,
+    /// Every recursive-doubling pair `(i, i + d)` with bit `d` of `i`
+    /// clear, both ways.
+    Doubling(usize),
+    /// Ranks `0..min(r, q − r)` to the rank `r` above (a binomial
+    /// broadcast round).
+    Binomial(usize),
+    /// Every rank below `q − r` with bit `r` clear to the rank `r` above
+    /// (a binomial scatter round).
+    Scatter(usize),
+}
+
+impl Pattern {
+    fn both_ways(self) -> bool {
+        matches!(self, Pattern::Neighbour | Pattern::Doubling(_))
+    }
+
+    /// Call `f(a, b)` for every pair, once.
+    fn for_each_pair(self, q: usize, mut f: impl FnMut(usize, usize)) {
+        match self {
+            Pattern::Neighbour => (0..q - 1).for_each(|i| f(i, i + 1)),
+            Pattern::Ring => (0..q).for_each(|i| f(i, if i + 1 == q { 0 } else { i + 1 })),
+            Pattern::Doubling(d) => {
+                let mut base = 0;
+                while base + d < q {
+                    (base..(base + d).min(q - d)).for_each(|i| f(i, i + d));
+                    base += 2 * d;
+                }
+            }
+            Pattern::Binomial(r) => (0..r.min(q - r)).for_each(|i| f(i, i + r)),
+            Pattern::Scatter(r) => (0..q - r).filter(|i| i & r == 0).for_each(|i| f(i, i + r)),
+        }
+    }
+}
+
+/// What the time of one step depends on besides the bytes moved: which
+/// tree levels its pairs cross, and the busiest sending and receiving NIC
+/// load (`flows · sharers`) of its crossing pairs.
+#[derive(Debug, Clone, Copy)]
+struct StepShape {
+    same_proc: bool,
+    same_node: bool,
+    cross: bool,
+    hot_out: f64,
+    hot_in: f64,
+}
+
+impl StepShape {
+    /// The step's time when every pair moves `bytes`.
+    ///
+    /// Crossing flows that leave or enter the same node share that node's
+    /// NIC: the effective bandwidth of a flow is
+    /// `min(link, nic / (flows_on_src_nic · sharers), nic / (flows_on_dst_nic · sharers))`.
+    /// This intra-collective contention is what makes a ring allgather over
+    /// scattered cores slow — every rank sends cross-node at once — while a
+    /// consecutive layout crosses each node boundary exactly once.
+    ///
+    /// The step lasts as long as its slowest pair.  A pair inside a node
+    /// costs its level's constant.  A crossing pair costs
+    /// `latency + bytes / eff`, which can only grow as `eff` shrinks, and
+    /// `nic / x` can only shrink as `x` grows; IEEE rounding keeps both
+    /// monotone.  So the slowest crossing pair is priced once, at the
+    /// largest `flows · sharers` of any sending and of any receiving node,
+    /// and that one evaluation equals the per-pair maximum to the bit.
+    fn time(&self, spec: &ClusterSpec, bytes: f64) -> f64 {
+        let mut worst = 0.0f64;
+        if self.same_proc {
+            worst = worst.max(spec.intra_processor.transfer_time(bytes));
+        }
+        if self.same_node {
+            worst = worst.max(spec.intra_node.transfer_time(bytes));
+        }
+        if self.cross {
+            let link = spec.inter_node;
+            let nic = spec.nic_bytes_per_s;
+            let eff = link
+                .bytes_per_s
+                .min(nic / self.hot_out)
+                .min(nic / self.hot_in);
+            worst = worst.max(link.latency_s + bytes / eff);
+        }
+        worst
+    }
+}
+
+/// The step shapes of one mapped group in one communication context, by
+/// pair pattern: a few words per pattern, kept by a caller that prices
+/// many operations on the same useful cores (see
+/// [`CostModel::comm_share`]).  A shape is exact for any message size, so
+/// the group's ranks are labelled only when a new pattern comes up.
+#[derive(Debug, Default)]
+pub struct GroupShapes(Vec<(Pattern, StepShape)>);
+
+/// Work done by the collective pricing on one thread: exact counts that
+/// depend only on what was priced, not on the host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PricingWork {
+    /// Ranks given their `(node, processor)` labels.
+    pub ranks_labelled: u64,
+    /// Step shapes worked out from a group's labels.
+    pub step_shapes: u64,
+}
+
+thread_local! {
+    static WORK: Cell<PricingWork> = const {
+        Cell::new(PricingWork {
+            ranks_labelled: 0,
+            step_shapes: 0,
+        })
+    };
+    static NODE_TABLE: RefCell<NodeTable> = const {
+        RefCell::new(NodeTable {
+            stamp: 0,
+            slots: Vec::new(),
+            spare: Labels {
+                ranks: Vec::new(),
+                nodes: Vec::new(),
+            },
+        })
+    };
+}
+
+/// A thread's labelling scratch: per machine node, its number within the
+/// group being labelled, stamped with the labelling that set it.  An entry
+/// of an earlier labelling reads as unset, so no labelling resets the
+/// table, and one cut short by a panic leaves nothing a later one could
+/// read.
+struct NodeTable {
+    stamp: u32,
+    /// `(stamp, group-local node)` per machine node.
+    slots: Vec<(u32, u32)>,
+    /// The buffers of the last group's labels, emptied, for the next
+    /// group's: labelling allocates only when a group outgrows them.
+    spare: Labels,
+}
+
+impl NodeTable {
+    /// Start a labelling on a machine of `nodes` nodes, with every entry
+    /// unset; returns the labelling's stamp.
+    fn begin(&mut self, nodes: usize) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped round: forget every earlier stamp.
+            self.slots.fill((0, 0));
+            self.stamp = 1;
+        }
+        if self.slots.len() < nodes {
+            self.slots.resize(nodes, (0, 0));
+        }
+        self.stamp
+    }
+}
+
+/// The collective pricing work done on the calling thread so far; the
+/// difference of two readings counts the work between them.
+pub fn pricing_work() -> PricingWork {
+    WORK.with(Cell::get)
+}
+
+/// A group's ranks, labelled for pricing on the first step that needs it.
+struct Group<'c> {
+    cores: &'c [CoreId],
+    ctx: &'c CommContext,
+    labels: Option<Labels>,
+    /// Step shapes worked out on the labels, counted into the thread's
+    /// [`PricingWork`] when the group is dropped.
+    shapes: u64,
+}
+
 /// The machine model prices a transfer only by the tree level it crosses
 /// and, across nodes, by how many flows share each endpoint's NIC.  So a
 /// rank needs two labels: its node, numbered within the group so that the
 /// flow counters are as long as the group's node list rather than the
-/// machine's, and its machine-wide processor.  They are derived on the
-/// first step, once per rank, and a step then classifies each pair by
-/// comparing labels.  An operation that never steps (a lone rank, a task
-/// without communication) labels nothing.
-struct Group<'c> {
-    cores: &'c [CoreId],
-    ctx: &'c CommContext,
-    /// `(group-local node, processor)` of every rank, once labelled.
+/// machine's, and its machine-wide processor.  A step then classifies each
+/// pair by comparing labels.
+#[derive(Default)]
+struct Labels {
+    /// `(group-local node, processor)` of every rank.
     ranks: Vec<(u32, u32)>,
-    /// Per group-local node, in machine order: the context's sharing
+    /// Per group-local node, in first-seen order: the context's sharing
     /// factor and the current step's crossing flows (zero between steps).
     nodes: Vec<NodeFlows>,
 }
 
 struct NodeFlows {
-    id: u32,
     share: f64,
     out: u32,
     inn: u32,
@@ -533,53 +699,107 @@ impl<'c> Group<'c> {
         Group {
             cores,
             ctx,
-            ranks: Vec::new(),
-            nodes: Vec::new(),
+            labels: None,
+            shapes: 0,
         }
     }
 
-    fn label(&mut self, spec: &ClusterSpec) {
-        self.ranks = self.cores.iter().map(|&c| label(spec, c)).collect();
-        let flows = |id: u32| NodeFlows {
-            id,
-            share: self.ctx.sharing(id as usize),
-            out: 0,
-            inn: 0,
-        };
-        let lo = self.ranks.iter().map(|r| r.0).min().unwrap_or(0);
-        let hi = self.ranks.iter().map(|r| r.0).max().unwrap_or(0);
-        let span = (hi - lo) as usize + 1;
-        if span <= 2 * self.ranks.len() {
-            // The group's nodes are dense in the machine (every mapping
-            // strategy makes them so for wide groups): number them through
-            // a table over their id span, where absent nodes stay `MAX`.
-            let mut local = vec![u32::MAX; span];
-            for r in &self.ranks {
-                local[(r.0 - lo) as usize] = 0;
-            }
-            for (id, l) in (lo..).zip(&mut local) {
-                if *l == 0 {
-                    *l = self.nodes.len() as u32;
-                    self.nodes.push(flows(id));
+    /// The group's labels.  Its nodes are numbered through a per-thread
+    /// table over the machine's nodes, so labelling costs O(q) for any
+    /// machine.  First-seen numbering is safe: the busiest-NIC scans take
+    /// a maximum.
+    fn labels(&mut self, spec: &ClusterSpec) -> &mut Labels {
+        let (cores, ctx) = (self.cores, self.ctx);
+        self.labels.get_or_insert_with(|| {
+            NODE_TABLE.with_borrow_mut(|table| {
+                let stamp = table.begin(spec.nodes);
+                let Labels {
+                    mut ranks,
+                    mut nodes,
+                } = std::mem::take(&mut table.spare);
+                ranks.extend(cores.iter().map(|&c| {
+                    let (node, proc) = label(spec, c);
+                    let slot = &mut table.slots[node as usize];
+                    if slot.0 != stamp {
+                        *slot = (stamp, nodes.len() as u32);
+                        nodes.push(NodeFlows {
+                            share: ctx.sharing(node as usize),
+                            out: 0,
+                            inn: 0,
+                        });
+                    }
+                    (slot.1, proc)
+                }));
+                Labels { ranks, nodes }
+            })
+        })
+    }
+
+    /// The shape of one step of `pattern`: every pair classified by its
+    /// labels, crossing flows counted per node, then the busiest NICs.
+    fn shape(&mut self, spec: &ClusterSpec, pattern: Pattern) -> StepShape {
+        let cores = self.cores;
+        self.shapes += 1;
+        let both_ways = pattern.both_ways();
+        let Labels { ranks, nodes } = self.labels(spec);
+        // Slices, so the pair loop holds their bounds in registers.
+        let (ranks, nodes) = (ranks.as_slice(), nodes.as_mut_slice());
+        let (mut same_proc, mut same_node, mut cross) = (false, false, false);
+        pattern.for_each_pair(cores.len(), |a, b| {
+            let ((na, pa), (nb, pb)) = (ranks[a], ranks[b]);
+            if na != nb {
+                nodes[na as usize].out += 1;
+                nodes[nb as usize].inn += 1;
+                if both_ways {
+                    nodes[nb as usize].out += 1;
+                    nodes[na as usize].inn += 1;
                 }
+                cross = true;
+            } else if pa != pb {
+                same_node = true;
+            } else if cores[a] != cores[b] {
+                same_proc = true;
             }
-            for r in &mut self.ranks {
-                r.0 = local[(r.0 - lo) as usize];
+        });
+        // The busiest NICs, clearing every count for the next step.  Idle
+        // nodes contribute `0 · share`, which the max ignores.
+        let (mut hot_out, mut hot_in) = (0.0f64, 0.0f64);
+        if cross {
+            for n in nodes.iter_mut() {
+                hot_out = hot_out.max(f64::from(std::mem::take(&mut n.out)) * n.share);
+                hot_in = hot_in.max(f64::from(std::mem::take(&mut n.inn)) * n.share);
             }
-        } else {
-            // Sparse: sort the node ids and search them, once per run of
-            // ranks on one node.
-            self.nodes = self.ranks.iter().map(|r| flows(r.0)).collect();
-            self.nodes.sort_unstable_by_key(|n| n.id);
-            self.nodes.dedup_by_key(|n| n.id);
-            let mut last = (u32::MAX, 0u32);
-            for r in &mut self.ranks {
-                if r.0 != last.0 {
-                    let local = self.nodes.binary_search_by_key(&r.0, |n| n.id);
-                    last = (r.0, local.expect("node is labelled") as u32);
+        }
+        StepShape {
+            same_proc,
+            same_node,
+            cross,
+            hot_out,
+            hot_in,
+        }
+    }
+}
+
+impl Drop for Group<'_> {
+    /// Counts the group's work and hands its label buffers, emptied, to
+    /// the next group on the thread.
+    fn drop(&mut self) {
+        if let Some(mut labels) = self.labels.take() {
+            WORK.with(|w| {
+                let mut work = w.get();
+                work.ranks_labelled += self.cores.len() as u64;
+                work.step_shapes += self.shapes;
+                w.set(work);
+            });
+            labels.ranks.clear();
+            labels.nodes.clear();
+            // While the thread's locals are torn down, the buffers are
+            // freed instead.
+            let _ = NODE_TABLE.try_with(|table| {
+                if let Ok(mut table) = table.try_borrow_mut() {
+                    table.spare = labels;
                 }
-                r.0 = last.1;
-            }
+            });
         }
     }
 }
@@ -772,6 +992,32 @@ mod tests {
                         "allreduce {fast} != per-pair rounds {slow} for q={q} @ {bytes}B"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_labelling_cut_short_by_a_panic_leaves_nothing_behind() {
+        // Pricing a wide machine first sizes this thread's node table past
+        // the small machine's nodes.  A group whose last core lies outside
+        // the small machine then panics in the context's sharing lookup,
+        // after its first three nodes are numbered.  Every later price on
+        // the thread must still equal the per-pair oracle: a node numbered
+        // by the cut-short labelling would merge with another group's.
+        let wide = platforms::chic().with_nodes(64);
+        let all: Vec<CoreId> = (0..wide.total_cores()).map(CoreId).collect();
+        CostModel::new(&wide).allgather(&CommContext::uniform(&wide), &all, 1e6);
+        let spec = platforms::chic().with_nodes(4);
+        let m = CostModel::new(&spec);
+        let ctx = CommContext::uniform(&spec);
+        let stray = cores(&[0, 4, 8, 160]);
+        let priced = std::panic::catch_unwind(|| m.allgather(&ctx, &stray, 1e6));
+        assert!(priced.is_err(), "a core outside the machine must panic");
+        for group in [cores(&[4, 0]), cores(&[8, 5, 0, 12]), cores(&[0, 1, 4, 9])] {
+            for bytes in [64.0, 1e6] {
+                let fast = m.allgather(&ctx, &group, bytes);
+                let slow = oracle::allgather(&m, &ctx, &group, bytes);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "{group:?} @ {bytes}B");
             }
         }
     }

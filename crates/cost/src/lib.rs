@@ -37,7 +37,7 @@ extern crate self as pt_cost;
 #[cfg(test)]
 mod oracle;
 
-pub use collectives::{CostModel, SpeedClasses};
+pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedClasses};
 pub use context::CommContext;
 pub use redist::Overlap;
 pub use symbolic::task_time_optimistic;
@@ -45,7 +45,7 @@ pub use table::{CostTable, TableStore};
 
 #[cfg(test)]
 mod tests {
-    use crate::{oracle, CommContext, CostModel, Overlap};
+    use crate::{collectives, oracle, CommContext, CostModel, GroupShapes, Overlap};
     use proptest::prelude::*;
     use pt_machine::{platforms, ClusterSpec, CoreId};
     use pt_mtask::{CollectiveKind, CommOp, EdgeData, MTask, RedistPattern};
@@ -121,7 +121,7 @@ mod tests {
             let task = if cap > 0 { task.max_cores(cap) } else { task };
             let fast = m.task_time(&ctx, &task, src);
             prop_assert_eq!(fast.to_bits(), oracle::task_time(&m, &ctx, &task, src).to_bits());
-            let split = m.compute_share(&task, src) + m.comm_share(&ctx, &task, src);
+            let split = m.compute_share(&task, src) + m.comm_share(&ctx, &task, src, None);
             prop_assert_eq!(fast.to_bits(), split.to_bits());
 
             let overlap = if oracle::same_set(src, dst) {
@@ -144,6 +144,75 @@ mod tests {
             );
             let fast = m.orthogonal_exchange(&groups, bytes);
             prop_assert_eq!(fast.to_bits(), oracle::orthogonal_exchange(&m, &groups, bytes).to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// One group's shapes kept across a random sequence of tasks (each
+        /// labels the group afresh, and the labels end with it): every
+        /// task's communication time equals, bit for bit, the per-pair
+        /// oracle's and a fresh group's, for all five kinds, sizes either
+        /// side of the ring / recursive-doubling and binomial / scatter
+        /// switches, dense and sparse windows of uneven length, and
+        /// asymmetric sharers.
+        #[test]
+        fn reused_group_shapes_price_like_a_fresh_group(
+            shape in (1usize..12, 1usize..4, 1usize..4),
+            sharers in prop::collection::vec(1u32..6, 0..12),
+            strategy in 0usize..3,
+            window in (0usize..1000, 1usize..48, 1usize..5),
+            ops in prop::collection::vec(((0usize..5, 0usize..8), (0.0f64..7.0, 0.5f64..3.0), any::<bool>()), 1..12),
+        ) {
+            let (nodes, ppn, cpp) = shape;
+            let (spec, ctx) = machine(nodes, ppn, cpp, 0, &sharers);
+            let m = CostModel::new(&spec);
+            let p = spec.total_cores();
+            let seq = mapped_sequence(&spec, strategy);
+            // Every `stride`-th core of a window: stride 1 is dense on the
+            // machine's nodes, wider strides spread the group out.
+            let (lo, len, stride) = window;
+            let cores: Vec<CoreId> = (0..len)
+                .map(|i| lo % p + i * stride)
+                .take_while(|&i| i < p)
+                .map(|i| seq[i])
+                .collect();
+            let q = cores.len() as f64;
+            let kinds = [
+                CollectiveKind::Broadcast,
+                CollectiveKind::Allgather,
+                CollectiveKind::Allreduce,
+                CollectiveKind::Barrier,
+                CollectiveKind::NeighborExchange,
+            ];
+            // Switch points: the ring's per-member block and the scatter
+            // broadcast's message size, each hit and just missed.
+            let ring = m.ring_threshold * q;
+            let sag = collectives::DEFAULT_SAG_BCAST_THRESHOLD;
+            let mut tasks: Vec<Vec<CommOp>> = vec![Vec::new()];
+            for &((kind, size), (log_bytes, count), new_task) in &ops {
+                let bytes = match size {
+                    0 => ring,
+                    1 => ring * (1.0 - 1e-9),
+                    2 => sag,
+                    3 => sag * (1.0 - 1e-9),
+                    _ => 10f64.powf(log_bytes),
+                };
+                if new_task && !tasks.last().expect("a task is open").is_empty() {
+                    tasks.push(Vec::new());
+                }
+                tasks.last_mut().expect("a task is open").push(CommOp::new(kinds[kind], bytes, count));
+            }
+            let mut shapes = GroupShapes::default();
+            for comm in tasks {
+                let task = MTask::with_comm("t", 1e9, comm);
+                let kept = m.comm_share(&ctx, &task, &cores, Some(&mut shapes));
+                let fresh = m.comm_share(&ctx, &task, &cores, None);
+                let slow: f64 = task.comm.iter().map(|op| oracle::comm_op(&m, &ctx, &cores, op)).sum();
+                prop_assert_eq!(kept.to_bits(), fresh.to_bits(), "{:?} on {:?}", task.comm, cores);
+                prop_assert_eq!(kept.to_bits(), slow.to_bits(), "{:?} on {:?}: {} vs {}", task.comm, cores, kept, slow);
+            }
         }
     }
 

@@ -294,6 +294,20 @@ pub fn from_groups<G: AsRef<[CoreId]>>(spec: &ClusterSpec, groups: &[G]) -> Comm
     }
 }
 
+/// Node-interleaved canonical order of an exchange set: the sorted cores
+/// bucketed by node, then the buckets emitted round-robin.
+pub fn node_interleaved(spec: &ClusterSpec, mut cores: Vec<CoreId>) -> Vec<CoreId> {
+    cores.sort_unstable();
+    let mut buckets: Vec<Vec<CoreId>> = vec![Vec::new(); spec.nodes];
+    for c in cores {
+        buckets[spec.label(c).node].push(c);
+    }
+    let rounds = buckets.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|r| buckets.iter().filter_map(move |b| b.get(r).copied()))
+        .collect()
+}
+
 pub fn orthogonal_exchange<G: AsRef<[CoreId]>>(
     m: &CostModel,
     groups: &[G],
@@ -308,20 +322,11 @@ pub fn orthogonal_exchange<G: AsRef<[CoreId]>>(
     }
     let sets: Vec<Vec<CoreId>> = (0..min_q)
         .map(|j| {
-            let mut cores: Vec<CoreId> = groups
+            let cores: Vec<CoreId> = groups
                 .iter()
                 .map(|g| g.as_ref()[j * g.as_ref().len() / min_q])
                 .collect();
-            // Node-interleaved canonical order.
-            cores.sort_unstable();
-            let mut buckets: Vec<Vec<CoreId>> = vec![Vec::new(); m.spec.nodes];
-            for c in cores {
-                buckets[m.spec.label(c).node].push(c);
-            }
-            let rounds = buckets.iter().map(Vec::len).max().unwrap_or(0);
-            (0..rounds)
-                .flat_map(|r| buckets.iter().filter_map(move |b| b.get(r).copied()))
-                .collect()
+            node_interleaved(m.spec, cores)
         })
         .collect();
     let ctx = from_groups(m.spec, &sets);

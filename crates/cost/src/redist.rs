@@ -169,22 +169,32 @@ impl CostModel<'_> {
 }
 
 /// Canonical placement-oblivious order for an exchange set: cores sorted,
-/// bucketed by node, then emitted round-robin across the nodes, so ring
-/// neighbours land on different nodes whenever the set spans more than one.
+/// then emitted round-robin across their nodes (the `r`-th core of every
+/// node in round `r`, nodes in machine order), so ring neighbours land on
+/// different nodes whenever the set spans more than one.  A node's cores
+/// are one run of the sorted set, so the rounds walk the runs, dropping
+/// each once it is spent: O(q log q) for any machine.
 fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> Vec<CoreId> {
     cores.sort_unstable();
-    let mut buckets: Vec<Vec<CoreId>> = vec![Vec::new(); spec.nodes];
-    for c in cores.drain(..) {
-        buckets[spec.label(c).node].push(c);
-    }
-    let rounds = buckets.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    for r in 0..rounds {
-        for b in &buckets {
-            if let Some(&c) = b.get(r) {
-                out.push(c);
-            }
+    // `(next, end)` of every node's run in `cores`.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut last = None;
+    for (i, &c) in cores.iter().enumerate() {
+        let node = label(spec, c).0;
+        if last == Some(node) {
+            runs.last_mut().expect("a run is open").1 = i + 1;
+        } else {
+            runs.push((i, i + 1));
+            last = Some(node);
         }
+    }
+    let mut out = Vec::with_capacity(cores.len());
+    while !runs.is_empty() {
+        runs.retain_mut(|(next, end)| {
+            out.push(cores[*next]);
+            *next += 1;
+            next < end
+        });
     }
     out
 }
@@ -332,6 +342,46 @@ mod tests {
                     slow.to_bits(),
                     "banded {fast} != dense {slow} for {qs}x{qd} @ {bytes}B"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn node_interleaved_matches_bucketed_order() {
+        // Sets of distinct and repeated cores, on machines with power-of-two
+        // and other node widths, spanning one node, a few, and many with
+        // uneven runs: the run walk must emit the bucketed order exactly.
+        for spec in [
+            platforms::chic().with_nodes(16),
+            pt_machine::ClusterSpec {
+                nodes: 9,
+                processors_per_node: 3,
+                cores_per_processor: 2,
+                ..platforms::chic()
+            },
+        ] {
+            let p = spec.total_cores();
+            let mut seed = 0x2545_f491_4f6c_dd1du64;
+            for len in [0usize, 1, 2, 5, 17, 40, 3 * p] {
+                for stride in [1usize, 3, 7] {
+                    let set: Vec<CoreId> = (0..len)
+                        .map(|i| {
+                            seed ^= seed << 13;
+                            seed ^= seed >> 7;
+                            seed ^= seed << 17;
+                            CoreId(if stride == 7 {
+                                seed as usize % p
+                            } else {
+                                (i * stride) % p
+                            })
+                        })
+                        .collect();
+                    assert_eq!(
+                        node_interleaved(&spec, set.clone()),
+                        oracle::node_interleaved(&spec, set.clone()),
+                        "{set:?}"
+                    );
+                }
             }
         }
     }

@@ -22,6 +22,7 @@
 
 use crate::collectives::CostModel;
 use pt_mtask::{MTask, TaskId};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Bit pattern marking an empty cell.  `f64::to_bits` of any value the cost
@@ -164,7 +165,8 @@ impl ColumnSet {
     }
 
     /// The column for width `q`, or `None` when `q` is out of range.
-    /// Allocates and installs the column on first touch.
+    /// Installs the column on first touch: a spare one of this thread,
+    /// refilled with `UNSET`, or a new allocation.
     fn column(&self, q: usize) -> Option<&[AtomicU64]> {
         let slot = self.slots.get(q)?;
         let p = slot.load(Ordering::Acquire);
@@ -173,7 +175,15 @@ impl ColumnSet {
             // `Box<[AtomicU64]>` of length `self.tasks`, freed only in Drop.
             return Some(unsafe { std::slice::from_raw_parts(p, self.tasks) });
         }
-        let col: Box<[AtomicU64]> = (0..self.tasks).map(|_| AtomicU64::new(UNSET)).collect();
+        let col = match take_spare(self.tasks) {
+            Some(mut col) => {
+                for cell in col.iter_mut() {
+                    *cell.get_mut() = UNSET;
+                }
+                col
+            }
+            None => (0..self.tasks).map(|_| AtomicU64::new(UNSET)).collect(),
+        };
         let raw = Box::into_raw(col) as *mut AtomicU64;
         match slot.compare_exchange(
             std::ptr::null_mut(),
@@ -194,16 +204,58 @@ impl ColumnSet {
 }
 
 impl Drop for ColumnSet {
+    /// Hands the columns to this thread's spare list, replacing what it
+    /// held, or frees them when the list is unavailable (thread teardown).
+    /// A table that installed no column leaves the list as it is.
     fn drop(&mut self) {
-        for slot in &mut self.slots {
-            let p = *slot.get_mut();
-            if !p.is_null() {
+        let tasks = self.tasks;
+        let mut columns = self
+            .slots
+            .iter_mut()
+            .filter_map(|slot| {
+                let p = *slot.get_mut();
                 // SAFETY: installed pointers own a `tasks`-length boxed
-                // slice; Drop has exclusive access.
-                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, self.tasks)) });
-            }
+                // slice; Drop has exclusive access and visits each once.
+                (!p.is_null())
+                    .then(|| unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, tasks)) })
+            })
+            .peekable();
+        if columns.peek().is_some() {
+            let _ = SPARE_COLUMNS.try_with(|spare| {
+                if let Ok(mut spare) = spare.try_borrow_mut() {
+                    spare.clear();
+                    spare.extend(&mut columns);
+                }
+            });
         }
+        // Whatever the list did not take is freed here.
+        columns.for_each(drop);
     }
+}
+
+thread_local! {
+    /// The columns of the last table dropped on this thread, all of one
+    /// length, for the next table to refill instead of allocating.  A cold
+    /// schedule of BT-MZ class D at P = 16384 fills 348 columns of 2 050
+    /// cells; freed, glibc may hand their pages back to the kernel, and
+    /// the next request faults them in again: on a 2-vCPU host, perfbench
+    /// `plan_btmz` processes in that mode read about 1 000–2 000 minor
+    /// faults per request, and under 100 with the pages kept.
+    static SPARE_COLUMNS: RefCell<Vec<Box<[AtomicU64]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A spare column of `tasks` cells from this thread's list, if it has one.
+fn take_spare(tasks: usize) -> Option<Box<[AtomicU64]>> {
+    SPARE_COLUMNS
+        .try_with(|spare| {
+            let mut spare = spare.try_borrow_mut().ok()?;
+            if spare.last()?.len() != tasks {
+                return None;
+            }
+            spare.pop()
+        })
+        .ok()
+        .flatten()
 }
 
 impl std::fmt::Debug for ColumnSet {
@@ -557,6 +609,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_table_on_spare_columns_prices_like_a_fresh_one() {
+        // The test's thread starts with no spare columns, so the first
+        // table prices on fresh ones; dropped, it leaves them, full of its
+        // values, on the spare list.  Each later table of the same length
+        // refills them and must return the same values and evaluation
+        // count; a table that touched no column leaves the list alone, and
+        // one of another length allocates its own.
+        let spec = platforms::chic().with_nodes(8);
+        let model = CostModel::new(&spec);
+        let ts = tasks();
+        let sweep = |table: &CostTable| -> (Vec<u64>, usize) {
+            let mut bits = Vec::new();
+            for (i, t) in ts.iter().enumerate() {
+                for q in [1usize, 3, 4, 9, 32] {
+                    bits.push(table.symbolic(TaskId(i), t, q).to_bits());
+                    bits.push(table.optimistic(TaskId(i), t, q).to_bits());
+                }
+            }
+            (bits, table.evaluations())
+        };
+        let fresh = sweep(&CostTable::new(&model, ts.len()));
+        drop(CostTable::with_width(&model, ts.len() + 1, 40));
+        for _ in 0..3 {
+            assert_eq!(sweep(&CostTable::new(&model, ts.len())), fresh);
+        }
+        let other = CostTable::new(&model, ts.len() + 1);
+        assert_eq!(
+            other.symbolic(TaskId(2), &ts[0], 5),
+            model.task_time_symbolic(&ts[0], 5)
+        );
+        assert_eq!(other.evaluations(), 1);
     }
 
     #[test]

@@ -15,11 +15,10 @@ use crate::report::{GroupTiming, LayerTiming, SimReport, TaskTiming};
 use crate::Simulator;
 use pt_core::hybrid::{hybrid_task_time, ProcessLayout};
 use pt_core::{LayeredSchedule, Mapping};
-use pt_cost::{CommContext, Overlap};
+use pt_cost::{CommContext, GroupShapes, Overlap};
 use pt_machine::CoreId;
-use pt_mtask::{CommOp, MTask, RedistPattern, TaskGraph, TaskId};
+use pt_mtask::{MTask, RedistPattern, TaskGraph, TaskId};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 
 /// A group: the half-open range `lo..hi` of its symbolic cores.
 type Range = (usize, usize);
@@ -120,12 +119,12 @@ impl Simulator<'_> {
     }
 
     /// Duration and communication share of one task on its group.
-    fn task_duration<'g>(
+    fn task_duration(
         &self,
-        task: &'g MTask,
+        task: &MTask,
         group: Range,
         (ctx_id, ctx): Ctx,
-        prices: &mut Prices<'g>,
+        prices: &mut Prices,
     ) -> (f64, f64) {
         let spec = self.model.spec;
         let group_cores = &prices.cores[group.0..group.1];
@@ -140,10 +139,13 @@ impl Simulator<'_> {
                 let width = task
                     .max_cores
                     .map_or(group_cores.len(), |cap| cap.min(group_cores.len()));
-                let useful = (group.0, group.0 + width);
-                let comm = prices.comm_time(task, useful, ctx_id, || {
-                    self.model.comm_share(ctx, task, group_cores)
+                // A task without operations or with a lone core prices to
+                // nothing, without a memo entry.
+                let shapes = (!task.comm.is_empty() && width >= 2).then(|| {
+                    let useful = (group.0, group.0 + width);
+                    prices.comm.entry((useful, ctx_id)).or_default()
                 });
+                let comm = self.model.comm_share(ctx, task, group_cores, shapes);
                 // `task_time`, with the communication part memoised; the
                 // same capping and slowest-core division as the total, so
                 // the communication share stays exact on het machines.
@@ -228,12 +230,10 @@ impl Simulator<'_> {
         if !ortho_sources.is_empty() {
             // Participants: all producer groups plus consumer groups
             // (deduplicated by identical core sets, that is, ranges).
-            let mut participants: Vec<Range> = Vec::new();
-            for r in ortho_sources.values().map(|(r, _)| *r).chain(ortho_groups) {
-                if !participants.contains(&r) {
-                    participants.push(r);
-                }
-            }
+            let mut participants: Vec<Range> = ortho_sources.values().map(|(r, _)| *r).collect();
+            participants.extend(ortho_groups);
+            participants.sort_unstable();
+            participants.dedup();
             let total_bytes: f64 = ortho_sources.values().map(|(_, b)| b).sum();
             let groups: Vec<&[CoreId]> = participants.iter().map(|&(a, b)| &cores[a..b]).collect();
             worst = worst.max(self.model.orthogonal_exchange(&groups, total_bytes));
@@ -246,15 +246,17 @@ impl Simulator<'_> {
 ///
 /// A task's communication time depends on its operations, the cores that
 /// run them and the layer's context — not on its work, which the caller
-/// adds back as the task's own compute share — and unrolled steps repeat
-/// the same operations on the same groups.  So each (operations, cores,
-/// context) triple of a pure-MPI task is priced once, and each
-/// redistribution once per (edge, source group, destination group,
-/// context).  Hybrid tasks are priced afresh.
+/// adds back as the task's own compute share.  Each operation is a
+/// sequence of steps whose shapes depend on the useful cores and the
+/// context alone, so one [`GroupShapes`] per (useful cores, context)
+/// prices every operation of every pure-MPI task on that group, whatever
+/// its message sizes.  Each redistribution is priced once per (edge,
+/// source group, destination group, context).  Hybrid tasks are priced
+/// afresh.
 struct Prices<'g> {
     /// The mapping's physical cores; a range of them is a group.
     cores: &'g [CoreId],
-    comm: HashMap<CommKey<'g>, f64>,
+    comm: HashMap<(Range, usize), GroupShapes>,
     redist: HashMap<RedistKey, f64>,
 }
 
@@ -266,34 +268,6 @@ impl<'g> Prices<'g> {
             redist: HashMap::new(),
         }
     }
-
-    /// The communication time of `task` on the cores `cores` in context
-    /// `ctx`, priced by `price` on a miss.  A task without operations or
-    /// with a lone core prices to nothing faster than a lookup.
-    fn comm_time(
-        &mut self,
-        task: &'g MTask,
-        cores: Range,
-        ctx: usize,
-        price: impl FnOnce() -> f64,
-    ) -> f64 {
-        if task.comm.is_empty() || cores.1 - cores.0 < 2 {
-            return price();
-        }
-        let key = CommKey {
-            ops: Ops(&task.comm),
-            cores,
-            ctx,
-        };
-        *self.comm.entry(key).or_insert_with(price)
-    }
-}
-
-#[derive(PartialEq, Eq, Hash)]
-struct CommKey<'g> {
-    ops: Ops<'g>,
-    cores: Range,
-    ctx: usize,
 }
 
 #[derive(PartialEq, Eq, Hash)]
@@ -303,32 +277,6 @@ struct RedistKey {
     src: Range,
     dst: Range,
     ctx: usize,
-}
-
-/// A task's communication operations, compared and hashed by their bits.
-struct Ops<'g>(&'g [CommOp]);
-
-impl PartialEq for Ops<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(other.0).all(|(a, b)| {
-                a.kind == b.kind
-                    && a.bytes.to_bits() == b.bytes.to_bits()
-                    && a.count.to_bits() == b.count.to_bits()
-            })
-    }
-}
-
-impl Eq for Ops<'_> {}
-
-impl Hash for Ops<'_> {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        for op in self.0 {
-            op.kind.hash(h);
-            op.bytes.to_bits().hash(h);
-            op.count.to_bits().hash(h);
-        }
-    }
 }
 
 #[cfg(test)]

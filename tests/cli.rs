@@ -122,6 +122,39 @@ fn serve_answers_json_lines_on_stdin() {
 }
 
 #[test]
+fn serve_answers_deeply_nested_json_with_an_error() {
+    // 50 000 `[` used to overflow the parser's stack and abort the process
+    // (exit 134); now the line gets an error reply and the next request is
+    // served as usual.
+    let mut child = Command::new(BIN)
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ptsched serve");
+    let mut stdin = child.stdin.take().expect("stdin pipe");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout pipe"));
+    writeln!(stdin, "{}", "[".repeat(50_000)).expect("write request");
+    writeln!(stdin, r#"{{"workload":"epol","cores":16,"steps":1}}"#).expect("write request");
+    drop(stdin);
+
+    let lines: Vec<String> = stdout.lines().map(|l| l.expect("response line")).collect();
+    assert_eq!(lines.len(), 2, "one response per request: {lines:?}");
+    assert!(
+        lines[0].contains(r#""ok":false"#) && lines[0].contains("nesting"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
+    let status = child.wait().expect("serve exits");
+    assert!(
+        status.success(),
+        "serve should exit 0 on EOF, got {status:?}"
+    );
+}
+
+#[test]
 fn serve_submit_and_tenant_run_a_job_stream() {
     let mut child = Command::new(BIN)
         .args(["serve", "--workers", "2"])

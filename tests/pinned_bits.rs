@@ -7,6 +7,14 @@
 //! the label and memo paths replaced.  A change that moves any simulated
 //! time fails here by case name; if the move is intended, recompute the
 //! table and say why in the change log.
+//!
+//! A second table pins the regime of the request benchmark: BT-MZ class D
+//! at P = 16384, with and without a work jitter.  There the groups are
+//! sparse on the machine's nodes, and with jitter the two layers' groups
+//! differ, so the orthogonal exchange before layer 1 pools about 391
+//! producer and consumer ranges.  Its constants were computed with the
+//! pricing that labelled every task's group afresh and bucketed every
+//! exchange set over the machine's nodes.
 
 use parallel_tasks::core::{LayerScheduler, MappingStrategy};
 use parallel_tasks::cost::CostModel;
@@ -47,6 +55,34 @@ const PINS: [Pin; 24] = [
     ("bt-mz", 4096, "scattered", 0x3fab055dde0772dd, 0x3f06d5b32e7dab93, None),
     ("bt-mz", 4096, "mixed2", 0x3f9fb50e45059cc6, 0x3f06d5b32e7dab93, None),
 ];
+
+/// (work jitter, mapping, layered makespan bits, layered total_redist
+/// bits) of BT-MZ class D at P = 16384.
+type LargePin = (bool, &'static str, u64, u64);
+
+#[rustfmt::skip]
+const LARGE_PINS: [LargePin; 6] = [
+    (false, "consecutive", 0x3f94f44e24b3ee7f, 0x3f65350a6535717c),
+    (false, "scattered", 0x3fc148737c555f52, 0x3f741aeb68a410c3),
+    (false, "mixed2", 0x3fb9f42d3c3d1809, 0x3f728041379f29cb),
+    (true, "consecutive", 0x3f99b97b95c0280b, 0x3f7dad068a3e6372),
+    (true, "scattered", 0x3fc22c8c46999842, 0x3f885137b34154bb),
+    (true, "mixed2", 0x3fb98dd6ab2b40f9, 0x3f852c4307dad8bb),
+];
+
+/// Each task's work scaled by a fixed factor in `[1 - 0.005, 1 + 0.005]`
+/// drawn from a SplitMix64 stream over the task index, so that equal zones
+/// differ slightly and the scheduler sizes the two layers' groups apart.
+fn jitter(g: &mut TaskGraph) {
+    let ids: Vec<_> = g.task_ids().collect();
+    for id in ids {
+        let mut z = (id.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let unit = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+        g.task_mut(id).work *= 1.0 + 0.005 * (2.0 * unit - 1.0);
+    }
+}
 
 fn graph(name: &str) -> TaskGraph {
     let sparse = Bruss2d::new(250);
@@ -94,6 +130,42 @@ fn simulated_times_match_pinned_bits() {
                     value.to_bits(),
                     f64::from_bits(pinned)
                 ));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "simulated times drifted:\n{}",
+        drift.join("\n")
+    );
+}
+
+#[test]
+fn bt_mz_d_at_16384_cores_matches_pinned_bits() {
+    let p = 16384;
+    let spec = platforms::juropa().with_nodes(p / 8);
+    let model = CostModel::new(&spec);
+    let sim = Simulator::new(&model);
+    let mut drift = Vec::new();
+    for jittered in [false, true] {
+        let mut g = bt_mz(Class::D).step_graph(2);
+        if jittered {
+            jitter(&mut g);
+        }
+        let sched = LayerScheduler::new(&model).schedule(&g);
+        for &(_, strategy, makespan, redist) in LARGE_PINS.iter().filter(|pin| pin.0 == jittered) {
+            let rep = sim.simulate_layered(&g, &sched, &mapping(strategy).mapping(&spec, p));
+            for (what, value, pinned) in [
+                ("makespan", rep.makespan, makespan),
+                ("total_redist", rep.total_redist, redist),
+            ] {
+                if value.to_bits() != pinned {
+                    drift.push(format!(
+                        "jitter={jittered} {strategy} {what}: {value:e} ({:#018x}), pinned {:e} ({pinned:#018x})",
+                        value.to_bits(),
+                        f64::from_bits(pinned)
+                    ));
+                }
             }
         }
     }
