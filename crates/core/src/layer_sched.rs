@@ -34,10 +34,19 @@
 //! incumbent's `(makespan, g)`, so most runs are dismissed after pricing a
 //! prefix of the layer, and the winner is exactly the plain ascending
 //! sweep's: the smallest makespan, then the smallest `g`.
+//!
+//! The bound order, the LPT candidates and the final assignment price
+//! through the schedule's [`CostTable`], which memoises every `(task,
+//! width)` they touch.  The run refinements do not: the layer's tasks are
+//! compiled once, in the bound order, into [`SymbolicCosts`], and each
+//! refinement prices its chunk at `b` and `b + 1` from them.  A compiled
+//! price costs about what a warm table hit does, and it spares the table a
+//! column for every width the refinements reach (the `bound_prices`
+//! argument of the `g_sweep` span counts them).
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
-use pt_cost::{CostModel, CostTable};
+use pt_cost::{CostModel, CostTable, SymbolicCosts};
 use pt_mtask::{layer::layers, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
@@ -291,13 +300,13 @@ impl<'a> LayerScheduler<'a> {
         let rec = self.recorder.as_deref();
 
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
-        let (best_g, lpt_runs) = match self.fixed_groups {
-            Some(g) => (g.clamp(1, max_g), 0),
+        let (best_g, lpt_runs, bound_prices) = match self.fixed_groups {
+            Some(g) => (g.clamp(1, max_g), 0, 0),
             // A lone candidate wins without a search.
-            None if max_g == 1 => (1, 0),
+            None if max_g == 1 => (1, 0, 0),
             None => {
                 let won = self.sweep(table, tasks, total, max_g, scratch);
-                (won.g, won.lpt_runs)
+                (won.g, won.lpt_runs, won.bound_prices)
             }
         };
         if let Some(r) = rec {
@@ -310,6 +319,7 @@ impl<'a> LayerScheduler<'a> {
                 vec![
                     ("candidates", max_g.into()),
                     ("lpt_runs", lpt_runs.into()),
+                    ("bound_prices", bound_prices.into()),
                     ("best_g", best_g.into()),
                 ],
             );
@@ -464,6 +474,7 @@ impl<'a> LayerScheduler<'a> {
                     };
                     Sweep {
                         lpt_runs: a.lpt_runs + b.lpt_runs,
+                        bound_prices: a.bound_prices + b.bound_prices,
                         ..won
                     }
                 })
@@ -624,12 +635,14 @@ fn het_assign(
 }
 
 /// The winner of a g-sweep — the smallest float LPT makespan, then the
-/// smallest `g` — and the LPT runs the sweep spent finding it.
+/// smallest `g` — and the LPT runs and the task prices of run refinements
+/// the sweep spent finding it.
 #[derive(Debug, Clone, Copy)]
 struct Sweep {
     makespan: f64,
     g: usize,
     lpt_runs: usize,
+    bound_prices: usize,
 }
 
 /// The sweep's order on `(makespan, g)`: the winner is the minimum.
@@ -689,25 +702,20 @@ impl<'c> Run<'c> {
         }
     }
 
-    /// Price the next chunk of `ordered`, doubling the prefix.
-    fn refine(
-        &mut self,
-        table: &CostTable<'_>,
-        ordered: &[(TaskId, &MTask)],
-        lo: &mut Vec<f64>,
-        hi: &mut Vec<f64>,
-    ) {
-        let end = (2 * self.prefix).max(FIRST_PREFIX).min(ordered.len());
-        let chunk = &ordered[self.prefix..end];
-        table.symbolic_into(chunk, self.b, lo);
+    /// Price the next chunk of the bound order, compiled as `ordered`,
+    /// doubling the prefix; returns the task prices computed.
+    fn refine(&mut self, ordered: &SymbolicCosts, lo: &mut Vec<f64>, hi: &mut Vec<f64>) -> usize {
+        let chunk = self.prefix..(2 * self.prefix).max(FIRST_PREFIX).min(ordered.len());
+        ordered.price_into(chunk.clone(), self.b, lo);
         if self.wide {
-            table.symbolic_into(chunk, self.b + 1, hi);
+            ordered.price_into(chunk.clone(), self.b + 1, hi);
         }
         for (i, &t) in lo.iter().enumerate() {
             self.narrow.add(t);
             self.either.add(if self.wide { t.min(hi[i]) } else { t });
         }
-        self.prefix = end;
+        self.prefix = chunk.end;
+        chunk.len() * if self.wide { 2 } else { 1 }
     }
 
     /// The bound of every candidate over the priced prefix.
@@ -756,7 +764,7 @@ fn best_first(
         .collect();
     let (mut lo, mut hi) = (Vec::new(), Vec::new());
     let mut best: Option<(f64, usize)> = None;
-    let mut lpt_runs = 0;
+    let (mut lpt_runs, mut bound_prices) = (0, 0);
     while let Some(Reverse((TotalF64(bound), g, node))) = heap.pop() {
         if best.is_some_and(|b| key_cmp((bound, g), b).is_gt()) {
             break;
@@ -764,7 +772,7 @@ fn best_first(
         match node {
             Some(i) => {
                 let run = &mut runs[i];
-                run.refine(table, &ordered, &mut lo, &mut hi);
+                bound_prices += run.refine(&ordered, &mut lo, &mut hi);
                 if run.prefix < n {
                     heap.push(Reverse((TotalF64(run.bound(slack)), g, Some(i))));
                 } else {
@@ -788,6 +796,7 @@ fn best_first(
         makespan,
         g,
         lpt_runs,
+        bound_prices,
     }
 }
 
@@ -797,13 +806,14 @@ fn rounding_slack(n: usize) -> f64 {
     1.0 - 4.0 * n as f64 * f64::EPSILON
 }
 
-/// `tasks` by decreasing time at `width`, index breaking ties.
-fn bound_order<'t>(
+/// The symbolic costs of `tasks` compiled in the bound order: decreasing
+/// time at `width`, index breaking ties.
+fn bound_order(
     table: &CostTable<'_>,
-    tasks: &[(TaskId, &'t MTask)],
+    tasks: &[(TaskId, &MTask)],
     width: usize,
     scratch: &mut LptScratch,
-) -> Vec<(TaskId, &'t MTask)> {
+) -> SymbolicCosts {
     let times = scratch.lo.fill(table, tasks, width);
     let mut order: Vec<(TotalF64, u32)> = times
         .iter()
@@ -811,7 +821,10 @@ fn bound_order<'t>(
         .map(|(i, &t)| (TotalF64(t), i as u32))
         .collect();
     order.sort_unstable_by(lpt_cmp);
-    order.iter().map(|&(_, i)| tasks[i as usize]).collect()
+    SymbolicCosts::new(
+        table.model(),
+        order.iter().map(|&(_, i)| tasks[i as usize].1),
+    )
 }
 
 /// The modified greedy assignment (Algorithm 1 line 10): the `total` cores
@@ -1212,7 +1225,7 @@ mod tests {
             let floor = lpt.iter().copied().fold(f64::INFINITY, f64::min);
             let mut run = Run::new(gs, total);
             while run.prefix < list.len() {
-                run.refine(&table, &ordered, &mut lo, &mut hi);
+                run.refine(&ordered, &mut lo, &mut hi);
                 let bound = run.bound(slack);
                 proptest::prop_assert!(
                     bound <= floor,

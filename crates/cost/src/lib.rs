@@ -40,7 +40,7 @@ mod oracle;
 pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedClasses};
 pub use context::CommContext;
 pub use redist::Overlap;
-pub use symbolic::task_time_optimistic;
+pub use symbolic::{task_time_optimistic, SymbolicCosts};
 pub use table::{CostTable, TableStore};
 
 #[cfg(test)]

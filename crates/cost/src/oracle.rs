@@ -2,6 +2,8 @@
 //! `ClusterSpec::level`/`label`, a step's time taken as the maximum over
 //! its pairs, and every redistribution deciding residency by comparing
 //! core lists — no group labels, step fold or caller-supplied overlap.
+//! The symbolic cost is here too, as one expression per operation
+//! evaluated afresh at every width, without the compiled form.
 //!
 //! Compiled for tests only, as the bit-equality oracle of the production
 //! pricing.  pt-sim's simulator tests include this file too, so it names
@@ -9,7 +11,7 @@
 
 use pt_cost::collectives::DEFAULT_SAG_BCAST_THRESHOLD;
 use pt_cost::{CommContext, CostModel};
-use pt_machine::{ClusterSpec, CommLevel, CoreId};
+use pt_machine::{ClusterSpec, CommLevel, CoreId, LinkParams};
 use pt_mtask::dist::redistribution_volumes;
 use pt_mtask::{CollectiveKind, CommOp, Distribution, EdgeData, MTask, RedistPattern};
 
@@ -333,4 +335,55 @@ pub fn orthogonal_exchange<G: AsRef<[CoreId]>>(
     sets.iter()
         .map(|s| allgather(m, &ctx, s, total_bytes))
         .fold(0.0, f64::max)
+}
+
+/// `Tsymb(task, q)`: compute share plus every operation's symbolic time,
+/// summed in order.  pt-sim's tests include this file and price no
+/// symbolic cost.
+#[allow(dead_code)]
+pub fn task_time_symbolic(m: &CostModel, task: &MTask, q: usize) -> f64 {
+    let q = match task.max_cores {
+        Some(cap) => q.min(cap),
+        None => q,
+    };
+    if q == 0 {
+        return f64::INFINITY;
+    }
+    // The model's symbolic link, derived afresh: the slowest level under
+    // worst-case NIC sharing.
+    let mut link = m.spec.slowest_link();
+    link.bytes_per_s = link
+        .bytes_per_s
+        .min(m.spec.nic_bytes_per_s / m.spec.cores_per_node() as f64);
+    let compute = m.spec.compute_time(task.work) / q as f64;
+    let comm: f64 = task
+        .comm
+        .iter()
+        .map(|op| symbolic_comm_op(op, q, link, m.ring_threshold))
+        .sum();
+    compute + comm
+}
+
+/// Symbolic time of one collective on `q` uniform cores.
+fn symbolic_comm_op(op: &CommOp, q: usize, link: LinkParams, ring_threshold: f64) -> f64 {
+    if q <= 1 {
+        return 0.0;
+    }
+    let qf = q as f64;
+    let rounds = (qf).log2().ceil();
+    let once = match op.kind {
+        CollectiveKind::Broadcast => rounds * link.transfer_time(op.bytes),
+        CollectiveKind::Allgather => {
+            let block = op.bytes / qf;
+            if block >= ring_threshold && q > 2 {
+                (qf - 1.0) * link.transfer_time(block)
+            } else {
+                rounds * link.latency_s + (op.bytes - block) / link.bytes_per_s
+            }
+        }
+        CollectiveKind::Allreduce => rounds * link.transfer_time(op.bytes),
+        CollectiveKind::Barrier => rounds * link.transfer_time(8.0),
+        CollectiveKind::NeighborExchange => 2.0 * link.transfer_time(op.bytes),
+    };
+    once * op.count
 }

@@ -6,10 +6,22 @@
 //! communication operation at the machine's **slowest** interconnect level,
 //! so `Tsymb(M, p)` is an upper bound of the real execution time for any
 //! mapping.  The separate mapping step then recovers the difference.
+//!
+//! `Tsymb` is evaluated from a compiled form of the task: its compute time,
+//! its core cap, the fold of its leading neighbour exchanges (whose time is
+//! the same at every width q ≥ 2) and, for each later operation, what the
+//! operation needs at any width — its transfer time, or the total bytes of
+//! an allgather.  Pricing a width then costs one division plus the
+//! width-dependent operations, and the width's `⌈log₂ q⌉` is computed once,
+//! and only when some operation asks for it.  [`SymbolicCosts`] keeps a task
+//! list in that form and prices any slice of it at one width in one flat
+//! loop; [`CostModel::task_time_symbolic`] compiles its one task on the fly
+//! and evaluates the same code, so every caller prices with one formula.
 
 use crate::collectives::CostModel;
 use pt_machine::LinkParams;
 use pt_mtask::{CollectiveKind, CommOp, MTask};
+use std::ops::Range;
 
 impl CostModel<'_> {
     /// Upper-bound execution time of `task` on `q` symbolic cores (uniform
@@ -17,22 +29,10 @@ impl CostModel<'_> {
     /// mapping pattern `dmp`).
     pub fn task_time_symbolic(&self, task: &MTask, q: usize) -> f64 {
         debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
-        let q = match task.max_cores {
-            Some(cap) => q.min(cap),
-            None => q,
-        };
-        if q == 0 {
-            // A zero-core assignment can never execute; pricing it as free
-            // would let degenerate group sizes win any width sweep.
-            return f64::INFINITY;
-        }
-        let compute = self.spec.compute_time(task.work) / q as f64;
-        let comm: f64 = task
-            .comm
-            .iter()
-            .map(|op| symbolic_comm_op(op, q, self.symbolic_link, self.ring_threshold))
-            .sum();
-        compute + comm
+        let (cost, rest) = TaskCost::split(self, task);
+        let ops = rest.iter().map(|op| OpCost::new(self.symbolic_link, op));
+        let mut width = Width::new(q.min(cost.cap), self.symbolic_link, self.ring_threshold);
+        cost.at(&mut width, ops)
     }
 
     /// Placement-aware symbolic cost:
@@ -128,37 +128,344 @@ pub fn task_time_optimistic(model: &CostModel<'_>, task: &MTask, q: usize) -> f6
     compute + comm
 }
 
-/// Symbolic time of one collective on `q` uniform cores.
-pub fn symbolic_comm_op(op: &CommOp, q: usize, link: LinkParams, ring_threshold: f64) -> f64 {
-    if q <= 1 {
-        return 0.0;
+/// The symbolic costs of a task list, compiled once (see the module
+/// docs).  [`price_into`](Self::price_into) prices any slice of the list at
+/// one width, each value bit for bit [`CostModel::task_time_symbolic`] of
+/// its task.
+#[derive(Debug, Clone)]
+pub struct SymbolicCosts {
+    link: LinkParams,
+    ring_threshold: f64,
+    tasks: Vec<TaskCost>,
+    /// The operations after each task's leading neighbour exchanges, task
+    /// after task.
+    ops: Vec<OpCost>,
+}
+
+impl SymbolicCosts {
+    /// Compile `tasks`, in order, for `model`.
+    pub fn new<'t>(model: &CostModel<'_>, tasks: impl IntoIterator<Item = &'t MTask>) -> Self {
+        let mut ops = Vec::new();
+        let tasks = tasks
+            .into_iter()
+            .map(|task| {
+                let (mut cost, rest) = TaskCost::split(model, task);
+                let start = ops.len();
+                ops.extend(rest.iter().map(|op| OpCost::new(model.symbolic_link, op)));
+                cost.rest = start..ops.len();
+                cost
+            })
+            .collect();
+        SymbolicCosts {
+            link: model.symbolic_link,
+            ring_threshold: model.ring_threshold,
+            tasks,
+            ops,
+        }
     }
-    let qf = q as f64;
-    let rounds = (qf).log2().ceil();
-    let once = match op.kind {
-        CollectiveKind::Broadcast => rounds * link.transfer_time(op.bytes),
-        CollectiveKind::Allgather => {
-            let block = op.bytes / qf;
-            if block >= ring_threshold && q > 2 {
-                (qf - 1.0) * link.transfer_time(block)
+
+    /// Number of tasks compiled.
+    pub fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// `true` iff no task was compiled.
+    pub fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// [`CostModel::task_time_symbolic`] at width `q` of every task in
+    /// `range`, written to `out` in order.  A capped task is priced at its
+    /// own capped width; the others share `q`'s quantities.
+    pub fn price_into(&self, range: Range<usize>, q: usize, out: &mut Vec<f64>) {
+        debug_assert!(q >= 1, "zero-core width priced");
+        let mut shared = Width::new(q, self.link, self.ring_threshold);
+        out.clear();
+        out.extend(self.tasks[range].iter().map(|cost| {
+            let rest = self.ops[cost.rest.clone()].iter().copied();
+            if cost.cap < q {
+                let mut own = Width::new(cost.cap, self.link, self.ring_threshold);
+                cost.at(&mut own, rest)
             } else {
-                // Recursive doubling: message doubles per round; total data
-                // moved per core ≈ bytes·(q−1)/q, latency ≈ rounds.
-                rounds * link.latency_s + (op.bytes - block) / link.bytes_per_s
+                cost.at(&mut shared, rest)
+            }
+        }));
+    }
+}
+
+/// One task's symbolic cost, split into the parts no width changes.
+#[derive(Debug, Clone)]
+struct TaskCost {
+    /// `spec.compute_time(work)`.
+    compute: f64,
+    /// `max_cores`, `usize::MAX` when uncapped.
+    cap: usize,
+    /// The leading neighbour exchanges' times, summed: the start of the sum
+    /// over all operations, to which `at` adds the later ones in order.
+    fixed: f64,
+    /// The communication share on one core, where every operation is free:
+    /// the sum of one `0.0` per operation.
+    one_core: f64,
+    /// The task's later operations in its owner's operation list (empty
+    /// for a task compiled on the fly).
+    rest: Range<usize>,
+}
+
+impl TaskCost {
+    /// `task`'s width-independent parts, and the operations after its
+    /// leading neighbour exchanges.
+    fn split<'t>(model: &CostModel<'_>, task: &'t MTask) -> (TaskCost, &'t [CommOp]) {
+        let lead = task
+            .comm
+            .iter()
+            .take_while(|op| op.kind == CollectiveKind::NeighborExchange)
+            .count();
+        let cost = TaskCost {
+            compute: model.spec.compute_time(task.work),
+            cap: task.max_cores.unwrap_or(usize::MAX),
+            fixed: task.comm[..lead]
+                .iter()
+                .map(|op| exchange_time(model.symbolic_link, op))
+                .sum(),
+            one_core: task.comm.iter().map(|_| 0.0).sum(),
+            rest: 0..0,
+        };
+        (cost, &task.comm[lead..])
+    }
+
+    /// The task's time at `width` (already capped), its later operations
+    /// compiled as `rest`.
+    #[inline]
+    fn at(&self, width: &mut Width, rest: impl Iterator<Item = OpCost>) -> f64 {
+        if width.q == 0 {
+            // A zero-core assignment can never execute; pricing it as free
+            // would let degenerate group sizes win any width sweep.
+            return f64::INFINITY;
+        }
+        let compute = self.compute / width.qf;
+        let comm = if width.q == 1 {
+            self.one_core
+        } else {
+            rest.fold(self.fixed, |sum, op| sum + op.at(width))
+        };
+        compute + comm
+    }
+}
+
+/// One operation after a task's leading neighbour exchanges, with what its
+/// time at any width needs precomputed.
+#[derive(Debug, Clone, Copy)]
+enum OpCost {
+    /// A neighbour exchange: its time, the same at every q ≥ 2.
+    Fixed(f64),
+    /// Broadcast, allreduce or barrier: one round's transfer time, paid
+    /// `⌈log₂ q⌉` times.
+    Rounds { transfer: f64, count: f64 },
+    /// Allgather of `bytes` in total.
+    Allgather { bytes: f64, count: f64 },
+}
+
+impl OpCost {
+    fn new(link: LinkParams, op: &CommOp) -> Self {
+        let count = op.count;
+        match op.kind {
+            CollectiveKind::NeighborExchange => OpCost::Fixed(exchange_time(link, op)),
+            CollectiveKind::Broadcast | CollectiveKind::Allreduce => OpCost::Rounds {
+                transfer: link.transfer_time(op.bytes),
+                count,
+            },
+            CollectiveKind::Barrier => OpCost::Rounds {
+                transfer: link.transfer_time(8.0),
+                count,
+            },
+            CollectiveKind::Allgather => OpCost::Allgather {
+                bytes: op.bytes,
+                count,
+            },
+        }
+    }
+
+    /// The operation's time at `width` (q ≥ 2).
+    #[inline]
+    fn at(self, width: &mut Width) -> f64 {
+        match self {
+            OpCost::Fixed(time) => time,
+            OpCost::Rounds { transfer, count } => width.rounds() * transfer * count,
+            OpCost::Allgather { bytes, count } => {
+                let link = width.link;
+                let block = bytes / width.qf;
+                let once = if block >= width.ring_threshold && width.q > 2 {
+                    (width.qf - 1.0) * link.transfer_time(block)
+                } else {
+                    // Recursive doubling: message doubles per round; total
+                    // data moved per core ≈ bytes·(q−1)/q, latency ≈ rounds.
+                    width.rounds() * link.latency_s + (bytes - block) / link.bytes_per_s
+                };
+                once * count
             }
         }
-        CollectiveKind::Allreduce => rounds * link.transfer_time(op.bytes),
-        CollectiveKind::Barrier => rounds * link.transfer_time(8.0),
-        CollectiveKind::NeighborExchange => 2.0 * link.transfer_time(op.bytes),
-    };
-    once * op.count
+    }
+}
+
+/// A neighbour exchange's time at any width q ≥ 2: two transfers per
+/// count.
+fn exchange_time(link: LinkParams, op: &CommOp) -> f64 {
+    2.0 * link.transfer_time(op.bytes) * op.count
+}
+
+/// One width's shared quantities: `q`, `q as f64` and, on first use,
+/// `⌈log₂ q⌉`, with the model's symbolic link and ring threshold.
+struct Width {
+    q: usize,
+    qf: f64,
+    rounds: Option<f64>,
+    link: LinkParams,
+    ring_threshold: f64,
+}
+
+impl Width {
+    fn new(q: usize, link: LinkParams, ring_threshold: f64) -> Self {
+        Width {
+            q,
+            qf: q as f64,
+            rounds: None,
+            link,
+            ring_threshold,
+        }
+    }
+
+    fn rounds(&mut self) -> f64 {
+        let qf = self.qf;
+        *self.rounds.get_or_insert_with(|| qf.log2().ceil())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommContext;
+    use crate::{oracle, CommContext};
+    use proptest::prelude::*;
     use pt_machine::{platforms, CoreId};
+
+    /// The oracle's `Tsymb` priced for speed class `class`, as
+    /// `task_time_symbolic_class` scales it.
+    fn oracle_class(m: &CostModel, task: &MTask, q: usize, class: usize) -> f64 {
+        let speed = m.classes().speed(class);
+        let t = oracle::task_time_symbolic(m, task, q);
+        if speed == 1.0 || !t.is_finite() {
+            return t;
+        }
+        let q_eff = task.max_cores.map_or(q, |cap| q.min(cap));
+        t + m.spec.compute_time(task.work) / q_eff as f64 * (1.0 / speed - 1.0)
+    }
+
+    /// A drawn operation: kind, byte size (a switch point or `10^x`) and
+    /// count.
+    type DrawnOp = (u32, (u32, f64), f64);
+
+    /// A drawn task priced at width `q`: work (zero or over seven
+    /// decades), a cap below, at or above `q` (or none), and 0–3
+    /// operations of any kind, neighbour exchanges half the time (so runs
+    /// of them lead, follow and repeat), whose bytes sit at, just below or
+    /// far from the allgather ring switch at `q` and at 2 cores, with
+    /// counts of 1 and not.
+    fn drawn_task(q: usize, work: f64, cap: u32, ops: &[DrawnOp], ring: f64) -> MTask {
+        let comm = ops
+            .iter()
+            .map(|&(kind, (size, log_bytes), count)| {
+                let kind = match kind {
+                    0..=4 => CollectiveKind::NeighborExchange,
+                    5 => CollectiveKind::Broadcast,
+                    6 => CollectiveKind::Allgather,
+                    7 => CollectiveKind::Allreduce,
+                    _ => CollectiveKind::Barrier,
+                };
+                let bytes = match size {
+                    0 => ring * q as f64,
+                    1 => ring * q as f64 * (1.0 - 1e-9),
+                    2 => ring * 2.0,
+                    3 => ring * 2.0 * (1.0 - 1e-9),
+                    _ => 10f64.powf(log_bytes),
+                };
+                let count = if count < 1.0 { 1.0 } else { count };
+                CommOp::new(kind, bytes, count)
+            })
+            .collect();
+        let work = if work < 1.0 { 0.0 } else { 10f64.powf(work) };
+        let task = MTask::with_comm("t", work, comm);
+        match cap {
+            0 => task,
+            1 => task.max_cores(q / 2),
+            2 => task.max_cores(q.saturating_sub(1)),
+            3 => task.max_cores(q),
+            _ => task.max_cores(q + 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Compiled costs against the oracle's per-operation expression,
+        /// bit for bit: each task alone, whole and partial slices at the
+        /// drawn width and the next one, and every speed class of a
+        /// machine with a slow tier through `task_time_symbolic_class`.
+        #[test]
+        fn compiled_costs_price_like_the_oracle(
+            machine in 0usize..3,
+            width in (0usize..6, 1usize..(1 << 17) + 1),
+            drawn in prop::collection::vec(
+                (0.0f64..8.0, 0u32..5, prop::collection::vec((0u32..9, (0u32..6, 0.0f64..8.0), 0.0f64..3.0), 0..4)),
+                1..8,
+            ),
+            slice in (0usize..8, 0usize..8),
+        ) {
+            let spec = [platforms::chic(), platforms::juropa(), platforms::altix()][machine].with_nodes(8);
+            let m = CostModel::new(&spec);
+            let q = match width.0 {
+                0 => 1,
+                1 => 2,
+                2 => 3,
+                3 => 1 << 17,
+                _ => width.1,
+            };
+            let tasks: Vec<MTask> = drawn
+                .iter()
+                .map(|(work, cap, ops)| drawn_task(q, *work, *cap, ops, m.ring_threshold))
+                .collect();
+            let costs = SymbolicCosts::new(&m, &tasks);
+            prop_assert_eq!(costs.len(), tasks.len());
+            let mut out = Vec::new();
+            for q in [q, q + 1] {
+                let want: Vec<u64> = tasks
+                    .iter()
+                    .map(|t| oracle::task_time_symbolic(&m, t, q).to_bits())
+                    .collect();
+                let alone: Vec<u64> = tasks.iter().map(|t| m.task_time_symbolic(t, q).to_bits()).collect();
+                prop_assert_eq!(&alone, &want, "q = {}: {:?}", q, tasks);
+                costs.price_into(0..tasks.len(), q, &mut out);
+                let sliced: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
+                prop_assert_eq!(&sliced, &want, "q = {}: {:?}", q, tasks);
+                let lo = slice.0.min(tasks.len());
+                let hi = slice.1.clamp(lo, tasks.len());
+                costs.price_into(lo..hi, q, &mut out);
+                let part: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
+                prop_assert_eq!(&part[..], &want[lo..hi], "q = {}, {}..{}", q, lo, hi);
+            }
+
+            let slow_spec = spec.with_slow_nodes(2, 0.5);
+            let slow = CostModel::new(&slow_spec);
+            prop_assert_eq!(slow.num_classes(), 2);
+            for task in &tasks {
+                for class in 0..slow.num_classes() {
+                    prop_assert_eq!(
+                        slow.task_time_symbolic_class(task, q, class).to_bits(),
+                        oracle_class(&slow, task, q, class).to_bits(),
+                        "class {}, q = {}: {:?}", class, q, task
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn symbolic_is_upper_bound_of_any_mapping() {

@@ -1,28 +1,32 @@
 //! Per-schedule memoization of the width-dependent cost functions.
 //!
 //! The scheduling algorithms price the same `(task, width)` pair many
-//! times: the layer scheduler's g-sweep re-prices every task of a layer at
-//! every candidate group size, CPA's allocation loop re-prices the whole
-//! graph once per granted core, and CPR re-runs a full list schedule per
-//! round.  Both cost functions ([`CostModel::task_time_symbolic`] and
+//! times: the layer scheduler orders each layer at one width and re-prices
+//! it at the two widths of every LPT candidate it runs and of the final
+//! assignment, over every layer of the graph; CPA's allocation loop
+//! re-prices the whole graph once per granted core, and CPR re-runs a full
+//! list schedule per round.  Both cost functions
+//! ([`CostModel::task_time_symbolic`] and
 //! [`task_time_optimistic`](crate::task_time_optimistic)) are pure in
 //! `(task, q)` for a fixed model, so a [`CostTable`] caches them in a dense
 //! `task × width` table and each pair is computed at most once per
-//! schedule.
+//! schedule.  (The g-sweep's bound refinements price from
+//! [`SymbolicCosts`](crate::SymbolicCosts) instead: they reach many widths
+//! once each, where a memo cell costs more than it saves.)
 //!
 //! Widths above a task's `max_cores` cap collapse onto the capped width, so
 //! all of them share one entry.  The table is stored *width-major*: one
 //! column of `tasks` cells per core count, allocated lazily on first touch.
-//! That matches the access pattern — a g-sweep over `P` cores prices every
-//! task at only the `⌊P/g⌋`/`⌈P/g⌉` widths (O(√P) distinct values), so a
-//! task-major layout would allocate and sentinel-fill `P + 1` cells per
-//! task to use a handful of them.  Cells are atomics, so one table can be
-//! shared by the scheduler's parallel g-sweep workers without locking: a
-//! racing duplicate computation stores the same deterministic value.
+//! That matches the access pattern — an equal partition of `P` cores into
+//! `g` groups has only the `⌊P/g⌋`/`⌈P/g⌉` widths (O(√P) distinct values
+//! over all `g`), so a task-major layout would allocate and sentinel-fill
+//! `P + 1` cells per task to use a handful of them.  Cells are atomics, so
+//! one table can be shared by the scheduler's parallel g-sweep workers
+//! without locking: a racing duplicate computation stores the same
+//! deterministic value.
 
 use crate::collectives::CostModel;
 use pt_mtask::{MTask, TaskId};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Bit pattern marking an empty cell.  `f64::to_bits` of any value the cost
@@ -165,8 +169,7 @@ impl ColumnSet {
     }
 
     /// The column for width `q`, or `None` when `q` is out of range.
-    /// Installs the column on first touch: a spare one of this thread,
-    /// refilled with `UNSET`, or a new allocation.
+    /// Installs the column on first touch.
     fn column(&self, q: usize) -> Option<&[AtomicU64]> {
         let slot = self.slots.get(q)?;
         let p = slot.load(Ordering::Acquire);
@@ -175,15 +178,7 @@ impl ColumnSet {
             // `Box<[AtomicU64]>` of length `self.tasks`, freed only in Drop.
             return Some(unsafe { std::slice::from_raw_parts(p, self.tasks) });
         }
-        let col = match take_spare(self.tasks) {
-            Some(mut col) => {
-                for cell in col.iter_mut() {
-                    *cell.get_mut() = UNSET;
-                }
-                col
-            }
-            None => (0..self.tasks).map(|_| AtomicU64::new(UNSET)).collect(),
-        };
+        let col: Box<[AtomicU64]> = (0..self.tasks).map(|_| AtomicU64::new(UNSET)).collect();
         let raw = Box::into_raw(col) as *mut AtomicU64;
         match slot.compare_exchange(
             std::ptr::null_mut(),
@@ -204,58 +199,16 @@ impl ColumnSet {
 }
 
 impl Drop for ColumnSet {
-    /// Hands the columns to this thread's spare list, replacing what it
-    /// held, or frees them when the list is unavailable (thread teardown).
-    /// A table that installed no column leaves the list as it is.
     fn drop(&mut self) {
-        let tasks = self.tasks;
-        let mut columns = self
-            .slots
-            .iter_mut()
-            .filter_map(|slot| {
-                let p = *slot.get_mut();
+        for slot in &mut self.slots {
+            let p = *slot.get_mut();
+            if !p.is_null() {
                 // SAFETY: installed pointers own a `tasks`-length boxed
-                // slice; Drop has exclusive access and visits each once.
-                (!p.is_null())
-                    .then(|| unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, tasks)) })
-            })
-            .peekable();
-        if columns.peek().is_some() {
-            let _ = SPARE_COLUMNS.try_with(|spare| {
-                if let Ok(mut spare) = spare.try_borrow_mut() {
-                    spare.clear();
-                    spare.extend(&mut columns);
-                }
-            });
-        }
-        // Whatever the list did not take is freed here.
-        columns.for_each(drop);
-    }
-}
-
-thread_local! {
-    /// The columns of the last table dropped on this thread, all of one
-    /// length, for the next table to refill instead of allocating.  A cold
-    /// schedule of BT-MZ class D at P = 16384 fills 348 columns of 2 050
-    /// cells; freed, glibc may hand their pages back to the kernel, and
-    /// the next request faults them in again: on a 2-vCPU host, perfbench
-    /// `plan_btmz` processes in that mode read about 1 000–2 000 minor
-    /// faults per request, and under 100 with the pages kept.
-    static SPARE_COLUMNS: RefCell<Vec<Box<[AtomicU64]>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A spare column of `tasks` cells from this thread's list, if it has one.
-fn take_spare(tasks: usize) -> Option<Box<[AtomicU64]>> {
-    SPARE_COLUMNS
-        .try_with(|spare| {
-            let mut spare = spare.try_borrow_mut().ok()?;
-            if spare.last()?.len() != tasks {
-                return None;
+                // slice; Drop has exclusive access.
+                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, self.tasks)) });
             }
-            spare.pop()
-        })
-        .ok()
-        .flatten()
+        }
+    }
 }
 
 impl std::fmt::Debug for ColumnSet {
@@ -609,40 +562,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_table_on_spare_columns_prices_like_a_fresh_one() {
-        // The test's thread starts with no spare columns, so the first
-        // table prices on fresh ones; dropped, it leaves them, full of its
-        // values, on the spare list.  Each later table of the same length
-        // refills them and must return the same values and evaluation
-        // count; a table that touched no column leaves the list alone, and
-        // one of another length allocates its own.
-        let spec = platforms::chic().with_nodes(8);
-        let model = CostModel::new(&spec);
-        let ts = tasks();
-        let sweep = |table: &CostTable| -> (Vec<u64>, usize) {
-            let mut bits = Vec::new();
-            for (i, t) in ts.iter().enumerate() {
-                for q in [1usize, 3, 4, 9, 32] {
-                    bits.push(table.symbolic(TaskId(i), t, q).to_bits());
-                    bits.push(table.optimistic(TaskId(i), t, q).to_bits());
-                }
-            }
-            (bits, table.evaluations())
-        };
-        let fresh = sweep(&CostTable::new(&model, ts.len()));
-        drop(CostTable::with_width(&model, ts.len() + 1, 40));
-        for _ in 0..3 {
-            assert_eq!(sweep(&CostTable::new(&model, ts.len())), fresh);
-        }
-        let other = CostTable::new(&model, ts.len() + 1);
-        assert_eq!(
-            other.symbolic(TaskId(2), &ts[0], 5),
-            model.task_time_symbolic(&ts[0], 5)
-        );
-        assert_eq!(other.evaluations(), 1);
     }
 
     #[test]

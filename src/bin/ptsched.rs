@@ -11,6 +11,11 @@
 //!               [--cache-capacity N]
 //! ```
 //!
+//! `--steps S` unrolls S time steps, at most `MAX_STEPS` (1000): every
+//! step adds a layer to the graph the request schedules and simulates, and
+//! a one-shot BT-MZ B plan on 256 JuRoPA cores already takes about 9 s at
+//! 4 000 steps, so a larger request is refused up front.
+//!
 //! `--slow-nodes N` degrades the *last* N nodes of the machine to
 //! `--slow-factor` × nominal speed (default 0.5), turning on the layer
 //! scheduler's heterogeneity-aware path.  `--trace PATH` writes a
@@ -98,6 +103,10 @@ impl Default for Options {
 
 const WORKLOADS: &[&str] = &["epol", "irk", "diirk", "pab", "pabm", "sp-mz", "bt-mz"];
 
+/// The most time steps one request may unroll: planning cost grows with
+/// the steps, and a request must not hold a worker for minutes.
+const MAX_STEPS: usize = 1000;
+
 fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String> {
     let mut o = Options::default();
     while let Some(a) = args.next() {
@@ -142,7 +151,7 @@ fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String>
                     "usage: ptsched [--workload epol|irk|diirk|pab|pabm|sp-mz|bt-mz] \
                      [--platform chic|altix|juropa] [--cores N] \
                      [--mapping consecutive|scattered|mixed2|mixed4] \
-                     [--groups G] [--steps S] [--gantt] \
+                     [--groups G] [--steps S (1..=1000)] [--gantt] \
                      [--slow-nodes N] [--slow-factor F] [--trace PATH]\n\
                      \x20      ptsched serve [--listen HOST:PORT] [--workers N] \
                      [--sweep-workers N] [--cache-capacity N]"
@@ -187,6 +196,12 @@ fn validate_options(o: &Options) -> Result<(), String> {
     }
     if o.steps == 0 {
         return Err("--steps must be at least 1".into());
+    }
+    if o.steps > MAX_STEPS {
+        return Err(format!(
+            "--steps {} exceeds the limit of {MAX_STEPS} steps per request",
+            o.steps
+        ));
     }
     // The slow tail is bounded by the sub-machine actually used.
     if o.slow_nodes > nodes {

@@ -27,6 +27,7 @@ fn bad_arguments_exit_2_with_a_message_not_a_panic() {
         &["--cores", "abc"],          // malformed number
         &["--groups", "0"],           // zero groups
         &["--steps", "0"],            // empty step graph
+        &["--steps", "100000000"],    // more steps than a request may unroll
         &["--steps"],                 // missing value
         &["--workload", "nope"],      // unknown workload
         &["--platform", "nope"],      // unknown platform
@@ -121,11 +122,9 @@ fn serve_answers_json_lines_on_stdin() {
     );
 }
 
-#[test]
-fn serve_answers_deeply_nested_json_with_an_error() {
-    // 50 000 `[` used to overflow the parser's stack and abort the process
-    // (exit 134); now the line gets an error reply and the next request is
-    // served as usual.
+/// The response lines of a one-worker `ptsched serve` fed `requests` on
+/// stdin; the service must exit 0 at EOF.
+fn serve(requests: &[&str]) -> Vec<String> {
     let mut child = Command::new(BIN)
         .args(["serve", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -135,11 +134,28 @@ fn serve_answers_deeply_nested_json_with_an_error() {
         .expect("spawn ptsched serve");
     let mut stdin = child.stdin.take().expect("stdin pipe");
     let stdout = BufReader::new(child.stdout.take().expect("stdout pipe"));
-    writeln!(stdin, "{}", "[".repeat(50_000)).expect("write request");
-    writeln!(stdin, r#"{{"workload":"epol","cores":16,"steps":1}}"#).expect("write request");
+    for r in requests {
+        writeln!(stdin, "{r}").expect("write request");
+    }
     drop(stdin);
+    let lines = stdout.lines().map(|l| l.expect("response line")).collect();
+    let status = child.wait().expect("serve exits");
+    assert!(
+        status.success(),
+        "serve should exit 0 on EOF, got {status:?}"
+    );
+    lines
+}
 
-    let lines: Vec<String> = stdout.lines().map(|l| l.expect("response line")).collect();
+#[test]
+fn serve_answers_deeply_nested_json_with_an_error() {
+    // 50 000 `[` used to overflow the parser's stack and abort the process
+    // (exit 134); now the line gets an error reply and the next request is
+    // served as usual.
+    let lines = serve(&[
+        &"[".repeat(50_000),
+        r#"{"workload":"epol","cores":16,"steps":1}"#,
+    ]);
     assert_eq!(lines.len(), 2, "one response per request: {lines:?}");
     assert!(
         lines[0].contains(r#""ok":false"#) && lines[0].contains("nesting"),
@@ -147,11 +163,23 @@ fn serve_answers_deeply_nested_json_with_an_error() {
         lines[0]
     );
     assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
-    let status = child.wait().expect("serve exits");
+}
+
+#[test]
+fn serve_refuses_too_many_steps_and_serves_the_next_request() {
+    // 100 000 000 steps used to hold the worker without a reply; the
+    // request is now refused before any graph is built.
+    let lines = serve(&[
+        r#"{"workload":"bt-mz","cores":16,"steps":100000000}"#,
+        r#"{"workload":"epol","cores":16,"steps":1}"#,
+    ]);
+    assert_eq!(lines.len(), 2, "one response per request: {lines:?}");
     assert!(
-        status.success(),
-        "serve should exit 0 on EOF, got {status:?}"
+        lines[0].contains(r#""ok":false"#) && lines[0].contains("steps"),
+        "{}",
+        lines[0]
     );
+    assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
 }
 
 #[test]
