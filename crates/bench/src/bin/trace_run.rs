@@ -92,8 +92,8 @@ fn main() {
         trace.name_thread(EXEC_PID, w as u32, format!("worker{w}"));
     }
     trace.name_thread(EXEC_PID, p as u32, "driver");
-    trace.name_process(pt_core::two_level::SCHED_PID, "scheduler");
-    trace.name_thread(pt_core::two_level::SCHED_PID, 0, "phases");
+    trace.name_process(pt_core::SCHED_PID, "scheduler");
+    trace.name_thread(pt_core::SCHED_PID, 0, "phases");
     trace.extend(run.events);
     let trace_json = trace.to_json();
     std::fs::write(repo_path("trace.json"), &trace_json).expect("write trace.json");

@@ -47,10 +47,13 @@
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
 use pt_cost::{CostModel, CostTable, SymbolicCosts};
-use pt_mtask::{layer::layers, MTask, TaskGraph, TaskId};
+use pt_mtask::{layer::layers, ChainGraph, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Chrome-trace process row of the scheduler's phase spans.
+pub const SCHED_PID: u32 = 2;
 
 /// `f64` with the total order of `f64::total_cmp`, usable as a heap key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +120,7 @@ fn lpt_cmp(a: &(TotalF64, u32), b: &(TotalF64, u32)) -> std::cmp::Ordering {
 /// Reusable buffers for one LPT evaluation, so the sweep does not allocate
 /// per candidate group count.  The width-keyed caches are only valid for
 /// one task list; [`reset`](Self::reset) them between layers.
-pub(crate) struct LptScratch {
+struct LptScratch {
     /// Task indices sorted by decreasing time at the sort width, as packed
     /// `(time, index)` keys.
     order: Vec<(TotalF64, u32)>,
@@ -275,6 +278,127 @@ impl<'a> LayerScheduler<'a> {
         out
     }
 
+    /// Schedule a graph onto an explicit number of symbolic cores.
+    pub fn schedule_on(&self, graph: &TaskGraph, total: usize) -> LayeredSchedule {
+        assert!(total >= 1);
+        let cg = self.contracted(graph);
+        // One memo table for the whole graph: tasks re-priced at the same
+        // width across layers (and inside each layer's g-sweep) hit cache.
+        let table = CostTable::with_width(self.model, cg.graph.len(), total);
+        let out = self.schedule_contracted(&cg, &table, total);
+        if let Some(r) = self.recorder.as_deref() {
+            r.add(pt_obs::keys::COST_EVALUATIONS, table.evaluations() as u64);
+        }
+        out
+    }
+
+    /// [`schedule_on`](Self::schedule_on) pricing through a caller-provided
+    /// [`CostTable`] — the replanning path: after a permanent worker loss
+    /// the survivors are rescheduled with the table of the original
+    /// planning run, so every `(task, width)` pair priced before the loss
+    /// is reused.  The table must belong to the same cost model and cover
+    /// the contracted graph's task ids (one built with
+    /// `CostTable::with_width(model, graph.len(), …)` always does; chain
+    /// contraction is deterministic, so contracted ids are stable across
+    /// calls).  The result is identical to what a fresh table produces.
+    pub fn schedule_on_with(
+        &self,
+        table: &CostTable<'_>,
+        graph: &TaskGraph,
+        total: usize,
+    ) -> LayeredSchedule {
+        assert!(total >= 1);
+        let cg = self.contracted(graph);
+        self.schedule_contracted(&cg, table, total)
+    }
+
+    fn contracted(&self, graph: &TaskGraph) -> ChainGraph {
+        let rec = self.recorder.as_deref();
+        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+        let cg = if self.contract_chains {
+            ChainGraph::contract(graph)
+        } else {
+            identity_chain_graph(graph)
+        };
+        if let Some(r) = rec {
+            r.span_args(
+                SCHED_PID,
+                0,
+                "chain_contraction",
+                "sched",
+                t0,
+                vec![
+                    ("tasks", graph.len().into()),
+                    ("contracted", cg.graph.len().into()),
+                ],
+            );
+        }
+        cg
+    }
+
+    fn schedule_contracted(
+        &self,
+        cg: &ChainGraph,
+        table: &CostTable<'_>,
+        total: usize,
+    ) -> LayeredSchedule {
+        let rec = self.recorder.as_deref();
+        let mut out = LayeredSchedule {
+            total_cores: total,
+            layers: Vec::new(),
+        };
+        let mut scratch = LptScratch::default();
+        let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
+        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+        let layer_lists = layers(&cg.graph);
+        if let Some(r) = rec {
+            r.span_args(
+                SCHED_PID,
+                0,
+                "layer_partition",
+                "sched",
+                t0,
+                vec![("layers", layer_lists.len().into())],
+            );
+        }
+        for (li, layer) in layer_lists.into_iter().enumerate() {
+            let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+            tasks.clear();
+            tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
+            let (sizes, assignment) =
+                self.schedule_layer_scratch(table, &tasks, total, &mut scratch);
+            if let Some(r) = rec {
+                let dur_s = (r.now_us() - t0) / 1e6;
+                r.add(pt_obs::keys::SCHED_LAYERS, 1);
+                r.observe(pt_obs::keys::SCHED_LAYER_SECONDS, dur_s);
+                r.span_args(
+                    SCHED_PID,
+                    0,
+                    &format!("layer{li}"),
+                    "sched",
+                    t0,
+                    vec![
+                        ("tasks", tasks.len().into()),
+                        ("groups", sizes.len().into()),
+                    ],
+                );
+            }
+            let assignments = assignment
+                .into_iter()
+                .map(|ts| {
+                    ts.into_iter()
+                        .flat_map(|c| cg.members[c.0].iter().copied())
+                        .collect()
+                })
+                .collect();
+            out.layers.push(LayerSchedule {
+                group_sizes: sizes,
+                assignments,
+            });
+        }
+        out
+    }
+
     /// Schedule one layer of independent tasks, pricing through `table`
     /// (indexed by the same `TaskId`s as `tasks`) and reusing `scratch`
     /// across layers; returns the adjusted group sizes and the per-group
@@ -284,7 +408,7 @@ impl<'a> LayerScheduler<'a> {
     /// across [`sweep_workers`](Self::sweep_workers) threads; the winner's
     /// LPT run is serial.  A fixed group count is clamped to
     /// `min(tasks, total)`.
-    pub(crate) fn schedule_layer_scratch(
+    fn schedule_layer_scratch(
         &self,
         table: &CostTable<'_>,
         tasks: &[(TaskId, &MTask)],
@@ -311,7 +435,7 @@ impl<'a> LayerScheduler<'a> {
         };
         if let Some(r) = rec {
             r.span_args(
-                crate::two_level::SCHED_PID,
+                SCHED_PID,
                 0,
                 "g_sweep",
                 "sched",
@@ -332,7 +456,7 @@ impl<'a> LayerScheduler<'a> {
         assign_lpt(table, tasks, best_g, total, scratch, Some(&mut assignment));
         if let Some(r) = rec {
             r.span_args(
-                crate::two_level::SCHED_PID,
+                SCHED_PID,
                 0,
                 "lpt",
                 "sched",
@@ -383,8 +507,8 @@ impl<'a> LayerScheduler<'a> {
     /// width-keyed symbolic table cannot see — comparing their
     /// (optimistic) predictions against aligned candidates' honest ones
     /// systematically mispicks, so the sweep stays inside the candidate
-    /// family it can rank faithfully.  Sub-node ranges (a narrow
-    /// lower-level group) keep the full unaligned sweep.
+    /// family it can rank faithfully.  Sub-node ranges (a narrow width
+    /// probe) keep the full unaligned sweep.
     fn schedule_layer_het(
         &self,
         table: &CostTable<'_>,
@@ -485,8 +609,8 @@ impl<'a> LayerScheduler<'a> {
 
 /// Per-core speed prefix sums over the symbolic range: `cum[i]` is the
 /// aggregate speed of symbolic cores `0..i`.  Symbolic cores beyond the
-/// machine (a widened lower-level range can ask for them) count as nominal
-/// speed.
+/// machine (a range wider than the machine can ask for them) count as
+/// nominal speed.
 fn speed_prefix(model: &CostModel<'_>, total: usize) -> Vec<f64> {
     let classes = model.classes();
     let physical = model.spec.total_cores();
@@ -947,6 +1071,15 @@ fn assign_lpt(
     acc.iter().copied().fold(0.0, f64::max)
 }
 
+/// A "contraction" that keeps every task separate (the no-contraction
+/// ablation).
+fn identity_chain_graph(graph: &TaskGraph) -> ChainGraph {
+    ChainGraph {
+        graph: graph.clone(),
+        members: graph.task_ids().map(|t| vec![t]).collect(),
+    }
+}
+
 /// The pure data-parallel reference schedule: every task executes on all
 /// cores, one after another (the `dp` program versions of §4.2).
 #[derive(Debug, Clone, Copy)]
@@ -1279,6 +1412,18 @@ mod tests {
             if !g.task(t).is_structural() {
                 assert!(scheduled.contains(&t), "{:?} missing", g.task(t).name);
             }
+        }
+    }
+
+    #[test]
+    fn schedule_on_respects_reduced_core_count() {
+        let spec = platforms::chic().with_nodes(8);
+        let model = CostModel::new(&spec);
+        let g = epol_step_graph(4, 1e9, 8_000.0);
+        let sched = LayerScheduler::new(&model).schedule_on(&g, 12);
+        assert_eq!(sched.total_cores, 12);
+        for layer in &sched.layers {
+            assert_eq!(layer.group_sizes.iter().sum::<usize>(), 12);
         }
     }
 

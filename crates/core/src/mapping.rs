@@ -132,16 +132,6 @@ impl Mapping {
         &self.sequence
     }
 
-    /// The mapping of the symbolic cores `range` alone, renumbered from 0:
-    /// a lower-level schedule that runs on that slice of the upper level's
-    /// cores sees it as its whole machine.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Mapping {
-        Mapping {
-            sequence: self.sequence[range].to_vec(),
-            strategy: self.strategy,
-        }
-    }
-
     /// Map a set of symbolic core indices to physical cores.
     pub fn map(&self, symbolic: &[usize]) -> Vec<CoreId> {
         symbolic.iter().map(|&s| self.sequence[s]).collect()

@@ -667,7 +667,7 @@ pub fn replan(program: &Program, n: usize) -> Program {
         }
         if layer.len() <= n {
             let weights: Vec<f64> = layer.iter().map(|g| g.workers.len() as f64).collect();
-            let sizes = crate::dynamic::proportional_sizes(&weights, n);
+            let sizes = proportional_sizes(&weights, n);
             let mut lo = 0usize;
             *layer = layer
                 .iter()
@@ -685,6 +685,57 @@ pub fn replan(program: &Program, n: usize) -> Program {
         }
     }
     p
+}
+
+/// Sizes proportional to `weights`, summing to `total`.
+///
+/// When `total >= weights.len()` every part gets at least one worker.  With
+/// fewer workers than parts — reachable through shrink-and-continue
+/// re-planning after worker loss — the first `total` parts get one worker
+/// each and the rest get zero, instead of the subtraction underflow this
+/// used to hit.
+fn proportional_sizes(weights: &[f64], total: usize) -> Vec<usize> {
+    let parts = weights.len();
+    if total < parts {
+        // Not enough workers for one per part: no proportionality to
+        // preserve, hand out the workers one per leading part.
+        return (0..parts).map(|p| usize::from(p < total)).collect();
+    }
+    let wsum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
+    let mut sizes = vec![1usize; parts];
+    let mut assigned = parts;
+    if wsum > 0.0 {
+        // Largest-remainder on the remaining workers.
+        let spare = total - parts;
+        let ideal: Vec<f64> = weights
+            .iter()
+            .map(|w| w.max(0.0) / wsum * spare as f64)
+            .collect();
+        let mut rem: Vec<(usize, f64)> = Vec::with_capacity(parts);
+        for (p, id) in ideal.iter().enumerate() {
+            let add = id.floor() as usize;
+            sizes[p] += add;
+            assigned += add;
+            rem.push((p, id - add as f64));
+        }
+        rem.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut i = 0;
+        while assigned < total {
+            sizes[rem[i % parts].0] += 1;
+            assigned += 1;
+            i += 1;
+        }
+    } else {
+        // Equal split.
+        let mut i = 0;
+        while assigned < total {
+            sizes[i % parts] += 1;
+            assigned += 1;
+            i += 1;
+        }
+    }
+    debug_assert_eq!(sizes.iter().sum::<usize>(), total);
+    sizes
 }
 
 impl Drop for Team {
@@ -1658,6 +1709,32 @@ mod tests {
             team.run(&program, &store),
             Err(ExecError::InvalidProgram(_))
         ));
+    }
+
+    #[test]
+    fn proportional_sizes_sum_and_floor() {
+        assert_eq!(proportional_sizes(&[1.0, 1.0], 8), vec![4, 4]);
+        assert_eq!(proportional_sizes(&[3.0, 1.0], 8), vec![6, 2]);
+        let s = proportional_sizes(&[0.0, 1.0], 4);
+        assert_eq!(s.iter().sum::<usize>(), 4);
+        assert!(s[0] >= 1);
+        assert_eq!(
+            proportional_sizes(&[1.0, 2.0, 1.0], 5)
+                .iter()
+                .sum::<usize>(),
+            5
+        );
+    }
+
+    #[test]
+    fn proportional_sizes_with_fewer_workers_than_parts() {
+        // Used to underflow (`total - parts` on usize); now degrades to one
+        // worker per leading part.
+        assert_eq!(proportional_sizes(&[1.0, 1.0, 1.0], 2), vec![1, 1, 0]);
+        assert_eq!(proportional_sizes(&[5.0, 1.0], 1), vec![1, 0]);
+        assert_eq!(proportional_sizes(&[2.0, 3.0, 4.0], 0), vec![0, 0, 0]);
+        // Boundary: exactly one worker per part.
+        assert_eq!(proportional_sizes(&[9.0, 1.0, 1.0], 3), vec![1, 1, 1]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! machine:
 //!
 //! * [`MTask`], [`TaskGraph`] — the task nodes and the coordination DAG,
-//! * [`spec`] — a coordination DSL mirroring the CM-task specification
-//!   language of the paper's Fig. 3 (`seq`, `par`, `for`, `parfor`,
-//!   `while`), compiled into (hierarchical) task graphs with automatically
-//!   derived input–output edges,
+//! * [`spec`] — a coordination DSL built from the operators of the
+//!   CM-task specification language of the paper's Fig. 3 (`seq`, `par`,
+//!   `for`, `parfor`), compiled into flat task graphs with automatically
+//!   derived input–output edges (time-stepping loops are unrolled),
 //! * [`chain`] — maximal linear-chain contraction (scheduling step 1),
 //! * [`layer`] — greedy partition into layers of independent tasks
 //!   (scheduling step 2),
@@ -27,7 +27,6 @@ pub mod chain;
 pub mod dist;
 pub mod graph;
 pub mod layer;
-pub mod parse;
 pub mod spec;
 pub mod task;
 
@@ -35,6 +34,5 @@ pub use chain::ChainGraph;
 pub use dist::Distribution;
 pub use graph::{EdgeData, RedistPattern, TaskGraph, TaskId};
 pub use layer::layers;
-pub use parse::{parse, Arg, ParseError, TaskRegistry};
-pub use spec::{DataRef, Spec, SpecTask, TwoLevelProgram};
+pub use spec::{DataRef, Spec, SpecTask};
 pub use task::{task_clone_count, CollectiveKind, CommOp, MTask};

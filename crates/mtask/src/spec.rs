@@ -1,5 +1,5 @@
-//! Coordination specification DSL, mirroring the CM-task specification
-//! language of the paper's Fig. 3.
+//! Coordination specification DSL, built from the operators of the CM-task
+//! specification language of the paper's Fig. 3.
 //!
 //! A [`Spec`] composes M-tasks with the operators of the paper:
 //!
@@ -7,10 +7,12 @@
 //! * `par { … }` / `parfor` — independent branches (no relations between
 //!   them),
 //! * `for` — a loop *with* loop-carried input–output relations, eagerly
-//!   unrolled (like the CM-task compiler's loop unrolling, Fig. 4),
-//! * `while` — a time-stepping loop that becomes a single node of the upper
-//!   level graph; its body forms the lower level graph (hierarchical
-//!   scheduling, §2.2.3).
+//!   unrolled (like the CM-task compiler's loop unrolling, Fig. 4).
+//!
+//! A time-stepping program unrolls its steps with `for` and compiles to one
+//! flat graph, which is how every figure of the evaluation schedules it.
+//! The paper's `while` loop with hierarchical two-level scheduling
+//! (§2.2.3) is not reproduced.
 //!
 //! Tasks declare which named data they *use* and *define*; the compiler
 //! derives the coordination edges from those declarations exactly as the
@@ -84,16 +86,6 @@ pub enum Spec {
     Seq(Vec<Spec>),
     /// Children are independent and may execute concurrently.
     Par(Vec<Spec>),
-    /// A time-stepping loop: one upper-level node, body is the lower-level
-    /// graph, executed `est_iters` times on average.
-    While {
-        /// Loop name for the upper-level node.
-        name: String,
-        /// Estimated (average) number of iterations.
-        est_iters: f64,
-        /// Loop body.
-        body: Box<Spec>,
-    },
 }
 
 impl Spec {
@@ -153,80 +145,13 @@ impl Spec {
         Spec::Par(range.into_iter().map(f).collect())
     }
 
-    /// `while (…) { body }` with an estimated iteration count.
-    pub fn while_loop(name: impl Into<String>, est_iters: f64, body: Spec) -> Spec {
-        Spec::While {
-            name: name.into(),
-            est_iters,
-            body: Box::new(body),
-        }
-    }
-
-    /// Compile to a hierarchical two-level program.
-    pub fn compile(&self) -> TwoLevelProgram {
-        let mut upper = TaskGraph::new();
-        let mut loops = HashMap::new();
-        let mut env = Env::default();
-        compile_into(self, &mut upper, &mut env, &mut Some(&mut loops));
-        let (start, stop) = upper.add_start_stop();
-        TwoLevelProgram {
-            upper,
-            loops,
-            start,
-            stop,
-        }
-    }
-
-    /// Compile a spec that contains no `while` loops into a flat task graph
-    /// with unique start/stop nodes.  Panics on `while`.
+    /// Compile into a flat task graph with unique start/stop nodes.
     pub fn compile_flat(&self) -> TaskGraph {
         let mut g = TaskGraph::new();
         let mut env = Env::default();
-        compile_into(self, &mut g, &mut env, &mut None);
+        compile_into(self, &mut g, &mut env);
         g.add_start_stop();
         g
-    }
-}
-
-/// The body graph of a `while` node, scheduled hierarchically: the cores
-/// assigned to the loop node in the upper-level schedule become the machine
-/// for the body graph.
-#[derive(Debug, Clone)]
-pub struct LoopBody {
-    /// The lower-level task graph (one loop iteration), with start/stop.
-    pub graph: TaskGraph,
-    /// Estimated number of iterations.
-    pub est_iters: f64,
-}
-
-/// A compiled hierarchical M-task program: the upper-level graph plus one
-/// lower-level graph per `while` node.
-#[derive(Debug, Clone)]
-pub struct TwoLevelProgram {
-    /// Upper-level task graph (whole loops appear as single nodes).
-    pub upper: TaskGraph,
-    /// Lower-level graphs, keyed by their upper-level node.
-    pub loops: HashMap<TaskId, LoopBody>,
-    /// Structural start node of the upper graph.
-    pub start: TaskId,
-    /// Structural stop node of the upper graph.
-    pub stop: TaskId,
-}
-
-impl TwoLevelProgram {
-    /// Convenience accessor for the common "one time-stepping loop" shape:
-    /// returns the body graph of the unique `while` node.
-    ///
-    /// # Panics
-    /// Panics if the program does not contain exactly one loop.
-    pub fn time_step_graph(&self) -> &TaskGraph {
-        assert_eq!(
-            self.loops.len(),
-            1,
-            "program has {} loops, expected exactly 1",
-            self.loops.len()
-        );
-        &self.loops.values().next().unwrap().graph
     }
 }
 
@@ -241,9 +166,7 @@ struct Env {
     readers: HashMap<String, Vec<TaskId>>,
 }
 
-type LoopSink<'a> = Option<&'a mut HashMap<TaskId, LoopBody>>;
-
-fn compile_into(spec: &Spec, g: &mut TaskGraph, env: &mut Env, loops: &mut LoopSink<'_>) {
+fn compile_into(spec: &Spec, g: &mut TaskGraph, env: &mut Env) {
     match spec {
         Spec::Task(st) => {
             let id = g.add_task(st.task.clone());
@@ -290,7 +213,7 @@ fn compile_into(spec: &Spec, g: &mut TaskGraph, env: &mut Env, loops: &mut LoopS
         }
         Spec::Seq(children) => {
             for c in children {
-                compile_into(c, g, env, loops);
+                compile_into(c, g, env);
             }
         }
         Spec::Par(children) => {
@@ -298,85 +221,23 @@ fn compile_into(spec: &Spec, g: &mut TaskGraph, env: &mut Env, loops: &mut LoopS
             let mut merged = snapshot.clone();
             for c in children {
                 let mut branch = snapshot.clone();
-                compile_into(c, g, &mut branch, loops);
+                compile_into(c, g, &mut branch);
                 merge_env(&snapshot, &branch, &mut merged);
             }
+            // A branch that wrote a datum ordered its writer after every
+            // reader recorded before the `par` (a WAR edge or a path), and
+            // that writer precedes every later definer (a WAW edge or a
+            // path), so no later WAR check against those readers can add
+            // an edge.  Dropping them keeps each reader list one step long
+            // however many steps are unrolled.
+            for (name, readers) in &mut merged.readers {
+                if merged.writers.get(name) != snapshot.writers.get(name) {
+                    if let Some(before) = snapshot.readers.get(name) {
+                        readers.retain(|r| !before.contains(r));
+                    }
+                }
+            }
             *env = merged;
-        }
-        Spec::While {
-            name,
-            est_iters,
-            body,
-        } => {
-            let sink = loops
-                .as_deref_mut()
-                .expect("`while` loops are only allowed at the upper level");
-            // Compile the body into its own graph with a fresh environment;
-            // data flowing into the loop from outside is summarised on the
-            // upper level below.
-            let mut body_graph = TaskGraph::new();
-            let mut body_env = Env::default();
-            compile_into(body, &mut body_graph, &mut body_env, &mut None);
-            body_graph.add_start_stop();
-
-            // The upper-level node accumulates the body cost × iterations.
-            let mut node = MTask::compute(name.clone(), 0.0);
-            let mut cap: Option<usize> = None;
-            for t in body_graph.task_ids() {
-                let task = body_graph.task(t);
-                node.work += task.work * est_iters;
-                for op in &task.comm {
-                    let mut scaled = op.clone();
-                    scaled.count *= est_iters;
-                    node.comm.push(scaled);
-                }
-                cap = match (cap, task.max_cores) {
-                    (None, c) => c,
-                    (c, None) => c,
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                };
-            }
-            node.max_cores = cap;
-
-            // Upper-level def/use: what the body reads before writing comes
-            // from outside; everything it writes is visible after the loop.
-            let (ext_uses, ext_defs) = body_def_use(body);
-            let id = g.add_task(node);
-            for name in &ext_uses {
-                if let Some(ws) = env.writers.get(name) {
-                    for (w, dref) in ws.clone() {
-                        g.add_edge(
-                            w,
-                            id,
-                            EdgeData {
-                                bytes: dref.bytes,
-                                pattern: dref.pattern,
-                            },
-                        );
-                    }
-                }
-                env.readers.entry(name.clone()).or_default().push(id);
-            }
-            for dref in &ext_defs {
-                if let Some(ws) = env.writers.get(&dref.name) {
-                    for (w, _) in ws.clone() {
-                        if w != id && !g.has_path(w, id) {
-                            g.add_edge(w, id, EdgeData::ordering());
-                        }
-                    }
-                }
-                env.writers
-                    .insert(dref.name.clone(), vec![(id, dref.clone())]);
-                env.readers.insert(dref.name.clone(), Vec::new());
-            }
-
-            sink.insert(
-                id,
-                LoopBody {
-                    graph: body_graph,
-                    est_iters: *est_iters,
-                },
-            );
         }
     }
 }
@@ -412,83 +273,41 @@ fn merge_env(snapshot: &Env, branch: &Env, merged: &mut Env) {
     }
 }
 
-/// External uses (read before any write in the body) and final definitions
-/// of a loop body, in textual order.
-fn body_def_use(spec: &Spec) -> (Vec<String>, Vec<DataRef>) {
-    let mut written: HashMap<String, DataRef> = HashMap::new();
-    let mut ext_uses: Vec<String> = Vec::new();
-    collect_def_use(spec, &mut written, &mut ext_uses);
-    (ext_uses, written.into_values().collect())
-}
-
-fn collect_def_use(
-    spec: &Spec,
-    written: &mut HashMap<String, DataRef>,
-    ext_uses: &mut Vec<String>,
-) {
-    match spec {
-        Spec::Task(st) => {
-            for u in &st.uses {
-                if !written.contains_key(u) && !ext_uses.contains(u) {
-                    ext_uses.push(u.clone());
-                }
-            }
-            for d in &st.defines {
-                written.insert(d.name.clone(), d.clone());
-            }
-        }
-        Spec::Seq(cs) | Spec::Par(cs) => {
-            for c in cs {
-                collect_def_use(c, written, ext_uses);
-            }
-        }
-        Spec::While { body, .. } => collect_def_use(body, written, ext_uses),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::CommOp;
 
-    /// The extrapolation-method specification of the paper's Fig. 3, with
-    /// parameter `R`.
-    pub fn epol_spec(r: usize, step_work: f64) -> Spec {
+    /// One time step of the extrapolation method of the paper's Fig. 3,
+    /// with parameter `R`.
+    fn epol_step_spec(r: usize, step_work: f64) -> Spec {
         let n_bytes = 800.0; // size of an approximation vector in bytes
         Spec::seq(vec![
-            Spec::task(MTask::compute("init_step", 1.0))
-                .defines([DataRef::replicated("t", 8.0), DataRef::replicated("h", 8.0)]),
-            Spec::while_loop(
-                "time_stepping",
-                100.0,
-                Spec::seq(vec![
-                    Spec::parfor(1..=r, |i| {
-                        Spec::for_loop(1..=i, |j| {
-                            let mut s = Spec::task(MTask::with_comm(
-                                format!("step({j},{i})"),
-                                step_work,
-                                vec![CommOp::allgather(n_bytes, 1.0)],
-                            ))
-                            .uses(["t", "h", "eta_k"]);
-                            if j > 1 {
-                                s = s.uses([format!("V{i}")]);
-                            }
-                            s.defines([DataRef::orthogonal(format!("V{i}"), n_bytes)])
-                        })
-                    }),
-                    Spec::task(MTask::with_comm(
-                        "combine",
-                        2.0 * r as f64,
-                        vec![CommOp::bcast(n_bytes, 1.0)],
+            Spec::parfor(1..=r, |i| {
+                Spec::for_loop(1..=i, |j| {
+                    let mut s = Spec::task(MTask::with_comm(
+                        format!("step({j},{i})"),
+                        step_work,
+                        vec![CommOp::allgather(n_bytes, 1.0)],
                     ))
-                    .uses((1..=r).map(|i| format!("V{i}")))
-                    .defines([
-                        DataRef::replicated("eta_k", n_bytes),
-                        DataRef::replicated("t", 8.0),
-                        DataRef::replicated("h", 8.0),
-                    ]),
-                ]),
-            ),
+                    .uses(["t", "h", "eta_k"]);
+                    if j > 1 {
+                        s = s.uses([format!("V{i}")]);
+                    }
+                    s.defines([DataRef::orthogonal(format!("V{i}"), n_bytes)])
+                })
+            }),
+            Spec::task(MTask::with_comm(
+                "combine",
+                2.0 * r as f64,
+                vec![CommOp::bcast(n_bytes, 1.0)],
+            ))
+            .uses((1..=r).map(|i| format!("V{i}")))
+            .defines([
+                DataRef::replicated("eta_k", n_bytes),
+                DataRef::replicated("t", 8.0),
+                DataRef::replicated("h", 8.0),
+            ]),
         ])
     }
 
@@ -570,24 +389,33 @@ mod tests {
     }
 
     #[test]
-    fn epol_compiles_to_hierarchical_graph() {
-        let r = 4;
-        let prog = epol_spec(r, 10.0).compile();
-        // Upper level: init_step + while node (+ start/stop).
-        assert_eq!(prog.upper.len(), 4);
-        assert_eq!(prog.loops.len(), 1);
-        let body = prog.time_step_graph();
-        // Body: R*(R+1)/2 step tasks + combine + start/stop.
-        let steps = r * (r + 1) / 2;
-        assert_eq!(body.len(), steps + 1 + 2);
+    fn par_rewrite_keeps_the_siblings_readers() {
+        // One branch reads A while its sibling rewrites it: a later writer
+        // of A still needs a WAR edge from that reader, while the reader
+        // from before the `par` precedes it through the rewrite.
+        let spec = Spec::seq(vec![
+            Spec::task(MTask::compute("w0", 1.0)).defines([DataRef::replicated("A", 8.0)]),
+            Spec::task(MTask::compute("r0", 1.0)).uses(["A"]),
+            Spec::par(vec![
+                Spec::task(MTask::compute("r1", 1.0)).uses(["A"]),
+                Spec::task(MTask::compute("w1", 1.0)).defines([DataRef::replicated("A", 8.0)]),
+            ]),
+            Spec::task(MTask::compute("w2", 1.0)).defines([DataRef::replicated("A", 8.0)]),
+        ]);
+        let g = spec.compile_flat();
+        let (r0, r1, w1, w2) = (TaskId(1), TaskId(2), TaskId(3), TaskId(4));
+        assert!(g.edge(r0, w1).is_some());
+        assert!(g.edge(r1, w2).is_some());
+        assert!(g.edge(r0, w2).is_none() && g.has_path(r0, w2));
     }
 
     #[test]
     fn epol_body_micro_steps_form_chains() {
         let r = 4;
-        let prog = epol_spec(r, 10.0).compile();
-        let body = prog.time_step_graph();
-        let cg = crate::chain::ChainGraph::contract(body);
+        let body = epol_step_spec(r, 10.0).compile_flat();
+        // R*(R+1)/2 micro steps + combine + start/stop.
+        assert_eq!(body.len(), r * (r + 1) / 2 + 3);
+        let cg = crate::chain::ChainGraph::contract(&body);
         // After contraction: R chain nodes + combine + start + stop.
         assert_eq!(cg.graph.len(), r + 3);
     }
@@ -595,9 +423,8 @@ mod tests {
     #[test]
     fn epol_body_layers() {
         let r = 4;
-        let prog = epol_spec(r, 10.0).compile();
-        let body = prog.time_step_graph();
-        let cg = crate::chain::ChainGraph::contract(body);
+        let body = epol_step_spec(r, 10.0).compile_flat();
+        let cg = crate::chain::ChainGraph::contract(&body);
         let layers = crate::layer::layers(&cg.graph);
         // Layer 1: the R approximation chains; layer 2: combine (Fig. 5).
         assert_eq!(layers.len(), 2);
@@ -605,21 +432,59 @@ mod tests {
         assert_eq!(layers[1].len(), 1);
     }
 
-    #[test]
-    fn while_node_accumulates_cost() {
-        let prog = epol_spec(2, 10.0).compile();
-        let (&loop_id, body) = prog.loops.iter().next().unwrap();
-        let node = prog.upper.task(loop_id);
-        let body_work = body.graph.total_work();
-        assert!((node.work - body_work * body.est_iters).abs() < 1e-9);
+    /// The longest reader list left after compiling `spec`.
+    fn longest_reader_list(spec: &Spec) -> usize {
+        let mut g = TaskGraph::new();
+        let mut env = Env::default();
+        compile_into(spec, &mut g, &mut env);
+        env.readers.values().map(Vec::len).max().unwrap_or(0)
     }
 
     #[test]
-    #[should_panic(expected = "upper level")]
-    fn nested_while_rejected() {
-        let inner = Spec::while_loop("inner", 2.0, Spec::task(MTask::compute("t", 1.0)));
-        let outer = Spec::while_loop("outer", 2.0, inner);
-        outer.compile();
+    fn reader_lists_stay_bounded_over_unrolled_steps() {
+        let k = 4;
+        // IRK-shaped: m sweeps of K stages that read every F and each
+        // write their own, then an update that reads them all.
+        let irk_step = Spec::seq(vec![
+            Spec::task(MTask::compute("init", 1.0))
+                .uses(["eta"])
+                .defines([DataRef::replicated("F0", 8.0)]),
+            Spec::for_loop(1..=3, |j| {
+                Spec::parfor(1..=k, |i| {
+                    let s =
+                        Spec::task(MTask::compute(format!("stage({i},{j})"), 1.0)).uses(["eta"]);
+                    let s = if j == 1 {
+                        s.uses(["F0"])
+                    } else {
+                        s.uses((1..=k).map(|l| format!("F{l}")))
+                    };
+                    s.defines([DataRef::orthogonal(format!("F{i}"), 8.0)])
+                })
+            }),
+            Spec::task(MTask::compute("update", 1.0))
+                .uses((1..=k).map(|l| format!("F{l}")))
+                .defines([DataRef::replicated("eta", 8.0)]),
+        ]);
+        // PAB-shaped: K points that read every F and the base value and
+        // write their own F, the last also the base value.
+        let pab_step = Spec::parfor(1..=k, |i| {
+            let s = Spec::task(MTask::compute(format!("point({i})"), 1.0))
+                .uses((1..=k).map(|l| format!("F{l}")))
+                .uses(["y"])
+                .defines([DataRef::orthogonal(format!("F{i}"), 8.0)]);
+            if i == k {
+                s.defines([DataRef::orthogonal("y", 8.0)])
+            } else {
+                s
+            }
+        });
+        for step in [irk_step, pab_step] {
+            let one = longest_reader_list(&step);
+            let hundred = longest_reader_list(&Spec::for_loop(0..100, |_| step.clone()));
+            // No datum keeps more readers than one step gives it.
+            assert!(one <= k, "{one} readers after one step");
+            assert_eq!(hundred, one, "reader lists grew over 100 steps");
+        }
     }
 
     #[test]

@@ -123,70 +123,56 @@ impl Epol {
         (y, accepted)
     }
 
-    /// The M-task specification of the time-stepping loop (the program of
-    /// the paper's Fig. 3), with cost annotations for a given system.
-    pub fn spec(&self, sys: &dyn OdeSystem, est_steps: f64) -> Spec {
+    /// The M-task specification of one time step (the body of the
+    /// time-stepping loop of the paper's Fig. 3), with cost annotations
+    /// for a given system.
+    pub fn step_spec(&self, sys: &dyn OdeSystem) -> Spec {
         let r = self.r;
         let n = sys.dim() as f64;
         let vec_bytes = 8.0 * n;
         let micro_work = n * (2.0 + sys.flops_per_component());
         Spec::seq(vec![
-            Spec::task(MTask::compute("init_step", 2.0))
-                .defines([DataRef::replicated("t", 8.0), DataRef::replicated("h", 8.0)]),
-            Spec::while_loop(
-                "time_stepping",
-                est_steps,
-                Spec::seq(vec![
-                    Spec::parfor(1..=r, |i| {
-                        Spec::for_loop(1..=i, |j| {
-                            let mut s = Spec::task(MTask::with_comm(
-                                format!("step({j},{i})"),
-                                micro_work,
-                                vec![CommOp::allgather(vec_bytes, 1.0)],
-                            ));
-                            if j == 1 {
-                                // Only the chain head consumes the
-                                // re-distributed data; later micro steps
-                                // receive everything through the chain
-                                // (paper Fig. 4).
-                                s = s.uses(["t", "h", "eta_k"]);
-                            } else {
-                                s = s.uses([format!("V{i}")]);
-                            }
-                            // The approximation vectors stay block-distributed
-                            // within their group and are re-blocked onto the
-                            // combine task's cores (EPOL has no orthogonal
-                            // communication, Table 1).
-                            s.defines([DataRef::block(format!("V{i}"), vec_bytes)])
-                        })
-                    }),
-                    Spec::task(MTask::with_comm(
-                        "combine",
-                        1.5 * (r * r) as f64 * n,
-                        vec![CommOp::bcast(vec_bytes, 1.0)],
-                    ))
-                    .uses((1..=r).map(|i| format!("V{i}")))
-                    .defines([
-                        DataRef::replicated("eta_k", vec_bytes),
-                        DataRef::replicated("t", 8.0),
-                        DataRef::replicated("h", 8.0),
-                    ]),
-                ]),
-            ),
+            Spec::parfor(1..=r, |i| {
+                Spec::for_loop(1..=i, |j| {
+                    let mut s = Spec::task(MTask::with_comm(
+                        format!("step({j},{i})"),
+                        micro_work,
+                        vec![CommOp::allgather(vec_bytes, 1.0)],
+                    ));
+                    if j == 1 {
+                        // Only the chain head consumes the re-distributed
+                        // data; later micro steps receive everything
+                        // through the chain (paper Fig. 4).
+                        s = s.uses(["t", "h", "eta_k"]);
+                    } else {
+                        s = s.uses([format!("V{i}")]);
+                    }
+                    // The approximation vectors stay block-distributed
+                    // within their group and are re-blocked onto the
+                    // combine task's cores (EPOL has no orthogonal
+                    // communication, Table 1).
+                    s.defines([DataRef::block(format!("V{i}"), vec_bytes)])
+                })
+            }),
+            Spec::task(MTask::with_comm(
+                "combine",
+                1.5 * (r * r) as f64 * n,
+                vec![CommOp::bcast(vec_bytes, 1.0)],
+            ))
+            .uses((1..=r).map(|i| format!("V{i}")))
+            .defines([
+                DataRef::replicated("eta_k", vec_bytes),
+                DataRef::replicated("t", 8.0),
+                DataRef::replicated("h", 8.0),
+            ]),
         ])
     }
 
-    /// The task graph of `steps` unrolled time steps (lower-level graph of
-    /// the specification), ready for scheduling.
+    /// The task graph of `steps` unrolled time steps, ready for
+    /// scheduling.
     pub fn step_graph(&self, sys: &dyn OdeSystem, steps: usize) -> TaskGraph {
-        let body = match self.spec(sys, steps as f64) {
-            Spec::Seq(children) => children.into_iter().nth(1).expect("while node"),
-            _ => unreachable!(),
-        };
-        let Spec::While { body, .. } = body else {
-            unreachable!("second child is the while loop");
-        };
-        Spec::for_loop(0..steps, |_| (*body).clone()).compile_flat()
+        let body = self.step_spec(sys);
+        Spec::for_loop(0..steps, |_| body.clone()).compile_flat()
     }
 
     /// SPMD program for one macro step on the thread runtime.

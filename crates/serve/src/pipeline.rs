@@ -87,8 +87,8 @@ pub fn write_trace(request: &ScheduleRequest, path: &str) -> Result<Plan, String
         &mapping,
         &request.machine,
     );
-    trace.name_process(pt_core::two_level::SCHED_PID, "scheduler");
-    trace.name_thread(pt_core::two_level::SCHED_PID, 0, "phases");
+    trace.name_process(pt_core::SCHED_PID, "scheduler");
+    trace.name_thread(pt_core::SCHED_PID, 0, "phases");
     let mut recorder =
         Arc::try_unwrap(recorder).expect("the scheduler released its recorder handle");
     trace.extend(recorder.drain());

@@ -22,7 +22,6 @@ pub mod layered;
 pub mod render;
 pub mod report;
 pub mod trace;
-pub mod two_level;
 
 pub use render::{render_gantt, render_layers};
 pub use report::{GroupTiming, LayerTiming, SimReport, TaskTiming};

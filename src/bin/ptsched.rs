@@ -63,9 +63,9 @@ use parallel_tasks::serve::{
 };
 use parallel_tasks::sim::{render_gantt, render_layers, Simulator};
 use serde::{Serialize, Value};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::hash::Hash;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::{Arc, Mutex};
 
 /// One scheduling request as the one-shot flags or a serve request line
@@ -252,6 +252,13 @@ fn workload(name: &str, steps: usize) -> Result<TaskGraph, String> {
 /// Platform, cores, slow nodes and slow-factor bits.
 type MachineKey = (String, usize, usize, u64);
 
+/// The most graphs, and the most machines, a [`Memo`] keeps.  Every
+/// distinct `steps` and every distinct `slow_factor` makes a new key, so an
+/// insert past this drops the whole map instead; the next request for a
+/// dropped key pays one rebuild and a structural compare in the schedule
+/// cache.
+const MEMO_CAPACITY: usize = 64;
+
 /// Graph and machine `Arc`s memoized across requests: repeated requests
 /// share one `Arc`, so the cache's structural verification short-circuits
 /// on pointer equality.
@@ -261,13 +268,28 @@ struct Memo {
     machines: Mutex<HashMap<MachineKey, Arc<ClusterSpec>>>,
 }
 
+/// The memoized value of `key`, built and inserted on a miss; a full
+/// `map` is dropped before the insert.
+fn memoized<K: Eq + Hash, V>(
+    map: &Mutex<HashMap<K, Arc<V>>>,
+    key: K,
+    build: impl FnOnce() -> Result<V, String>,
+) -> Result<Arc<V>, String> {
+    let mut map = map.lock().expect("memo lock");
+    if let Some(v) = map.get(&key) {
+        return Ok(v.clone());
+    }
+    let v = Arc::new(build()?);
+    if map.len() >= MEMO_CAPACITY {
+        map.clear();
+    }
+    map.insert(key, v.clone());
+    Ok(v)
+}
+
 impl Memo {
     fn graph(&self, name: &str, steps: usize) -> Result<Arc<TaskGraph>, String> {
-        let mut graphs = self.graphs.lock().expect("graph memo lock");
-        Ok(match graphs.entry((name.into(), steps)) {
-            Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(e) => e.insert(Arc::new(workload(name, steps)?)).clone(),
-        })
+        memoized(&self.graphs, (name.into(), steps), || workload(name, steps))
     }
 
     /// The `cores`-wide machine of validated options, with its last
@@ -280,18 +302,14 @@ impl Memo {
             o.slow_nodes,
             o.slow_factor.to_bits(),
         );
-        let mut machines = self.machines.lock().expect("machine memo lock");
-        Ok(machines
-            .entry(key)
-            .or_insert_with(|| {
-                let spec = base.with_cores(o.cores);
-                Arc::new(if o.slow_nodes > 0 {
-                    spec.with_slow_nodes(o.slow_nodes, o.slow_factor)
-                } else {
-                    spec
-                })
+        memoized(&self.machines, key, || {
+            let spec = base.with_cores(o.cores);
+            Ok(if o.slow_nodes > 0 {
+                spec.with_slow_nodes(o.slow_nodes, o.slow_factor)
+            } else {
+                spec
             })
-            .clone())
+        })
     }
 
     /// The schedule request of validated options.
@@ -472,6 +490,16 @@ struct ServeState {
     pending: Mutex<Vec<PendingJob>>,
 }
 
+impl ServeState {
+    fn new(config: ServeConfig) -> Self {
+        ServeState {
+            service: SchedService::new(config),
+            memo: Memo::default(),
+            pending: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
     let o = match parse_serve_args(args) {
         Ok(o) => o,
@@ -480,65 +508,98 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
             return 2;
         }
     };
-    let state = Arc::new(ServeState {
-        service: SchedService::new(o.config),
-        memo: Memo::default(),
-        pending: Mutex::new(Vec::new()),
-    });
-    match o.listen {
-        None => {
-            let stdin = std::io::stdin();
-            let mut out = std::io::stdout().lock();
-            for line in stdin.lock().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(_) => break,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if writeln!(out, "{}", handle_line(&state, &line)).is_err() {
-                    break;
-                }
-                let _ = out.flush();
-            }
-            0
+    let state = Arc::new(ServeState::new(o.config));
+    let Some(addr) = o.listen else {
+        serve_lines(&state, std::io::stdin().lock(), std::io::stdout().lock());
+        return 0;
+    };
+    let listener = match std::net::TcpListener::bind(&addr) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("ptsched: serve: cannot listen on {addr}: {e}");
+            return 1;
         }
-        Some(addr) => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("ptsched: serve: cannot listen on {addr}: {e}");
-                    return 1;
-                }
-            };
-            // Tests and scripts need the actual port when binding port 0.
-            if let Ok(local) = listener.local_addr() {
-                println!("listening on {local}");
-                let _ = std::io::stdout().flush();
+    };
+    // Tests and scripts need the actual port when binding port 0.
+    if let Ok(local) = listener.local_addr() {
+        println!("listening on {local}");
+        let _ = std::io::stdout().flush();
+    }
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { continue };
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        let state = state.clone();
+        std::thread::spawn(move || {
+            serve_lines(&state, BufReader::new(stream), BufWriter::new(peer));
+        });
+    }
+    0
+}
+
+/// The longest request line `ptsched serve` reads, in bytes (without its
+/// newline).  A longer line gets an error reply and the rest of it is
+/// skipped unread, so no client makes the server buffer an unbounded line.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Answer every request line of `reader` with one response line on
+/// `writer`, until the input ends or a read or write fails.  A line that is
+/// too long or not UTF-8 gets an `{"ok":false,...}` reply, and the next
+/// line is served as usual.
+fn serve_lines(state: &ServeState, mut reader: impl BufRead, mut writer: impl Write) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
             }
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { continue };
-                let state = state.clone();
-                std::thread::spawn(move || serve_connection(&state, stream));
+        }
+        let reply = if buf.len() > MAX_LINE_BYTES {
+            if skip_line(&mut reader).is_err() {
+                return;
             }
-            0
+            error_line(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => handle_line(state, line),
+                Err(_) => error_line("request line is not UTF-8"),
+            }
+        };
+        if writeln!(writer, "{reply}")
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            return;
         }
     }
 }
 
-fn serve_connection(state: &ServeState, stream: std::net::TcpStream) {
-    let Ok(peer) = stream.try_clone() else { return };
-    let mut out = std::io::BufWriter::new(peer);
-    for line in std::io::BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+/// Consume input up to and including the next newline, without keeping it.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
         }
-        if writeln!(out, "{}", handle_line(state, &line)).is_err() {
-            break;
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+            }
         }
-        let _ = out.flush();
     }
 }
 
@@ -765,5 +826,31 @@ fn opt_usize(v: &Value, name: &str) -> Result<Option<usize>, String> {
         Some(val) => <usize as serde::Deserialize>::deserialize(val)
             .map(Some)
             .map_err(|_| format!("field `{name}` must be a non-negative integer, got {val:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memo_stays_bounded_under_distinct_keys() {
+        let state = ServeState::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        for i in 0..=MEMO_CAPACITY {
+            let factor = 0.5 + i as f64 / 1024.0;
+            let line = format!(
+                r#"{{"workload":"epol","cores":16,"steps":1,"slow_nodes":1,"slow_factor":{factor}}}"#
+            );
+            let reply = handle_line(&state, &line);
+            assert!(reply.contains(r#""ok":true"#), "{reply}");
+            assert!(state.memo.machines.lock().unwrap().len() <= MEMO_CAPACITY);
+        }
+        for steps in 1..=MEMO_CAPACITY + 1 {
+            state.memo.graph("epol", steps).unwrap();
+            assert!(state.memo.graphs.lock().unwrap().len() <= MEMO_CAPACITY);
+        }
     }
 }

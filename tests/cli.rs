@@ -1,7 +1,7 @@
 //! Integration tests driving the `ptsched` binary: malformed or
 //! out-of-range arguments must exit with status 2 and a usage pointer
 //! (never a panic), and `ptsched serve` must answer line-delimited JSON
-//! requests on stdin.
+//! requests on stdin and over TCP.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -125,6 +125,12 @@ fn serve_answers_json_lines_on_stdin() {
 /// The response lines of a one-worker `ptsched serve` fed `requests` on
 /// stdin; the service must exit 0 at EOF.
 fn serve(requests: &[&str]) -> Vec<String> {
+    let requests: Vec<&[u8]> = requests.iter().map(|r| r.as_bytes()).collect();
+    serve_bytes(&requests)
+}
+
+/// [`serve`] for request lines that need not be UTF-8.
+fn serve_bytes(requests: &[&[u8]]) -> Vec<String> {
     let mut child = Command::new(BIN)
         .args(["serve", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -135,7 +141,8 @@ fn serve(requests: &[&str]) -> Vec<String> {
     let mut stdin = child.stdin.take().expect("stdin pipe");
     let stdout = BufReader::new(child.stdout.take().expect("stdout pipe"));
     for r in requests {
-        writeln!(stdin, "{r}").expect("write request");
+        stdin.write_all(r).expect("write request");
+        stdin.write_all(b"\n").expect("write newline");
     }
     drop(stdin);
     let lines = stdout.lines().map(|l| l.expect("response line")).collect();
@@ -163,6 +170,99 @@ fn serve_answers_deeply_nested_json_with_an_error() {
         lines[0]
     );
     assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
+}
+
+/// Lines a client may send that are no request, each with words its
+/// error reply must contain: bytes that are not UTF-8 (they used to end
+/// the session at once), and a line longer than the server reads (it used
+/// to be buffered whole).
+fn hostile_lines() -> [(&'static str, Vec<u8>); 2] {
+    let long = format!(r#"{{"workload":"epol","pad":"{}"}}"#, "x".repeat(100_000));
+    [
+        ("not UTF-8", b"\xff\xfe{\"workload\":\"epol\"}".to_vec()),
+        ("longer than", long.into_bytes()),
+    ]
+}
+
+#[test]
+fn serve_answers_hostile_lines_on_stdin_with_an_error() {
+    let request = r#"{"workload":"epol","cores":16,"steps":1}"#;
+    let fresh = serve(&[request]);
+    assert!(fresh[0].contains(r#""ok":true"#), "{}", fresh[0]);
+    for (what, bad) in hostile_lines() {
+        let lines = serve_bytes(&[&bad, request.as_bytes()]);
+        assert_eq!(lines.len(), 2, "{what}: one response per line: {lines:?}");
+        assert!(
+            lines[0].contains(r#""ok":false"#) && lines[0].contains(what),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(
+            lines[1], fresh[0],
+            "after `{what}`: the next request's reply"
+        );
+    }
+}
+
+/// A child process stopped when the test ends, pass or fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_answers_hostile_lines_over_tcp_with_an_error() {
+    // One request per hostile line: the server's cache outlives a
+    // connection, and each request must be the first of its kind there as
+    // on a fresh server.
+    let requests = [
+        r#"{"workload":"epol","cores":16,"steps":1}"#,
+        r#"{"workload":"irk","cores":16,"steps":1}"#,
+    ];
+    let mut server = KillOnDrop(
+        Command::new(BIN)
+            .args(["serve", "--workers", "1", "--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ptsched serve --listen"),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stdout.take().expect("stdout pipe"))
+        .read_line(&mut banner)
+        .expect("read listening line");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+    for ((what, bad), request) in hostile_lines().into_iter().zip(requests) {
+        let fresh = serve(&[request]);
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.write_all(&bad).expect("write bad line");
+        stream.write_all(b"\n").expect("write newline");
+        writeln!(stream, "{request}").expect("write request");
+        let mut reader = BufReader::new(stream);
+        let mut lines = [String::new(), String::new()];
+        for line in &mut lines {
+            reader.read_line(line).expect("response line");
+        }
+        assert!(
+            lines[0].contains(r#""ok":false"#) && lines[0].contains(what),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(
+            lines[1].trim_end(),
+            fresh[0],
+            "after `{what}`: the next request's reply"
+        );
+    }
 }
 
 #[test]
