@@ -526,7 +526,9 @@ impl Pattern {
         match self {
             Pattern::Neighbour => (0..q - 1).for_each(|i| f(i, i + 1)),
             Pattern::Ring => (0..q).for_each(|i| f(i, if i + 1 == q { 0 } else { i + 1 })),
-            Pattern::Doubling(d) => {
+            // `d` and `r` are powers of two: the ranks with that bit clear
+            // are the first halves of the aligned blocks of `2d`.
+            Pattern::Doubling(d) | Pattern::Scatter(d) => {
                 let mut base = 0;
                 while base + d < q {
                     (base..(base + d).min(q - d)).for_each(|i| f(i, i + d));
@@ -534,7 +536,6 @@ impl Pattern {
                 }
             }
             Pattern::Binomial(r) => (0..r.min(q - r)).for_each(|i| f(i, i + r)),
-            Pattern::Scatter(r) => (0..q - r).filter(|i| i & r == 0).for_each(|i| f(i, i + r)),
         }
     }
 }
@@ -597,14 +598,22 @@ impl StepShape {
 #[derive(Debug, Default)]
 pub struct GroupShapes(Vec<(Pattern, StepShape)>);
 
-/// Work done by the collective pricing on one thread: exact counts that
-/// depend only on what was priced, not on the host.
+/// Work done by the collective and Block-redistribution pricing on one
+/// thread: exact counts that depend only on what was priced, not on the
+/// host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PricingWork {
-    /// Ranks given their `(node, processor)` labels.
+    /// Ranks of collective groups given their `(node, processor)` labels.
     pub ranks_labelled: u64,
     /// Step shapes worked out from a group's labels.
     pub step_shapes: u64,
+    /// Block-redistribution rank pairs priced one by one: the partial
+    /// blocks at either end of a narrower rank's band, and the whole
+    /// blocks on its own node.
+    pub block_pairs: u64,
+    /// Node runs of whole blocks on a foreign node that a Block
+    /// redistribution summed from one price.
+    pub block_runs: u64,
 }
 
 thread_local! {
@@ -612,6 +621,8 @@ thread_local! {
         Cell::new(PricingWork {
             ranks_labelled: 0,
             step_shapes: 0,
+            block_pairs: 0,
+            block_runs: 0,
         })
     };
     static NODE_TABLE: RefCell<NodeTable> = const {
@@ -657,10 +668,19 @@ impl NodeTable {
     }
 }
 
-/// The collective pricing work done on the calling thread so far; the
-/// difference of two readings counts the work between them.
+/// The pricing work done on the calling thread so far; the difference of
+/// two readings counts the work between them.
 pub fn pricing_work() -> PricingWork {
     WORK.with(Cell::get)
+}
+
+/// Add to the calling thread's [`PricingWork`].
+pub(crate) fn count_work(add: impl FnOnce(&mut PricingWork)) {
+    WORK.with(|w| {
+        let mut work = w.get();
+        add(&mut work);
+        w.set(work);
+    });
 }
 
 /// A group's ranks, labelled for pricing on the first step that needs it.
@@ -762,12 +782,20 @@ impl<'c> Group<'c> {
             }
         });
         // The busiest NICs, clearing every count for the next step.  Idle
-        // nodes contribute `0 · share`, which the max ignores.
+        // nodes contribute `0 · share`, which the max ignores.  Loads are
+        // finite and non-negative, so plain comparisons give `f64::max`'s
+        // bits without its NaN handling.
         let (mut hot_out, mut hot_in) = (0.0f64, 0.0f64);
         if cross {
             for n in nodes.iter_mut() {
-                hot_out = hot_out.max(f64::from(std::mem::take(&mut n.out)) * n.share);
-                hot_in = hot_in.max(f64::from(std::mem::take(&mut n.inn)) * n.share);
+                let out = f64::from(std::mem::take(&mut n.out)) * n.share;
+                let inn = f64::from(std::mem::take(&mut n.inn)) * n.share;
+                if out > hot_out {
+                    hot_out = out;
+                }
+                if inn > hot_in {
+                    hot_in = inn;
+                }
             }
         }
         StepShape {
@@ -785,11 +813,9 @@ impl Drop for Group<'_> {
     /// the next group on the thread.
     fn drop(&mut self) {
         if let Some(mut labels) = self.labels.take() {
-            WORK.with(|w| {
-                let mut work = w.get();
+            count_work(|work| {
                 work.ranks_labelled += self.cores.len() as u64;
                 work.step_shapes += self.shapes;
-                w.set(work);
             });
             labels.ranks.clear();
             labels.nodes.clear();

@@ -39,7 +39,7 @@ mod oracle;
 
 pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedClasses};
 pub use context::CommContext;
-pub use redist::Overlap;
+pub use redist::{NodeRuns, Overlap};
 pub use symbolic::{task_time_optimistic, SymbolicCosts};
 pub use table::{CostTable, TableStore};
 
@@ -133,7 +133,7 @@ mod tests {
             };
             for pattern in [RedistPattern::Replicated, RedistPattern::Block, RedistPattern::Orthogonal] {
                 let edge = EdgeData { bytes, pattern };
-                let fast = m.redist_time(&ctx, &edge, src, dst, overlap);
+                let fast = m.redist_time(&ctx, &edge, src, dst, overlap, None);
                 let slow = oracle::redist_time(&m, &ctx, &edge, src, dst);
                 prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{:?} {:?} -> {:?}", pattern, src, dst);
             }
@@ -219,7 +219,7 @@ mod tests {
     /// Consecutive, scattered or mixed(2) core sequence of the machine —
     /// the placements a mapping produces (rebuilt here: pt-core depends on
     /// this crate).
-    fn mapped_sequence(spec: &ClusterSpec, strategy: usize) -> Vec<CoreId> {
+    pub(crate) fn mapped_sequence(spec: &ClusterSpec, strategy: usize) -> Vec<CoreId> {
         let cpn = spec.cores_per_node();
         let d = [cpn, 1, 2][strategy].min(cpn);
         let mut seq = Vec::with_capacity(spec.total_cores());

@@ -1,7 +1,7 @@
 //! Data re-distribution costs between cooperating M-tasks
 //! (`TRe(M1, M2, q1, q2, mp1, mp2)` of paper §3.1).
 
-use crate::collectives::{label, CostModel};
+use crate::collectives::{count_work, label, CostModel};
 use crate::context::CommContext;
 use pt_machine::CoreId;
 use pt_mtask::{EdgeData, RedistPattern};
@@ -29,6 +29,11 @@ impl CostModel<'_> {
     /// If both tasks ran on the same set of cores the data is already
     /// resident and the cost is zero — this is what linear-chain contraction
     /// guarantees for chain members (§3.2 step 1).
+    ///
+    /// `wide_runs` are the [`NodeRuns`] of the longer of `src` and `dst`
+    /// (`dst` on a tie) in `ctx`, from a caller that prices several edges
+    /// onto or from that group; only a Block edge reads them, and with
+    /// `None` it builds them itself.
     pub fn redist_time(
         &self,
         ctx: &CommContext,
@@ -36,6 +41,7 @@ impl CostModel<'_> {
         src: &[CoreId],
         dst: &[CoreId],
         overlap: Overlap,
+        wide_runs: Option<&NodeRuns>,
     ) -> f64 {
         if edge.pattern == RedistPattern::None || edge.bytes == 0.0 || overlap == Overlap::Same {
             return 0.0;
@@ -56,7 +62,7 @@ impl CostModel<'_> {
                 bcast_group.extend(dst.iter().copied().filter(|c| *c != src[0]));
                 self.bcast(ctx, &bcast_group, edge.bytes)
             }
-            RedistPattern::Block => self.block_redist(ctx, edge.bytes, src, dst),
+            RedistPattern::Block => self.block_redist(ctx, edge.bytes, src, dst, wide_runs),
             RedistPattern::Orthogonal => {
                 // Positional exchange: consumer core j receives its share
                 // from the positionally matching producer core.  The
@@ -76,52 +82,189 @@ impl CostModel<'_> {
         }
     }
 
-    /// Block → block re-partitioning: the element-overlap volume matrix is
-    /// computed symbolically; every core pays its serialised send/receive
-    /// time; the result is the slowest core.
+    /// The node runs of a mapped group in `ctx`: maximal spans of
+    /// consecutive ranks whose cores share a node, each with that node's
+    /// NIC cap.  O(q) labels.
+    pub fn node_runs(&self, ctx: &CommContext, cores: &[CoreId]) -> NodeRuns {
+        let mut runs: Vec<NodeRun> = Vec::new();
+        for (j, &c) in cores.iter().enumerate() {
+            let node = label(self.spec, c).0;
+            let end = u32::try_from(j + 1).expect("a group has fewer than 2^32 ranks");
+            match runs.last_mut() {
+                Some(run) if run.node == node => run.end = end,
+                _ => runs.push(NodeRun {
+                    end,
+                    node,
+                    cap: self.nic_cap(ctx, node),
+                }),
+            }
+        }
+        NodeRuns(runs)
+    }
+
+    /// The bandwidth a crossing flow gets at `node`'s end:
+    /// `min(link, nic / sharers)`.
+    fn nic_cap(&self, ctx: &CommContext, node: u32) -> f64 {
+        let nic = self.spec.nic_bytes_per_s / ctx.sharing(node as usize);
+        self.spec.inter_node.bytes_per_s.min(nic)
+    }
+
+    /// Block → block re-partitioning: the element-overlap volume of every
+    /// rank pair is computed symbolically, every core pays its serialised
+    /// send and receive time, and the result is the slowest core.
     ///
-    /// Block distributions are contiguous partitions, so source rank `s`
-    /// overlaps only the destination ranks whose blocks intersect
-    /// `[s·cs, (s+1)·cs)` — a band of at most `⌈cs/cd⌉ + 1` ranks.  The
-    /// pass walks exactly that band in the same s-major order the dense
-    /// `redistribution_volumes` matrix would be traversed in, with the same
-    /// overlap values, so the floating-point accumulation is bit-identical
-    /// to the all-pairs formulation (the test oracle's `block_redist_dense`)
-    /// while costing O(qs + qd) instead of O(qs · qd).  A pair is priced from
-    /// its endpoints' labels, not by re-deriving their tree level.
-    fn block_redist(&self, ctx: &CommContext, bytes: f64, src: &[CoreId], dst: &[CoreId]) -> f64 {
-        let qs = src.len();
-        let qd = dst.len();
+    /// The dense formulation (the test oracle's `block_redist_dense`)
+    /// sums `send[s]` over ascending `d` and `recv[d]` over ascending `s`.
+    /// Block distributions are contiguous partitions, and no block of the
+    /// wider group is longer than one of the narrower, so each narrower
+    /// rank overlaps a band of consecutive wider ranks and each wider rank
+    /// overlaps at most two narrower ranks.  The walk takes the narrower
+    /// ranks in order and each one's band in order, which keeps both
+    /// sums in the dense order, widening or narrowing:
+    /// - the two end pairs of a band overlap partially and are priced
+    ///   directly; a wider rank split between two bands starts its sum in
+    ///   the second from the first's term (the carry);
+    /// - every pair in between moves one whole wider block and is that
+    ///   wider rank's only term.  These pairs are taken one node run of
+    ///   the wider group at a time.  On a foreign node they all move the
+    ///   same bytes at the same caps, so one price is added `k` times to
+    ///   the narrower rank's sum, as the dense loop adds it; on the
+    ///   narrower rank's own node each pair is priced by its processor,
+    ///   and skipped where the cores coincide.
+    ///
+    /// Per-node caps `min(link, nic / sharers[n])` stand in for the pair's
+    /// `min(link, nic / max(sa, sb))` exactly, since correctly rounded
+    /// division is monotone: `nic / max(sa, sb) = min(nic / sa, nic / sb)`.
+    /// Every price is finite and non-negative, so the maxima use plain
+    /// comparisons, a carried partial sum never exceeds its final value,
+    /// and no sum is below any of its terms: a whole block's wider rank,
+    /// whose sum `0.0 + t` is its narrower rank's term `t`, never raises
+    /// the maximum, and only the end pairs are compared.  Every term is
+    /// the dense loop's, added in its order, so the result is
+    /// bit-identical, in O(qn + runs walked) labels and divisions instead
+    /// of one of each per overlapping pair.
+    ///
+    /// `runs` are the wider group's (see [`CostModel::redist_time`]).
+    fn block_redist(
+        &self,
+        ctx: &CommContext,
+        bytes: f64,
+        src: &[CoreId],
+        dst: &[CoreId],
+        runs: Option<&NodeRuns>,
+    ) -> f64 {
+        let (narrow, wide) = if src.len() <= dst.len() {
+            (src, dst)
+        } else {
+            (dst, src)
+        };
+        let fresh;
+        let runs = match runs {
+            Some(runs) => runs.0.as_slice(),
+            None => {
+                fresh = self.node_runs(ctx, wide);
+                fresh.0.as_slice()
+            }
+        };
+        debug_assert_eq!(
+            runs.last().map_or(0, |r| r.end as usize),
+            wide.len(),
+            "node runs of another group"
+        );
+        // The run holding wider rank `j`, which never decreases.
+        let mut at = 0;
+        let mut seek = |j: usize| {
+            while runs[at].end as usize <= j {
+                at += 1;
+            }
+            runs[at]
+        };
+        let spec = self.spec;
+        let latency = spec.inter_node.latency_s;
         // Work with a virtual element count so volumes become byte shares.
         let elems: usize = 1 << 20;
         let per_elem = bytes / elems as f64;
-        let cs = elems.div_ceil(qs);
-        let cd = elems.div_ceil(qd);
-        let mut send_time = vec![0.0f64; qs];
-        let mut recv_time = vec![0.0f64; qd];
-        for s in 0..qs {
-            let slo = (s * cs).min(elems);
-            let shi = ((s + 1) * cs).min(elems);
-            if slo >= shi {
-                break; // later source ranks own nothing either
+        let cn = elems.div_ceil(narrow.len());
+        let cw = elems.div_ceil(wide.len());
+        // A whole wider block, and its price inside a node.
+        let whole = cw as f64 * per_elem;
+        let same_node = spec.intra_node.transfer_time(whole);
+        let same_proc = spec.intra_processor.transfer_time(whole);
+        let (mut worst_narrow, mut worst_wide) = (0.0f64, 0.0f64);
+        // The wider rank the last band ended on, and its sum so far.
+        let mut carry = (usize::MAX, 0.0f64);
+        let (mut pairs, mut summed) = (0u64, 0u64);
+        for (i, &a) in narrow.iter().enumerate() {
+            let lo = (i * cn).min(elems);
+            let hi = ((i + 1) * cn).min(elems);
+            if lo >= hi {
+                break; // later narrower ranks own nothing either
             }
-            let from = label(self.spec, src[s]);
-            for d in slo / cd..=(shi - 1) / cd {
-                let dlo = (d * cd).min(elems);
-                let dhi = ((d + 1) * cd).min(elems);
-                let v = shi.min(dhi).saturating_sub(slo.max(dlo));
-                if v == 0 || src[s] == dst[d] {
-                    continue;
+            let (na, pa) = label(spec, a);
+            let cap_a = self.nic_cap(ctx, na);
+            // The pair with wider rank `j` in `run`, priced from its
+            // overlap; `None` where the cores coincide.
+            let price = |j: usize, run: NodeRun| -> Option<f64> {
+                let b = wide[j];
+                let bytes = (((j + 1) * cw).min(hi) - (j * cw).max(lo)) as f64 * per_elem;
+                if run.node != na {
+                    Some(latency + bytes / cap_a.min(run.cap))
+                } else if label(spec, b).1 != pa {
+                    Some(spec.intra_node.transfer_time(bytes))
+                } else {
+                    (a != b).then(|| spec.intra_processor.transfer_time(bytes))
                 }
-                let to = label(self.spec, dst[d]);
-                let t = self.labelled_p2p(ctx, from, to, v as f64 * per_elem);
-                send_time[s] += t;
-                recv_time[d] += t;
+            };
+            let (first, last) = (lo / cw, (hi - 1) / cw);
+            let mut sum = 0.0f64;
+            let mut wide_sum = if carry.0 == first { carry.1 } else { 0.0 };
+            if let Some(t) = price(first, seek(first)) {
+                sum += t;
+                wide_sum += t;
+                pairs += 1;
             }
+            raise(&mut worst_wide, wide_sum);
+            if last > first {
+                let mut j = first + 1;
+                while j < last {
+                    let NodeRun { end, node, cap } = seek(j);
+                    let end = (end as usize).min(last);
+                    if node != na {
+                        let t = latency + whole / cap_a.min(cap);
+                        for _ in j..end {
+                            sum += t;
+                        }
+                        summed += 1;
+                    } else {
+                        for &b in &wide[j..end] {
+                            if b != a {
+                                sum += if label(spec, b).1 != pa {
+                                    same_node
+                                } else {
+                                    same_proc
+                                };
+                                pairs += 1;
+                            }
+                        }
+                    }
+                    j = end;
+                }
+                wide_sum = 0.0;
+                if let Some(t) = price(last, seek(last)) {
+                    sum += t;
+                    wide_sum += t;
+                    pairs += 1;
+                }
+                raise(&mut worst_wide, wide_sum);
+            }
+            carry = (last, wide_sum);
+            raise(&mut worst_narrow, sum);
         }
-        let worst_send = send_time.iter().copied().fold(0.0, f64::max);
-        let worst_recv = recv_time.iter().copied().fold(0.0, f64::max);
-        worst_send.max(worst_recv)
+        count_work(|work| {
+            work.block_pairs += pairs;
+            work.block_runs += summed;
+        });
+        worst_narrow.max(worst_wide)
     }
 
     /// The aggregated orthogonal exchange after a layer of `groups`
@@ -168,6 +311,32 @@ impl CostModel<'_> {
     }
 }
 
+/// A mapped group's ranks in node runs: maximal spans of consecutive
+/// ranks whose cores share a node, each with that node's NIC cap
+/// `min(link, nic / sharers)` in one context.  A Block redistribution
+/// walks the runs of the wider group; a caller pricing several such edges
+/// onto or from one group in one context builds them once with
+/// [`CostModel::node_runs`] and passes them to
+/// [`CostModel::redist_time`].
+#[derive(Debug)]
+pub struct NodeRuns(Vec<NodeRun>);
+
+#[derive(Debug, Clone, Copy)]
+struct NodeRun {
+    /// One past the run's last rank.
+    end: u32,
+    node: u32,
+    cap: f64,
+}
+
+/// `*worst = max(*worst, x)` for prices, which are never NaN.
+#[inline]
+fn raise(worst: &mut f64, x: f64) {
+    if x > *worst {
+        *worst = x;
+    }
+}
+
 /// Canonical placement-oblivious order for an exchange set: cores sorted,
 /// then emitted round-robin across their nodes (the `r`-th core of every
 /// node in round `r`, nodes in machine order), so ring neighbours land on
@@ -203,6 +372,7 @@ fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> V
 mod tests {
     use super::*;
     use crate::oracle;
+    use proptest::prelude::*;
     use pt_machine::platforms;
 
     fn ids(r: std::ops::Range<usize>) -> Vec<CoreId> {
@@ -225,7 +395,7 @@ mod tests {
                 pattern,
             };
             assert_eq!(
-                m.redist_time(&ctx, &e, &g, &g, Overlap::Same),
+                m.redist_time(&ctx, &e, &g, &g, Overlap::Same, None),
                 0.0,
                 "{pattern:?}"
             );
@@ -243,7 +413,8 @@ mod tests {
                 &EdgeData::ordering(),
                 &ids(0..4),
                 &ids(4..8),
-                Overlap::Other
+                Overlap::Other,
+                None
             ),
             0.0
         );
@@ -255,7 +426,7 @@ mod tests {
         let m = CostModel::new(&spec);
         let ctx = CommContext::uniform(&spec);
         let e = EdgeData::replicated(1e6);
-        let t = m.redist_time(&ctx, &e, &ids(0..4), &ids(4..8), Overlap::Other);
+        let t = m.redist_time(&ctx, &e, &ids(0..4), &ids(4..8), Overlap::Other, None);
         assert!(t > 0.0);
         // Must be at least one cross-node transfer.
         assert!(t >= spec.inter_node.transfer_time(1e6));
@@ -270,8 +441,8 @@ mod tests {
             bytes: 1e6,
             pattern: RedistPattern::Block,
         };
-        let within = m.redist_time(&ctx, &e, &ids(0..2), &ids(2..4), Overlap::Other);
-        let across = m.redist_time(&ctx, &e, &ids(0..2), &ids(4..6), Overlap::Other);
+        let within = m.redist_time(&ctx, &e, &ids(0..2), &ids(2..4), Overlap::Other, None);
+        let across = m.redist_time(&ctx, &e, &ids(0..2), &ids(4..6), Overlap::Other, None);
         assert!(within < across);
     }
 
@@ -289,8 +460,8 @@ mod tests {
             bytes: 2e6,
             pattern: RedistPattern::Block,
         };
-        let t1 = m.redist_time(&ctx, &e1, &ids(0..4), &ids(4..8), Overlap::Other);
-        let t2 = m.redist_time(&ctx, &e2, &ids(0..4), &ids(4..8), Overlap::Other);
+        let t1 = m.redist_time(&ctx, &e1, &ids(0..4), &ids(4..8), Overlap::Other, None);
+        let t2 = m.redist_time(&ctx, &e2, &ids(0..4), &ids(4..8), Overlap::Other, None);
         assert!(t2 > 1.8 * t1 && t2 < 2.2 * t1);
     }
 
@@ -313,35 +484,93 @@ mod tests {
         );
     }
 
-    #[test]
-    fn banded_block_redist_is_bit_equal_to_dense() {
-        let spec = platforms::chic().with_nodes(16); // 64 cores
-        let m = CostModel::new(&spec);
-        let mut ctx = CommContext::uniform(&spec);
-        ctx.sharers[3] = 2.0;
-        ctx.sharers[7] = 5.0;
-        // Group-size pairs covering widening, narrowing, equal, uneven, and
-        // prime splits; scattered core sets exercise the p2p level logic.
-        for (qs, qd) in [
-            (4, 4),
-            (4, 16),
-            (16, 4),
-            (7, 13),
-            (13, 7),
-            (1, 8),
-            (8, 1),
-            (5, 5),
-        ] {
-            let src: Vec<CoreId> = (0..qs).map(|i| CoreId((i * 5) % 64)).collect();
-            let dst: Vec<CoreId> = (0..qd).map(|i| CoreId((i * 11 + 1) % 64)).collect();
-            for bytes in [8.0, 4096.0, 1e6] {
-                let fast = m.block_redist(&ctx, bytes, &src, &dst);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The node-run walk against the dense all-pairs matrix, bit for
+        /// bit, with the wider group's runs built inside and passed in.
+        /// Cases draw
+        /// - widening and narrowing sizes up to 600 ranks, most of which
+        ///   leave a short last block; one case in eight widens a side
+        ///   past 1 024 ranks, where the last blocks of 2^20 elements are
+        ///   empty;
+        /// - groups nested in one another, so that equal cores are
+        ///   skipped, or windows of two core orders (consecutive,
+        ///   scattered or mixed(2));
+        /// - node widths of 1–9 cores and uneven sharers.
+        ///
+        /// One case in four makes the sides differ by 1–3 ranks, with the
+        /// narrower group consecutive on quiet nodes and the wider one
+        /// scattered.  Most wider blocks are then split between two
+        /// narrower ranks, and a split block's two terms can make its rank
+        /// the slowest, which a wider rank otherwise never is.
+        #[test]
+        fn block_walk_is_bit_equal_to_dense(
+            shape in (1usize..4, 1usize..4),
+            sharers in prop::collection::vec(1u32..6, 1..12),
+            orders in (0usize..3, 0usize..3),
+            sizes in (1usize..601, 1usize..601, 0usize..8),
+            offsets in (0usize..4096, 0usize..4096),
+            nested in any::<bool>(),
+        ) {
+            let (ppn, cpp) = shape;
+            let spec = pt_machine::ClusterSpec {
+                nodes: 1400usize.div_ceil(ppn * cpp),
+                processors_per_node: ppn,
+                cores_per_processor: cpp,
+                ..platforms::chic()
+            };
+            let m = CostModel::new(&spec);
+            let (mut qs, mut qd, mode) = sizes;
+            let past = [1025, 1071, 1365][qs % 3];
+            match mode {
+                0 => qs = past,
+                1 => qd = past,
+                2 => qd = qs + 1 + qd % 3,
+                3 => qs = qd + 1 + qs % 3,
+                _ => {}
+            }
+            let near = mode == 2 || mode == 3;
+            let orders = match mode {
+                2 => (0, 1),
+                3 => (1, 0),
+                _ => orders,
+            };
+            let window = |seq: &[CoreId], at: usize, len: usize| -> Vec<CoreId> {
+                let lo = at % (seq.len() - len + 1);
+                seq[lo..lo + len].to_vec()
+            };
+            let seq_s = crate::tests::mapped_sequence(&spec, orders.0);
+            let seq_d = crate::tests::mapped_sequence(&spec, orders.1);
+            let (src, dst) = if nested && !near {
+                // The narrower group is a window of the wider one.
+                if qs <= qd {
+                    let dst = window(&seq_d, offsets.1, qd);
+                    (window(&dst, offsets.0, qs), dst)
+                } else {
+                    let src = window(&seq_s, offsets.0, qs);
+                    let dst = window(&src, offsets.1, qd);
+                    (src, dst)
+                }
+            } else {
+                (window(&seq_s, offsets.0, qs), window(&seq_d, offsets.1, qd))
+            };
+            let mut ctx = CommContext::uniform(&spec);
+            for (s, &f) in ctx.sharers.iter_mut().zip(sharers.iter().cycle()) {
+                *s = f64::from(f);
+            }
+            if near {
+                for c in if qs < qd { &src } else { &dst } {
+                    ctx.sharers[spec.label(*c).node] = 1.0;
+                }
+            }
+            let runs = m.node_runs(&ctx, if qs > qd { &src } else { &dst });
+            for bytes in [8.0, 4096.0, 4e6] {
                 let slow = oracle::block_redist_dense(&m, &ctx, bytes, &src, &dst);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "banded {fast} != dense {slow} for {qs}x{qd} @ {bytes}B"
-                );
+                let fresh = m.block_redist(&ctx, bytes, &src, &dst, None);
+                let kept = m.block_redist(&ctx, bytes, &src, &dst, Some(&runs));
+                prop_assert_eq!(fresh.to_bits(), slow.to_bits(), "{}x{} @ {}B: {} vs {}", qs, qd, bytes, fresh, slow);
+                prop_assert_eq!(kept.to_bits(), slow.to_bits(), "{}x{} @ {}B", qs, qd, bytes);
             }
         }
     }

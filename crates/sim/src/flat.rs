@@ -23,7 +23,7 @@
 use crate::report::{SimReport, TaskTiming};
 use crate::Simulator;
 use pt_core::{Mapping, SymbolicSchedule};
-use pt_cost::{CommContext, Overlap};
+use pt_cost::{CommContext, NodeRuns, Overlap};
 use pt_machine::{ClusterSpec, CoreId};
 use pt_mtask::{RedistPattern, TaskGraph, TaskId};
 
@@ -102,6 +102,10 @@ impl Simulator<'_> {
             // datum after another).
             let mut preds_done = 0.0f64;
             let mut redist_total = 0.0f64;
+            // The entry's node runs in its context, built for the first
+            // Block edge from a producer no wider than the entry and kept
+            // for the rest.
+            let mut runs: Option<NodeRuns> = None;
             for &pr in graph.preds(entry.task) {
                 preds_done = preds_done.max(resolver.resolve(graph, pr, &finish));
                 let src = entry_of[pr.0];
@@ -111,9 +115,17 @@ impl Simulator<'_> {
                     if edge.pattern != RedistPattern::None && edge.bytes != 0.0 {
                         let src = src as usize;
                         let overlap = overlap(&sched.entries[src].cores, &entry.cores, &mut marks);
-                        redist_total +=
-                            self.model
-                                .redist_time(ctx, &edge, &mapped[src], cores, overlap);
+                        let wide_runs = (edge.pattern == RedistPattern::Block
+                            && mapped[src].len() <= cores.len())
+                        .then(|| &*runs.get_or_insert_with(|| self.model.node_runs(ctx, cores)));
+                        redist_total += self.model.redist_time(
+                            ctx,
+                            &edge,
+                            &mapped[src],
+                            cores,
+                            overlap,
+                            wide_runs,
+                        );
                     }
                 }
             }

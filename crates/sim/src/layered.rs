@@ -15,7 +15,7 @@ use crate::report::{GroupTiming, LayerTiming, SimReport, TaskTiming};
 use crate::Simulator;
 use pt_core::hybrid::{hybrid_task_time, ProcessLayout};
 use pt_core::{LayeredSchedule, Mapping};
-use pt_cost::{CommContext, GroupShapes, Overlap};
+use pt_cost::{CommContext, GroupShapes, NodeRuns, Overlap};
 use pt_machine::CoreId;
 use pt_mtask::{MTask, RedistPattern, TaskGraph, TaskId};
 use std::collections::{BTreeMap, HashMap};
@@ -213,9 +213,23 @@ impl Simulator<'_> {
                                 dst,
                                 ctx: ctx_id,
                             };
-                            group_incoming += *prices.redist.entry(key).or_insert_with(|| {
+                            let Prices { redist, runs, .. } = prices;
+                            group_incoming += *redist.entry(key).or_insert_with(|| {
+                                // A Block edge walks the node runs of the
+                                // longer group, `dst` on a tie.
+                                let wide_runs = (edge.pattern == RedistPattern::Block).then(|| {
+                                    let wide = if src.1 - src.0 > dst.1 - dst.0 {
+                                        src
+                                    } else {
+                                        dst
+                                    };
+                                    &*runs.entry((wide, ctx_id)).or_insert_with(|| {
+                                        self.model.node_runs(ctx, &cores[wide.0..wide.1])
+                                    })
+                                });
                                 let (src, dst) = (&cores[src.0..src.1], &cores[dst.0..dst.1]);
-                                self.model.redist_time(ctx, &edge, src, dst, overlap)
+                                self.model
+                                    .redist_time(ctx, &edge, src, dst, overlap, wide_runs)
                             });
                         }
                     }
@@ -251,12 +265,15 @@ impl Simulator<'_> {
 /// context alone, so one [`GroupShapes`] per (useful cores, context)
 /// prices every operation of every pure-MPI task on that group, whatever
 /// its message sizes.  Each redistribution is priced once per (edge,
-/// source group, destination group, context).  Hybrid tasks are priced
-/// afresh.
+/// source group, destination group, context), and a Block redistribution
+/// walks the node runs of its wider group, worked out once per (group,
+/// context): all of EPOL's land on the combine task's full-width group.
+/// Hybrid tasks are priced afresh.
 struct Prices<'g> {
     /// The mapping's physical cores; a range of them is a group.
     cores: &'g [CoreId],
     comm: HashMap<(Range, usize), GroupShapes>,
+    runs: HashMap<(Range, usize), NodeRuns>,
     redist: HashMap<RedistKey, f64>,
 }
 
@@ -265,6 +282,7 @@ impl<'g> Prices<'g> {
         Prices {
             cores,
             comm: HashMap::new(),
+            runs: HashMap::new(),
             redist: HashMap::new(),
         }
     }

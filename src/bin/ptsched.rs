@@ -59,7 +59,7 @@ use parallel_tasks::mtask::TaskGraph;
 use parallel_tasks::nas::{bt_mz, sp_mz, Class};
 use parallel_tasks::ode::{Bruss2d, Diirk, Epol, Irk, Pab, Pabm};
 use parallel_tasks::serve::{
-    plan, table_store, write_trace, CacheStatus, SchedService, ScheduleRequest, ServeConfig,
+    plan, table_store, write_trace, CacheStatus, Plan, SchedService, ScheduleRequest, ServeConfig,
 };
 use parallel_tasks::sim::{render_gantt, render_layers, Simulator};
 use serde::{Serialize, Value};
@@ -343,85 +343,106 @@ fn main() {
             Some(path) => write_trace(&request, path).map_err(|e| format!("--trace {e}"))?,
             None => plan(&request, &table_store(&request), None, None),
         };
-        let (graph, spec, schedule) = (&*request.graph, &*request.machine, &planned.schedule);
-        println!(
-            "workload {} ({} tasks, {} edges) on {} x {} cores",
-            o.workload,
-            graph.len(),
-            graph.edge_count(),
-            spec.name,
-            o.cores
-        );
-        if !spec.is_uniform() {
-            println!(
-                "machine: last {} of {} nodes at {}x nominal speed \
-                 (het-aware scheduling on, classes {:?})",
-                o.slow_nodes,
-                spec.nodes,
-                o.slow_factor,
-                spec.speed_classes()
-            );
+        // A reader that closes the pipe early (`| head`) ends the report
+        // quietly.
+        match report(&mut std::io::stdout().lock(), &o, &request, &planned) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+            _ => Ok(()),
         }
-        println!(
-            "schedule: {} layers, group counts {:?}",
-            schedule.layers.len(),
-            schedule
-                .layers
-                .iter()
-                .map(|l| l.num_groups())
-                .collect::<Vec<_>>()
-        );
-
-        let model = CostModel::new(spec);
-        let sim = Simulator::new(&model);
-        println!("\nsimulated time per step by mapping:");
-        // Each candidate mapping simulates independently; fan the sweep out
-        // one thread per strategy and print in the original (deterministic)
-        // order afterwards.
-        let strategies = MappingStrategy::all_for(spec);
-        let cores = o.cores;
-        let reports: Vec<_> = std::thread::scope(|sc| {
-            let handles: Vec<_> = strategies
-                .iter()
-                .map(|&s| {
-                    let sim = &sim;
-                    sc.spawn(move || {
-                        let m = s.mapping(spec, cores);
-                        sim.simulate_layered(graph, schedule, &m)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("mapping sweep worker panicked"))
-                .collect()
-        });
-        let chosen = request.mapping;
-        for (&s, rep) in strategies.iter().zip(&reports) {
-            let marker = if s == chosen { " <-- selected" } else { "" };
-            println!(
-                "  {:<12} {:>10.3} ms{}",
-                s.name(),
-                rep.makespan / o.steps as f64 * 1e3,
-                marker
-            );
-        }
-
-        println!("\nlayer timing ({}):", chosen.name());
-        print!("{}", render_layers(&planned.report));
-        if o.gantt {
-            println!("\ntimeline:");
-            print!("{}", render_gantt(&planned.report, graph, 64));
-        }
-        if let Some(path) = &o.trace {
-            println!("\nwrote chrome trace to {path}");
-        }
-        Ok(())
     };
     if let Err(e) = run() {
         eprintln!("ptsched: {e}");
         std::process::exit(1);
     }
+}
+
+/// The one-shot report of a planned request, written to `out`: the
+/// schedule, the simulated time per step under every mapping, the layer
+/// timing and, with `--gantt`, the timeline.
+fn report(
+    out: &mut impl Write,
+    o: &Options,
+    request: &ScheduleRequest,
+    planned: &Plan,
+) -> std::io::Result<()> {
+    let (graph, spec, schedule) = (&*request.graph, &*request.machine, &planned.schedule);
+    writeln!(
+        out,
+        "workload {} ({} tasks, {} edges) on {} x {} cores",
+        o.workload,
+        graph.len(),
+        graph.edge_count(),
+        spec.name,
+        o.cores
+    )?;
+    if !spec.is_uniform() {
+        writeln!(
+            out,
+            "machine: last {} of {} nodes at {}x nominal speed \
+             (het-aware scheduling on, classes {:?})",
+            o.slow_nodes,
+            spec.nodes,
+            o.slow_factor,
+            spec.speed_classes()
+        )?;
+    }
+    writeln!(
+        out,
+        "schedule: {} layers, group counts {:?}",
+        schedule.layers.len(),
+        schedule
+            .layers
+            .iter()
+            .map(|l| l.num_groups())
+            .collect::<Vec<_>>()
+    )?;
+
+    let model = CostModel::new(spec);
+    let sim = Simulator::new(&model);
+    writeln!(out, "\nsimulated time per step by mapping:")?;
+    // Each candidate mapping simulates independently; fan the sweep out
+    // one thread per strategy and print in the original (deterministic)
+    // order afterwards.
+    let strategies = MappingStrategy::all_for(spec);
+    let cores = o.cores;
+    let reports: Vec<_> = std::thread::scope(|sc| {
+        let handles: Vec<_> = strategies
+            .iter()
+            .map(|&s| {
+                let sim = &sim;
+                sc.spawn(move || {
+                    let m = s.mapping(spec, cores);
+                    sim.simulate_layered(graph, schedule, &m)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("mapping sweep worker panicked"))
+            .collect()
+    });
+    let chosen = request.mapping;
+    for (&s, rep) in strategies.iter().zip(&reports) {
+        let marker = if s == chosen { " <-- selected" } else { "" };
+        writeln!(
+            out,
+            "  {:<12} {:>10.3} ms{}",
+            s.name(),
+            rep.makespan / o.steps as f64 * 1e3,
+            marker
+        )?;
+    }
+
+    writeln!(out, "\nlayer timing ({}):", chosen.name())?;
+    write!(out, "{}", render_layers(&planned.report))?;
+    if o.gantt {
+        writeln!(out, "\ntimeline:")?;
+        write!(out, "{}", render_gantt(&planned.report, graph, 64))?;
+    }
+    if let Some(path) = &o.trace {
+        writeln!(out, "\nwrote chrome trace to {path}")?;
+    }
+    out.flush()
 }
 
 // ---------------------------------------------------------------------------

@@ -359,3 +359,27 @@ fn one_shot_run_still_works() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("simulated time per step by mapping"));
 }
+
+#[test]
+fn one_shot_report_into_a_closed_pipe_ends_quietly() {
+    // `ptsched … | head -1`: the reader takes one line and closes the
+    // pipe.  The report of 200 PABM steps (about 136 KB) outgrows a pipe's
+    // buffer, so a later write fails however the two processes interleave.
+    // It used to panic with "failed printing to stdout: Broken pipe" and
+    // exit 101.
+    let mut child = Command::new(BIN)
+        .args(["--workload", "pabm", "--cores", "16", "--steps", "200"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ptsched");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout pipe"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the first line");
+    assert!(line.starts_with("workload pabm"), "first line: {line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("ptsched exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "ptsched panicked: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
+}
