@@ -59,8 +59,8 @@ struct Report {
     keys: Vec<KeyEntry>,
 }
 
-/// Cold reference: the same request computed single-threaded with a fresh
-/// cost table, bypassing the service entirely.
+/// Cold reference: the same request computed single-threaded, bypassing
+/// the service entirely.
 fn cold_compute(req: &ScheduleRequest) -> (LayeredSchedule, f64) {
     let model = CostModel::new(&req.machine);
     let mut scheduler = LayerScheduler::new(&model).with_sweep_workers(1);

@@ -122,7 +122,7 @@ fn build_workload(name: &'static str, graph: TaskGraph, target_wall: f64, quick:
 
     // Per-layer budgets: the predicted wall clock of a layer is the
     // longest serial task chain over its groups (each group runs its
-    // assignment in sequence) — the CostTable predictions, scaled to wall
+    // assignment in sequence) — the cost model's predictions, scaled to wall
     // seconds exactly like the bodies.
     let budgets_s: Vec<f64> = replay
         .plan

@@ -275,7 +275,7 @@ pub mod replay {
     }
 
     impl Replay {
-        /// Plan `graph` from a cold table and build its program: the body
+        /// Plan `graph` and build its program: the body
         /// of task `t` is `body(t, self.duration(t))`.
         pub fn new(
             graph: TaskGraph,
@@ -289,8 +289,7 @@ pub mod replay {
                 Arc::new(machine),
                 MappingStrategy::Consecutive,
             );
-            let store = pt_serve::table_store(&request);
-            let plan = pt_serve::plan(&request, &store, None, Some(recorder.clone()));
+            let plan = pt_serve::plan(&request, None, Some(recorder.clone()));
             let scale = wall_budget / plan.report.makespan.max(1e-9);
             let durations: HashMap<TaskId, Duration> = plan
                 .report

@@ -59,7 +59,7 @@ impl<'a> Amtha<'a> {
             .collect();
 
         let cg = ChainGraph::contract(graph);
-        let table = CostTable::with_width(self.model, cg.graph.len(), total);
+        let table = CostTable::new(self.model, cg.graph.len());
         let mut out = LayeredSchedule {
             total_cores: total,
             layers: Vec::new(),

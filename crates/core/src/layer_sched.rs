@@ -35,14 +35,16 @@
 //! prefix of the layer, and the winner is exactly the plain ascending
 //! sweep's: the smallest makespan, then the smallest `g`.
 //!
-//! The bound order, the LPT candidates and the final assignment price
-//! through the schedule's [`CostTable`], which memoises every `(task,
-//! width)` they touch.  The run refinements do not: the layer's tasks are
-//! compiled once, in the bound order, into [`SymbolicCosts`], and each
-//! refinement prices its chunk at `b` and `b + 1` from them.  A compiled
-//! price costs about what a warm table hit does, and it spares the table a
-//! column for every width the refinements reach (the `bound_prices`
-//! argument of the `g_sweep` span counts them).
+//! Every price of the search comes from one compiled form of the layer,
+//! [`SymbolicCosts`] on the machine's fastest cores (speed class 0): the
+//! bound order, the LPT candidates and the final assignment price the
+//! layer at one width each, and the run refinements price chunks of a copy
+//! in the bound order, at `b` and `b + 1` (the `bound_prices`
+//! argument of the `g_sweep` span counts those).  Nothing is memoised: a
+//! compiled price costs 2–4 ns, less than a cold memo cell, and a cold
+//! schedule would miss most cells.  The sweep's worker threads share the
+//! immutable compiled layer.  The heterogeneity-aware path prices groups
+//! of several speed classes through a per-schedule [`CostTable`].
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
@@ -82,24 +84,22 @@ const LPT_HEAP_THRESHOLD: usize = 16;
 const FIRST_PREFIX: usize = 64;
 
 /// Per-task times at one width, cached so consecutive candidates sharing a
-/// width (`⌊P/g⌋` repeats for many `g`) skip the table walk entirely.
+/// width (`⌊P/g⌋` repeats for many `g`) price the layer once.
 struct CachedTimes {
     /// Width the buffer holds, `usize::MAX` when invalid.
     width: usize,
     times: Vec<f64>,
+    /// Task prices computed into the buffer so far.
+    prices: usize,
 }
 
 impl CachedTimes {
-    /// Per-task times at `width`, refilled from `table` on miss.
-    fn fill<'s>(
-        &'s mut self,
-        table: &CostTable<'_>,
-        tasks: &[(TaskId, &MTask)],
-        width: usize,
-    ) -> &'s [f64] {
+    /// Per-task times at `width`, priced from `layer` on miss.
+    fn fill<'s>(&'s mut self, layer: &SymbolicCosts, width: usize) -> &'s [f64] {
         if self.width != width {
             self.width = width;
-            table.symbolic_into(tasks, width, &mut self.times);
+            layer.price_into(0..layer.len(), width, &mut self.times);
+            self.prices += layer.len();
         }
         &self.times
     }
@@ -141,10 +141,12 @@ impl Default for LptScratch {
             lo: CachedTimes {
                 width: usize::MAX,
                 times: Vec::new(),
+                prices: 0,
             },
             hi: CachedTimes {
                 width: usize::MAX,
                 times: Vec::new(),
+                prices: 0,
             },
             acc: Vec::new(),
             heap: BinaryHeap::new(),
@@ -159,6 +161,11 @@ impl LptScratch {
         self.order_width = usize::MAX;
         self.lo.invalidate();
         self.hi.invalidate();
+    }
+
+    /// Task prices computed through this scratch so far.
+    fn prices(&self) -> usize {
+        self.lo.prices + self.hi.prices
     }
 }
 
@@ -216,7 +223,7 @@ impl<'a> LayerScheduler<'a> {
     }
 
     /// Attach a trace recorder (scheduling phases appear as spans on the
-    /// scheduler's process row, cost-table misses as a counter).
+    /// scheduler's process row, task prices as a counter).
     pub fn with_recorder(mut self, recorder: std::sync::Arc<pt_obs::TraceRecorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -280,36 +287,21 @@ impl<'a> LayerScheduler<'a> {
 
     /// Schedule a graph onto an explicit number of symbolic cores.
     pub fn schedule_on(&self, graph: &TaskGraph, total: usize) -> LayeredSchedule {
-        assert!(total >= 1);
-        let cg = self.contracted(graph);
-        // One memo table for the whole graph: tasks re-priced at the same
-        // width across layers (and inside each layer's g-sweep) hit cache.
-        let table = CostTable::with_width(self.model, cg.graph.len(), total);
-        let out = self.schedule_contracted(&cg, &table, total);
-        if let Some(r) = self.recorder.as_deref() {
-            r.add(pt_obs::keys::COST_EVALUATIONS, table.evaluations() as u64);
-        }
-        out
+        self.schedule_counted(graph, total).0
     }
 
-    /// [`schedule_on`](Self::schedule_on) pricing through a caller-provided
-    /// [`CostTable`] — the replanning path: after a permanent worker loss
-    /// the survivors are rescheduled with the table of the original
-    /// planning run, so every `(task, width)` pair priced before the loss
-    /// is reused.  The table must belong to the same cost model and cover
-    /// the contracted graph's task ids (one built with
-    /// `CostTable::with_width(model, graph.len(), …)` always does; chain
-    /// contraction is deterministic, so contracted ids are stable across
-    /// calls).  The result is identical to what a fresh table produces.
-    pub fn schedule_on_with(
-        &self,
-        table: &CostTable<'_>,
-        graph: &TaskGraph,
-        total: usize,
-    ) -> LayeredSchedule {
+    /// [`schedule_on`](Self::schedule_on), also returning the task prices
+    /// the schedule computed: every compiled price of the homogeneous path,
+    /// those of the sweep's worker threads included, or the memo misses of
+    /// the heterogeneity-aware one.  A recorder receives the same count.
+    pub fn schedule_counted(&self, graph: &TaskGraph, total: usize) -> (LayeredSchedule, usize) {
         assert!(total >= 1);
         let cg = self.contracted(graph);
-        self.schedule_contracted(&cg, table, total)
+        let (out, prices) = self.schedule_contracted(&cg, total);
+        if let Some(r) = self.recorder.as_deref() {
+            r.add(pt_obs::keys::COST_EVALUATIONS, prices as u64);
+        }
+        (out, prices)
     }
 
     fn contracted(&self, graph: &TaskGraph) -> ChainGraph {
@@ -336,17 +328,19 @@ impl<'a> LayerScheduler<'a> {
         cg
     }
 
-    fn schedule_contracted(
-        &self,
-        cg: &ChainGraph,
-        table: &CostTable<'_>,
-        total: usize,
-    ) -> LayeredSchedule {
+    fn schedule_contracted(&self, cg: &ChainGraph, total: usize) -> (LayeredSchedule, usize) {
         let rec = self.recorder.as_deref();
         let mut out = LayeredSchedule {
             total_cores: total,
             layers: Vec::new(),
         };
+        // Only the heterogeneity-aware path keeps a memo, one for the
+        // whole graph: its groups re-price tasks at the same width and
+        // class across layers and candidates.
+        let table = self
+            .het_active()
+            .then(|| CostTable::new(self.model, cg.graph.len()));
+        let mut prices = 0;
         let mut scratch = LptScratch::default();
         let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
@@ -365,8 +359,10 @@ impl<'a> LayerScheduler<'a> {
             let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
             tasks.clear();
             tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
-            let (sizes, assignment) =
-                self.schedule_layer_scratch(table, &tasks, total, &mut scratch);
+            let (sizes, assignment) = match &table {
+                Some(table) => self.schedule_layer_het(table, &tasks, total),
+                None => self.schedule_layer(&tasks, total, &mut scratch, &mut prices),
+            };
             if let Some(r) = rec {
                 let dur_s = (r.now_us() - t0) / 1e6;
                 r.add(pt_obs::keys::SCHED_LAYERS, 1);
@@ -396,40 +392,39 @@ impl<'a> LayerScheduler<'a> {
                 assignments,
             });
         }
-        out
+        (out, prices + table.map_or(0, |t| t.evaluations()))
     }
 
-    /// Schedule one layer of independent tasks, pricing through `table`
-    /// (indexed by the same `TaskId`s as `tasks`) and reusing `scratch`
-    /// across layers; returns the adjusted group sizes and the per-group
+    /// Schedule one layer of independent tasks on a homogeneous machine,
+    /// reusing `scratch` across layers and adding the task prices computed
+    /// to `prices`; returns the adjusted group sizes and the per-group
     /// ordered task lists (ids refer to the graph the tasks came from).
     ///
     /// The candidate group counts `g = 1..=min(tasks, total)` are searched
     /// across [`sweep_workers`](Self::sweep_workers) threads; the winner's
     /// LPT run is serial.  A fixed group count is clamped to
     /// `min(tasks, total)`.
-    fn schedule_layer_scratch(
+    fn schedule_layer(
         &self,
-        table: &CostTable<'_>,
         tasks: &[(TaskId, &MTask)],
         total: usize,
         scratch: &mut LptScratch,
+        prices: &mut usize,
     ) -> (Vec<usize>, Vec<Vec<TaskId>>) {
         assert!(!tasks.is_empty(), "cannot schedule an empty layer");
-        if self.het_active() {
-            return self.schedule_layer_het(table, tasks, total);
-        }
         let max_g = tasks.len().min(total);
         scratch.reset();
         let rec = self.recorder.as_deref();
 
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+        let layer = SymbolicCosts::new(self.model, tasks.iter().map(|&(_, task)| task));
         let (best_g, lpt_runs, bound_prices) = match self.fixed_groups {
             Some(g) => (g.clamp(1, max_g), 0, 0),
             // A lone candidate wins without a search.
             None if max_g == 1 => (1, 0, 0),
             None => {
-                let won = self.sweep(table, tasks, total, max_g, scratch);
+                let won = self.sweep(&layer, total, max_g, scratch);
+                *prices += won.prices;
                 (won.g, won.lpt_runs, won.bound_prices)
             }
         };
@@ -453,7 +448,9 @@ impl<'a> LayerScheduler<'a> {
         // assignment (the sweep itself only tracks makespans).
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
         let mut assignment: Vec<Vec<usize>> = Vec::new();
-        assign_lpt(table, tasks, best_g, total, scratch, Some(&mut assignment));
+        let before = scratch.prices();
+        assign_lpt(&layer, best_g, total, scratch, Some(&mut assignment));
+        *prices += scratch.prices() - before;
         if let Some(r) = rec {
             r.span_args(
                 SCHED_PID,
@@ -563,12 +560,11 @@ impl<'a> LayerScheduler<'a> {
         (sizes, assignment)
     }
 
-    /// Search `g = 1..=max_g` for the smallest layer makespan (smallest
-    /// `g` on ties).
+    /// Search `g = 1..=max_g` for the smallest makespan (smallest `g` on
+    /// ties) of `layer`.
     fn sweep(
         &self,
-        table: &CostTable<'_>,
-        tasks: &[(TaskId, &MTask)],
+        layer: &SymbolicCosts,
         total: usize,
         max_g: usize,
         scratch: &mut LptScratch,
@@ -576,14 +572,14 @@ impl<'a> LayerScheduler<'a> {
         let workers = self.sweep_workers.unwrap_or(1).min(max_g);
         if workers <= 1 {
             let all: Vec<usize> = (1..=max_g).collect();
-            return best_first(table, tasks, total, &all, scratch);
+            return best_first(layer, total, &all, scratch);
         }
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     s.spawn(move || {
                         let mine: Vec<usize> = (1 + w..=max_g).step_by(workers).collect();
-                        best_first(table, tasks, total, &mine, &mut LptScratch::default())
+                        best_first(layer, total, &mine, &mut LptScratch::default())
                     })
                 })
                 .collect();
@@ -599,6 +595,7 @@ impl<'a> LayerScheduler<'a> {
                     Sweep {
                         lpt_runs: a.lpt_runs + b.lpt_runs,
                         bound_prices: a.bound_prices + b.bound_prices,
+                        prices: a.prices + b.prices,
                         ..won
                     }
                 })
@@ -759,14 +756,15 @@ fn het_assign(
 }
 
 /// The winner of a g-sweep — the smallest float LPT makespan, then the
-/// smallest `g` — and the LPT runs and the task prices of run refinements
-/// the sweep spent finding it.
+/// smallest `g` — and the LPT runs, the task prices of run refinements and
+/// all the task prices the sweep spent finding it.
 #[derive(Debug, Clone, Copy)]
 struct Sweep {
     makespan: f64,
     g: usize,
     lpt_runs: usize,
     bound_prices: usize,
+    prices: usize,
 }
 
 /// The sweep's order on `(makespan, g)`: the winner is the minimum.
@@ -860,20 +858,20 @@ impl<'c> Run<'c> {
 }
 
 /// The exact best-first search of the module docs over `candidates`
-/// (ascending group counts).
+/// (ascending group counts) for `layer`.
 fn best_first(
-    table: &CostTable<'_>,
-    tasks: &[(TaskId, &MTask)],
+    layer: &SymbolicCosts,
     total: usize,
     candidates: &[usize],
     scratch: &mut LptScratch,
 ) -> Sweep {
-    let n = tasks.len();
+    let before = scratch.prices();
+    let n = layer.len();
     let slack = rounding_slack(n);
     let g_max = *candidates
         .last()
         .expect("at least one candidate group count");
-    let ordered = bound_order(table, tasks, total / g_max, scratch);
+    let ordered = bound_order(layer, total / g_max, scratch);
     let mut runs: Vec<Run<'_>> = candidates
         .chunk_by(|a, b| total / a == total / b)
         .map(|gs| Run::new(gs, total))
@@ -907,7 +905,7 @@ fn best_first(
                 }
             }
             None => {
-                let t_act = assign_lpt(table, tasks, g, total, scratch, None);
+                let t_act = assign_lpt(layer, g, total, scratch, None);
                 lpt_runs += 1;
                 if best.is_none_or(|b| key_cmp((t_act, g), b).is_lt()) {
                     best = Some((t_act, g));
@@ -921,6 +919,7 @@ fn best_first(
         g,
         lpt_runs,
         bound_prices,
+        prices: bound_prices + scratch.prices() - before,
     }
 }
 
@@ -930,33 +929,25 @@ fn rounding_slack(n: usize) -> f64 {
     1.0 - 4.0 * n as f64 * f64::EPSILON
 }
 
-/// The symbolic costs of `tasks` compiled in the bound order: decreasing
-/// time at `width`, index breaking ties.
-fn bound_order(
-    table: &CostTable<'_>,
-    tasks: &[(TaskId, &MTask)],
-    width: usize,
-    scratch: &mut LptScratch,
-) -> SymbolicCosts {
-    let times = scratch.lo.fill(table, tasks, width);
+/// `layer` in the bound order: decreasing time at `width`, index breaking
+/// ties.
+fn bound_order(layer: &SymbolicCosts, width: usize, scratch: &mut LptScratch) -> SymbolicCosts {
+    let times = scratch.lo.fill(layer, width);
     let mut order: Vec<(TotalF64, u32)> = times
         .iter()
         .enumerate()
         .map(|(i, &t)| (TotalF64(t), i as u32))
         .collect();
     order.sort_unstable_by(lpt_cmp);
-    SymbolicCosts::new(
-        table.model(),
-        order.iter().map(|&(_, i)| tasks[i as usize].1),
-    )
+    layer.select(order.iter().map(|&(_, i)| i as usize))
 }
 
 /// The modified greedy assignment (Algorithm 1 line 10): the `total` cores
-/// are split into `g` equal subsets ([`equal_partition`]), then tasks in
-/// decreasing symbolic time each go to the subset with the smallest
-/// accumulated time (smallest index on ties).  Returns the layer makespan
-/// `Tact`; when `assignment` is given it is filled with per-group task
-/// *indices into `tasks`*.
+/// are split into `g` equal subsets ([`equal_partition`]), then the tasks
+/// of `layer` in decreasing symbolic time each go to the subset with the
+/// smallest accumulated time (smallest index on ties).  Returns the layer
+/// makespan `Tact`; when `assignment` is given it is filled with per-group
+/// task *indices into `layer`*.
 ///
 /// An equal partition only produces two widths (`⌊total/g⌋` and
 /// `⌈total/g⌉`), so the per-task times are gathered into two flat arrays up
@@ -966,8 +957,7 @@ fn bound_order(
 /// of `(accumulated time, group)` above [`LPT_HEAP_THRESHOLD`] — both pick
 /// the identical group, so the result is independent of the strategy.
 fn assign_lpt(
-    table: &CostTable<'_>,
-    tasks: &[(TaskId, &MTask)],
+    layer: &SymbolicCosts,
     g: usize,
     total: usize,
     scratch: &mut LptScratch,
@@ -985,9 +975,9 @@ fn assign_lpt(
         heap,
     } = scratch;
     // Times at the two subset widths; groups `l < extra` get `base + 1`.
-    let lo_times: &[f64] = lo.fill(table, tasks, base);
+    let lo_times: &[f64] = lo.fill(layer, base);
     let hi_times: &[f64] = if extra > 0 {
-        hi.fill(table, tasks, base + 1)
+        hi.fill(layer, base + 1)
     } else {
         lo_times
     };
@@ -1234,13 +1224,8 @@ mod tests {
                 )
             })
             .collect();
-        let list: Vec<(TaskId, &MTask)> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), t))
-            .collect();
+        let layer = SymbolicCosts::new(&model, &tasks);
         let total = 32;
-        let table = CostTable::with_width(&model, list.len(), total);
         let mut shared = LptScratch::default();
         let mut asg_shared = Vec::new();
         let mut asg_fresh = Vec::new();
@@ -1248,9 +1233,9 @@ mod tests {
         // the reuse path sees both directions of near-sortedness.
         let gs: Vec<usize> = (1..=total).chain((1..=total).rev()).collect();
         for g in gs {
-            let t_shared = assign_lpt(&table, &list, g, total, &mut shared, Some(&mut asg_shared));
+            let t_shared = assign_lpt(&layer, g, total, &mut shared, Some(&mut asg_shared));
             let mut fresh = LptScratch::default();
-            let t_fresh = assign_lpt(&table, &list, g, total, &mut fresh, Some(&mut asg_fresh));
+            let t_fresh = assign_lpt(&layer, g, total, &mut fresh, Some(&mut asg_fresh));
             assert_eq!(t_shared.to_bits(), t_fresh.to_bits(), "g={g}");
             assert_eq!(asg_shared, asg_fresh, "g={g}");
         }
@@ -1260,15 +1245,14 @@ mod tests {
     /// run per candidate in ascending order, the first minimum kept.
     /// Returns the winner's `(makespan, g)`.
     fn sweep_all(
-        table: &CostTable<'_>,
-        tasks: &[(TaskId, &MTask)],
+        layer: &SymbolicCosts,
         total: usize,
         candidates: &[usize],
         scratch: &mut LptScratch,
     ) -> (f64, usize) {
         let mut best: Option<(f64, usize)> = None;
         for &g in candidates {
-            let t_act = assign_lpt(table, tasks, g, total, scratch, None);
+            let t_act = assign_lpt(layer, g, total, scratch, None);
             if best.is_none_or(|(bt, _)| t_act < bt) {
                 best = Some((t_act, g));
             }
@@ -1308,35 +1292,42 @@ mod tests {
     }
 
     /// Best-first on the layer of `knobs` ([`drawn_task`]) at `total`
-    /// cores against the plain sweep: the same `g` and makespan bits with
-    /// 1 and 3 sweep threads, and every bound the search can key on, at
-    /// every prefix, at most the float LPT makespan of each candidate it
-    /// covers.
+    /// cores against the plain sweep, on CHiC at nominal speed and
+    /// uniformly re-clocked to 0.5, 2 and 8 times it: the same `g` and
+    /// makespan bits with 1 and 3 sweep threads, and every bound the
+    /// search can key on, at every prefix, at most the float LPT makespan
+    /// of each candidate it covers.
     fn check_search(
         knobs: &[(u32, u32, u32, u32)],
         total: usize,
     ) -> Result<(), proptest::TestCaseError> {
-        let spec = platforms::chic();
-        let model = CostModel::new(&spec);
         let tasks: Vec<MTask> = knobs
             .iter()
             .enumerate()
             .map(|(i, &k)| drawn_task(i, k))
             .collect();
-        let list: Vec<(TaskId, &MTask)> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), t))
-            .collect();
-        let table = CostTable::with_width(&model, list.len(), total);
-        let max_g = list.len().min(total);
+        let chic = platforms::chic();
+        for factor in [1.0, 0.5, 2.0, 8.0] {
+            let spec = chic.with_slow_nodes(chic.nodes, factor);
+            let model = CostModel::new(&spec);
+            check_search_on(&model, &SymbolicCosts::new(&model, &tasks), total)?;
+        }
+        Ok(())
+    }
+
+    fn check_search_on(
+        model: &CostModel<'_>,
+        layer: &SymbolicCosts,
+        total: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let max_g = layer.len().min(total);
         let all: Vec<usize> = (1..=max_g).collect();
         let mut scratch = LptScratch::default();
-        let (makespan, g) = sweep_all(&table, &list, total, &all, &mut scratch);
+        let (makespan, g) = sweep_all(layer, total, &all, &mut scratch);
         for workers in [1, 3] {
-            let won = LayerScheduler::new(&model)
+            let won = LayerScheduler::new(model)
                 .with_sweep_workers(workers)
-                .sweep(&table, &list, total, max_g, &mut scratch);
+                .sweep(layer, total, max_g, &mut scratch);
             proptest::prop_assert_eq!(
                 (won.g, won.makespan.to_bits()),
                 (g, makespan.to_bits()),
@@ -1347,17 +1338,17 @@ mod tests {
             );
         }
 
-        let slack = rounding_slack(list.len());
-        let ordered = bound_order(&table, &list, total / max_g, &mut scratch);
+        let slack = rounding_slack(layer.len());
+        let ordered = bound_order(layer, total / max_g, &mut scratch);
         let (mut lo, mut hi) = (Vec::new(), Vec::new());
         for gs in all.chunk_by(|a, b| total / a == total / b) {
             let lpt: Vec<f64> = gs
                 .iter()
-                .map(|&g| assign_lpt(&table, &list, g, total, &mut scratch, None))
+                .map(|&g| assign_lpt(layer, g, total, &mut scratch, None))
                 .collect();
             let floor = lpt.iter().copied().fold(f64::INFINITY, f64::min);
             let mut run = Run::new(gs, total);
-            while run.prefix < list.len() {
+            while run.prefix < layer.len() {
                 run.refine(&ordered, &mut lo, &mut hi);
                 let bound = run.bound(slack);
                 proptest::prop_assert!(

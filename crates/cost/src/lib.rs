@@ -41,7 +41,7 @@ pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedCl
 pub use context::CommContext;
 pub use redist::{NodeRuns, Overlap};
 pub use symbolic::{task_time_optimistic, SymbolicCosts};
-pub use table::{CostTable, TableStore};
+pub use table::CostTable;
 
 #[cfg(test)]
 mod tests {

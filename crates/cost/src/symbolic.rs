@@ -17,6 +17,8 @@
 //! list in that form and prices any slice of it at one width in one flat
 //! loop; [`CostModel::task_time_symbolic`] compiles its one task on the fly
 //! and evaluates the same code, so every caller prices with one formula.
+//! A speed class other than nominal scales only the compute part of that
+//! formula's result.
 
 use crate::collectives::CostModel;
 use pt_machine::LinkParams;
@@ -28,59 +30,48 @@ impl CostModel<'_> {
     /// slowest-level network under worst-case NIC sharing, the default
     /// mapping pattern `dmp`).
     pub fn task_time_symbolic(&self, task: &MTask, q: usize) -> f64 {
-        debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
-        let (cost, rest) = TaskCost::split(self, task);
-        let ops = rest.iter().map(|op| OpCost::new(self.symbolic_link, op));
-        let mut width = Width::new(q.min(cost.cap), self.symbolic_link, self.ring_threshold);
-        cost.at(&mut width, ops)
+        self.symbolic_at_speed(task, q, 1.0)
     }
 
     /// Placement-aware symbolic cost:
     /// [`task_time_symbolic`](Self::task_time_symbolic) priced for a
     /// candidate range whose slowest core belongs to speed class `class` —
     /// the compute part slows by the class's factor, communication is
-    /// placement-blind as before.
-    ///
-    /// For a class at nominal speed this *is* `task_time_symbolic`, bit for
-    /// bit (the branch below delegates), so homogeneous machines and class
-    /// 0 of a nominal-speed tier pay nothing for the generalisation.
+    /// placement-blind as before.  For a class at nominal speed this *is*
+    /// `task_time_symbolic`, bit for bit.
     pub fn task_time_symbolic_class(&self, task: &MTask, q: usize, class: usize) -> f64 {
-        let speed = self.classes().speed(class);
-        if speed == 1.0 {
-            return self.task_time_symbolic(task, q);
-        }
-        let t = self.task_time_symbolic(task, q);
-        if !t.is_finite() {
-            return t;
-        }
-        // Re-derive the compute part exactly as task_time_symbolic did and
-        // scale only it.
-        let q_eff = match task.max_cores {
-            Some(cap) => q.min(cap),
-            None => q,
-        };
-        let compute = self.spec.compute_time(task.work) / q_eff as f64;
-        t + compute * (1.0 / speed - 1.0)
+        self.symbolic_at_speed(task, q, self.classes().speed(class))
     }
 
-    /// Class-aware optimistic cost (see [`task_time_optimistic`]); class 0
-    /// at nominal speed is bit-identical to the free function.
-    pub fn task_time_optimistic_class(&self, task: &MTask, q: usize, class: usize) -> f64 {
-        let speed = self.classes().speed(class);
-        if speed == 1.0 {
-            return task_time_optimistic(self, task, q);
-        }
-        let t = task_time_optimistic(self, task, q);
-        if !t.is_finite() {
-            return t;
-        }
-        let q_eff = match task.max_cores {
-            Some(cap) => q.min(cap),
-            None => q,
-        };
-        let compute = self.spec.compute_time(task.work) / q_eff as f64;
+    fn symbolic_at_speed(&self, task: &MTask, q: usize, speed: f64) -> f64 {
+        debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
+        let (cost, rest) = TaskCost::split(self, task);
+        let ops = rest.iter().map(|op| OpCost::new(self.symbolic_link, op));
+        let mut width = Width::new(q.min(cost.cap), self.symbolic_link, self.ring_threshold);
+        let t = cost.at(&mut width, ops);
+        at_speed(t, cost.compute / width.qf, speed)
+    }
+}
+
+/// A price `t` at nominal speed whose compute part `compute` runs at
+/// `speed` instead.
+#[inline]
+fn at_speed(t: f64, compute: f64, speed: f64) -> f64 {
+    if speed == 1.0 || !t.is_finite() {
+        t
+    } else {
         t + compute * (1.0 / speed - 1.0)
     }
+}
+
+/// [`task_time_optimistic`] on cores of speed class 0, the machine's
+/// fastest: the price CPA and CPR memoise.  On every machine whose fastest
+/// cores run at nominal speed this is `task_time_optimistic`, bit for bit.
+pub(crate) fn task_time_optimistic_fastest(model: &CostModel<'_>, task: &MTask, q: usize) -> f64 {
+    let t = task_time_optimistic(model, task, q);
+    let q_eff = task.max_cores.map_or(q, |cap| q.min(cap));
+    let compute = model.spec.compute_time(task.work) / q_eff as f64;
+    at_speed(t, compute, model.classes().speed(0))
 }
 
 /// Optimistic execution-time estimate of `task` on `q` cores, as the
@@ -128,14 +119,17 @@ pub fn task_time_optimistic(model: &CostModel<'_>, task: &MTask, q: usize) -> f6
     compute + comm
 }
 
-/// The symbolic costs of a task list, compiled once (see the module
-/// docs).  [`price_into`](Self::price_into) prices any slice of the list at
-/// one width, each value bit for bit [`CostModel::task_time_symbolic`] of
-/// its task.
+/// The symbolic costs of a task list on the machine's fastest cores,
+/// compiled once (see the module docs).  [`price_into`](Self::price_into)
+/// prices any slice of the list at one width, each value bit for bit
+/// [`CostModel::task_time_symbolic_class`] of its task in speed class 0
+/// (which is `task_time_symbolic` wherever class 0 runs at nominal speed).
 #[derive(Debug, Clone)]
 pub struct SymbolicCosts {
     link: LinkParams,
     ring_threshold: f64,
+    /// Class 0's speed.
+    speed: f64,
     tasks: Vec<TaskCost>,
     /// The operations after each task's leading neighbour exchanges, task
     /// after task.
@@ -159,8 +153,30 @@ impl SymbolicCosts {
         SymbolicCosts {
             link: model.symbolic_link,
             ring_threshold: model.ring_threshold,
+            speed: model.classes().speed(0),
             tasks,
             ops,
+        }
+    }
+
+    /// The tasks at `order`'s indices, in that order, as a list of their
+    /// own.
+    pub fn select(&self, order: impl IntoIterator<Item = usize>) -> Self {
+        let mut ops = Vec::with_capacity(self.ops.len());
+        let tasks = order
+            .into_iter()
+            .map(|i| {
+                let mut cost = self.tasks[i].clone();
+                let start = ops.len();
+                ops.extend_from_slice(&self.ops[cost.rest.clone()]);
+                cost.rest = start..ops.len();
+                cost
+            })
+            .collect();
+        SymbolicCosts {
+            tasks,
+            ops,
+            ..*self
         }
     }
 
@@ -174,14 +190,14 @@ impl SymbolicCosts {
         self.tasks.is_empty()
     }
 
-    /// [`CostModel::task_time_symbolic`] at width `q` of every task in
-    /// `range`, written to `out` in order.  A capped task is priced at its
-    /// own capped width; the others share `q`'s quantities.
+    /// [`CostModel::task_time_symbolic_class`] in class 0 at width `q` of
+    /// every task in `range`, written to `out` in order.  A capped task is
+    /// priced at its own capped width; the others share `q`'s quantities.
     pub fn price_into(&self, range: Range<usize>, q: usize, out: &mut Vec<f64>) {
         debug_assert!(q >= 1, "zero-core width priced");
         let mut shared = Width::new(q, self.link, self.ring_threshold);
         out.clear();
-        out.extend(self.tasks[range].iter().map(|cost| {
+        out.extend(self.tasks[range.clone()].iter().map(|cost| {
             let rest = self.ops[cost.rest.clone()].iter().copied();
             if cost.cap < q {
                 let mut own = Width::new(cost.cap, self.link, self.ring_threshold);
@@ -190,6 +206,14 @@ impl SymbolicCosts {
                 cost.at(&mut shared, rest)
             }
         }));
+        // Scaled in a pass of its own: the loop above prices the g-sweep's
+        // bounds, hundreds of thousands of prices per schedule, and stays
+        // free of the speed test.
+        if self.speed != 1.0 {
+            for (t, cost) in out.iter_mut().zip(&self.tasks[range]) {
+                *t = at_speed(*t, cost.compute / q.min(cost.cap) as f64, self.speed);
+            }
+        }
     }
 }
 
@@ -233,8 +257,8 @@ impl TaskCost {
         (cost, &task.comm[lead..])
     }
 
-    /// The task's time at `width` (already capped), its later operations
-    /// compiled as `rest`.
+    /// The task's time at `width` (already capped) on nominal-speed cores,
+    /// its later operations compiled as `rest`.
     #[inline]
     fn at(&self, width: &mut Width, rest: impl Iterator<Item = OpCost>) -> f64 {
         if width.q == 0 {
@@ -406,12 +430,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Compiled costs against the oracle's per-operation expression,
-        /// bit for bit: each task alone, whole and partial slices at the
-        /// drawn width and the next one, and every speed class of a
-        /// machine with a slow tier through `task_time_symbolic_class`.
+        /// bit for bit: each task alone, whole and partial slices and a
+        /// reversed selection at the drawn width and the next one; and, on
+        /// a machine with a slow tier and on a uniformly re-clocked one
+        /// (one class at 0.5, 2 or 8 times nominal speed), every class
+        /// through `task_time_symbolic_class`, which the compiled form
+        /// matches in class 0.
         #[test]
         fn compiled_costs_price_like_the_oracle(
             machine in 0usize..3,
+            factor in 0usize..3,
             width in (0usize..6, 1usize..(1 << 17) + 1),
             drawn in prop::collection::vec(
                 (0.0f64..8.0, 0u32..5, prop::collection::vec((0u32..9, (0u32..6, 0.0f64..8.0), 0.0f64..3.0), 0..4)),
@@ -450,19 +478,31 @@ mod tests {
                 costs.price_into(lo..hi, q, &mut out);
                 let part: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
                 prop_assert_eq!(&part[..], &want[lo..hi], "q = {}, {}..{}", q, lo, hi);
+                costs.select((lo..hi).rev()).price_into(0..hi - lo, q, &mut out);
+                let picked: Vec<u64> = out.iter().rev().map(|t| t.to_bits()).collect();
+                prop_assert_eq!(&picked[..], &want[lo..hi], "select q = {}, {}..{}", q, lo, hi);
             }
 
-            let slow_spec = spec.with_slow_nodes(2, 0.5);
-            let slow = CostModel::new(&slow_spec);
-            prop_assert_eq!(slow.num_classes(), 2);
-            for task in &tasks {
-                for class in 0..slow.num_classes() {
-                    prop_assert_eq!(
-                        slow.task_time_symbolic_class(task, q, class).to_bits(),
-                        oracle_class(&slow, task, q, class).to_bits(),
-                        "class {}, q = {}: {:?}", class, q, task
-                    );
+            let factor = [0.5, 2.0, 8.0][factor];
+            for (spec, classes) in [(spec.with_slow_nodes(2, 0.5), 2), (spec.with_slow_nodes(8, factor), 1)] {
+                let m = CostModel::new(&spec);
+                prop_assert_eq!(m.num_classes(), classes);
+                for task in &tasks {
+                    for class in 0..classes {
+                        prop_assert_eq!(
+                            m.task_time_symbolic_class(task, q, class).to_bits(),
+                            oracle_class(&m, task, q, class).to_bits(),
+                            "class {}, q = {}: {:?}", class, q, task
+                        );
+                    }
                 }
+                let want: Vec<u64> = tasks
+                    .iter()
+                    .map(|t| m.task_time_symbolic_class(t, q, 0).to_bits())
+                    .collect();
+                SymbolicCosts::new(&m, &tasks).price_into(0..tasks.len(), q, &mut out);
+                let got: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
+                prop_assert_eq!(&got, &want, "{} classes, q = {}: {:?}", classes, q, tasks);
             }
         }
     }
@@ -544,7 +584,7 @@ mod tests {
                     m.task_time_symbolic(task, q).to_bits()
                 );
                 assert_eq!(
-                    m.task_time_optimistic_class(task, q, 0).to_bits(),
+                    task_time_optimistic_fastest(&m, task, q).to_bits(),
                     task_time_optimistic(&m, task, q).to_bits()
                 );
             }

@@ -71,7 +71,7 @@ impl DeadlinePolicy {
 
     /// Policy from predicted layer times in seconds (e.g. the cost model's
     /// per-layer critical path), scaled by `scale` into wall-clock seconds
-    /// — the bridge from `CostTable` predictions to deadlines.
+    /// — the bridge from cost-model predictions to deadlines.
     pub fn from_predictions(predicted_s: &[f64], scale: f64) -> DeadlinePolicy {
         let budgets = predicted_s
             .iter()

@@ -85,7 +85,7 @@ thread_local! {
 }
 
 /// Number of deep [`MTask`] copies performed *on this thread* since it
-/// started.  The counterpart of `CostTable::evaluations()` for allocation
+/// started.  The counterpart of the scheduler's price counts for allocation
 /// pressure: graph transforms that are supposed to be clone-free (chain
 /// contraction over the arena graph, graph clones via `Arc` payloads)
 /// assert a zero delta across their run.

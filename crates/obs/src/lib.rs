@@ -79,7 +79,8 @@ pub mod keys {
     /// Seconds since the last heartbeat of the laggiest active rank,
     /// observed at each monitor tick (histogram).
     pub const HEARTBEAT_AGE: &str = "exec.heartbeat_age_s";
-    /// Cost-table misses (`CostTable::evaluations`) during scheduling.
+    /// Task prices the layer scheduler computed (compiled prices and cost
+    /// memo misses alike).
     pub const COST_EVALUATIONS: &str = "sched.cost_evaluations";
     /// Layers scheduled.
     pub const SCHED_LAYERS: &str = "sched.layers";

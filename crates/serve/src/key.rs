@@ -127,22 +127,6 @@ impl ScheduleRequest {
         Signature(h.finish())
     }
 
-    /// The warm-table key: the subset of inputs that determines the values
-    /// a [`pt_cost::TableStore`] may cache.  Coarser than
-    /// [`signature`](Self::signature) — a cached price depends on the
-    /// machine, the task and the width `q` only, so `P`, mapping, fixed
-    /// group count and the adjustment toggle do not change any entry, and
-    /// requests differing only in those share one warm table.  Chain
-    /// contraction *is* included: it changes which merged task a given id
-    /// denotes.
-    pub fn table_signature(&self) -> Signature {
-        let mut h = Sig128::new(0x007A_B1E5);
-        hash_graph(&mut h, &self.graph);
-        hash_machine(&mut h, &self.machine);
-        h.write_u64(u64::from(self.policy.contract_chains));
-        Signature(h.finish())
-    }
-
     /// Full structural equality of the inputs — the collision check behind
     /// every cache hit.  Exactly the relation refined by
     /// [`signature`](Self::signature): equal inputs always produce equal
@@ -151,14 +135,6 @@ impl ScheduleRequest {
         self.total_cores == other.total_cores
             && self.mapping == other.mapping
             && self.policy == other.policy
-            && (Arc::ptr_eq(&self.machine, &other.machine) || self.machine == other.machine)
-            && (Arc::ptr_eq(&self.graph, &other.graph)
-                || graphs_structurally_equal(&self.graph, &other.graph))
-    }
-
-    /// [`same_inputs`](Self::same_inputs) restricted to the warm-table key.
-    pub fn same_table_inputs(&self, other: &ScheduleRequest) -> bool {
-        self.policy.contract_chains == other.policy.contract_chains
             && (Arc::ptr_eq(&self.machine, &other.machine) || self.machine == other.machine)
             && (Arc::ptr_eq(&self.graph, &other.graph)
                 || graphs_structurally_equal(&self.graph, &other.graph))
@@ -497,41 +473,6 @@ mod tests {
             graph: Arc::new(g),
             ..base.clone()
         }
-    }
-
-    #[test]
-    fn table_signature_is_coarser_than_schedule_signature() {
-        let base = base_request();
-        // Different mapping / fixed groups / adjustment, or fewer symbolic
-        // cores on the same machine: same warm table.
-        let m2 = ScheduleRequest {
-            mapping: MappingStrategy::Scattered,
-            policy: GPolicy {
-                fixed_groups: Some(2),
-                adjust: false,
-                contract_chains: true,
-            },
-            ..base.clone()
-        };
-        let narrower = ScheduleRequest {
-            total_cores: base.total_cores / 2,
-            ..base.clone()
-        };
-        for v in [&m2, &narrower] {
-            assert_ne!(base.signature(), v.signature());
-            assert_eq!(base.table_signature(), v.table_signature());
-            assert!(base.same_table_inputs(v));
-        }
-        // Contraction toggles the table key (ids denote different tasks).
-        let raw = ScheduleRequest {
-            policy: GPolicy {
-                contract_chains: false,
-                ..base.policy
-            },
-            ..base.clone()
-        };
-        assert_ne!(base.table_signature(), raw.table_signature());
-        assert!(!base.same_table_inputs(&raw));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! [`pipeline::plan`] is the one path from a [`ScheduleRequest`] to a
 //! schedule and its simulated makespan; the `ptsched` one-shot runs it
-//! from a cold [`TableStore`](pt_cost::TableStore).  This crate turns it
-//! into a long-running, multi-threaded *service* that amortizes that work
-//! across requests:
+//! once.  This crate turns it into a long-running, multi-threaded
+//! *service* that amortizes that work across requests:
 //!
 //! * **Content-addressed schedule cache** ([`cache::ScheduleCache`]) —
 //!   requests are keyed by a structural [`Signature`] over (task graph,
@@ -15,10 +14,10 @@
 //!   for the same key run exactly one g-sweep; followers share the leader's
 //!   result.  A failing leader fails its followers but never poisons the
 //!   key.
-//! * **Sharded warm cost tables** ([`service::SchedService`]) — requests
-//!   route to a fixed worker by their *table signature* (graph × machine ×
-//!   contraction), so a hot graph's memoized cost columns stay warm on one
-//!   worker across requests, g-policies and core counts `P`.
+//! * **A fixed worker pool** ([`service::SchedService`]) — a request that
+//!   misses the cache is planned cold, on the worker its signature picks.
+//!   No cost table outlives a request: the scheduler prices from compiled
+//!   per-task costs, which a warm memo would not beat.
 //!
 //! ```no_run
 //! use pt_serve::{SchedService, ServeConfig, ScheduleRequest};
@@ -45,7 +44,7 @@ pub mod pipeline;
 pub mod service;
 
 pub use key::{GPolicy, ScheduleRequest, Signature};
-pub use pipeline::{plan, table_store, write_trace, Plan};
+pub use pipeline::{plan, write_trace, Plan};
 pub use service::{
     CacheStatus, SchedService, ScheduleReply, ServeConfig, ServeError, StatsSnapshot,
 };

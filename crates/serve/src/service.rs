@@ -9,20 +9,16 @@
 //! * a **lead** dispatches the computation to the fixed worker pool and
 //!   waits like a follower.
 //!
-//! Computations are routed to workers by the request's *table signature*
-//! (graph × machine × contraction), so repeated work on a hot graph — at
-//! any core count `P` — always lands on the worker whose warm
-//! [`TableStore`] already memoizes its cost columns, and runs [`plan`]
-//! there.  Worker counts are explicit configuration: a long-running
-//! service must not bake `available_parallelism` into a process-global
-//! (cgroup limits move under it); [`ServeConfig::default`] samples the
-//! machine once per service instead.
+//! A computation runs [`plan`] cold on the worker its signature picks.
+//! Worker counts are explicit configuration: a long-running service must
+//! not bake `available_parallelism` into a process-global (cgroup limits
+//! move under it); [`ServeConfig::default`] samples the machine once per
+//! service instead.
 
 use crate::cache::{Flight, Outcome, ScheduleCache};
 use crate::key::{ScheduleRequest, Signature};
-use crate::pipeline::{plan, table_store};
+use crate::pipeline::plan;
 use pt_core::LayeredSchedule;
-use pt_cost::TableStore;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -74,16 +70,15 @@ pub struct ScheduleReply {
     pub makespan: f64,
     /// The request's content signature.
     pub signature: Signature,
-    /// Cost-function evaluations this computation added to its warm table
-    /// (0 for a fully warm table; hits return the leader's count).
+    /// Task prices the scheduler computed for this reply, on every sweep
+    /// thread (hits return the leader's count).
     pub cost_evaluations: usize,
 }
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads computing schedules; also the number of warm-table
-    /// shards.
+    /// Worker threads computing schedules.
     pub workers: usize,
     /// Explicit per-schedule g-sweep thread count, always passed to the
     /// scheduler ([`pt_core::LayerScheduler::sweep_workers`]).  Defaults
@@ -92,7 +87,9 @@ pub struct ServeConfig {
     pub sweep_workers: usize,
     /// Bound on cached ready schedules (LRU-evicted beyond this).
     pub cache_capacity: usize,
-    /// Warm cost-table stores kept per worker (LRU-evicted beyond this).
+    /// Ignored: workers keep no cost tables between requests.  The field
+    /// stays only until the benchmark harness, which builds this struct as
+    /// a literal, stops setting it.
     pub tables_per_worker: usize,
     /// Deterministic failure injection: the first `n` computations fail
     /// with [`ServeError::Injected`] (tests of the single-flight error
@@ -139,7 +136,7 @@ pub struct StatsSnapshot {
     pub computed: u64,
     /// Computations that returned an error.
     pub failed: u64,
-    /// Cost-function evaluations across all computations.
+    /// Task prices the scheduler computed across all computations.
     pub evaluations: u64,
     /// Ready schedules evicted from the cache.
     pub evictions: u64,
@@ -170,14 +167,6 @@ struct Job {
     request: ScheduleRequest,
     sig: Signature,
     flight: Arc<Flight>,
-}
-
-/// One warm cost-table store with the preimage of its key.
-struct WarmTable {
-    sig: Signature,
-    request: ScheduleRequest,
-    store: Arc<TableStore>,
-    last_used: u64,
 }
 
 /// The multi-threaded scheduling service.  Share it across request threads
@@ -241,7 +230,7 @@ impl SchedService {
             }
             Outcome::Lead(flight) => {
                 stats.misses.fetch_add(1, Ordering::Relaxed);
-                let worker = (request.table_signature().0 % self.senders.len() as u128) as usize;
+                let worker = (sig.0 % self.senders.len() as u128) as usize;
                 let job = Job {
                     request,
                     sig,
@@ -298,12 +287,9 @@ impl Drop for SchedService {
 }
 
 fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
-    let mut tables: Vec<WarmTable> = Vec::new();
-    let mut clock: u64 = 0;
     while let Ok(job) = rx.recv() {
-        clock += 1;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute(shared, &mut tables, clock, &job.request, job.sig)
+            compute(shared, &job.request, job.sig)
         }))
         .unwrap_or_else(|panic| {
             let msg = panic
@@ -331,11 +317,9 @@ fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
     }
 }
 
-/// The cold path: plan one request on this worker's warm tables.
+/// The cold path: plan one request.
 fn compute(
     shared: &Shared,
-    tables: &mut Vec<WarmTable>,
-    clock: u64,
     request: &ScheduleRequest,
     sig: Signature,
 ) -> Result<ScheduleReply, ServeError> {
@@ -344,8 +328,7 @@ fn compute(
     {
         return Err(ServeError::Injected);
     }
-    let store = warm_store(shared, tables, clock, request);
-    let planned = plan(request, &store, Some(shared.config.sweep_workers), None);
+    let planned = plan(request, Some(shared.config.sweep_workers), None);
     Ok(ScheduleReply {
         schedule: planned.schedule,
         makespan: planned.report.makespan,
@@ -354,42 +337,9 @@ fn compute(
     })
 }
 
-/// Find or create the warm [`TableStore`] for a request's table key.  Hash
-/// hits are verified structurally (`same_table_inputs`), mirroring the
-/// schedule cache's collision rule; capacity is enforced LRU.
-fn warm_store(
-    shared: &Shared,
-    tables: &mut Vec<WarmTable>,
-    clock: u64,
-    request: &ScheduleRequest,
-) -> Arc<TableStore> {
-    let sig = request.table_signature();
-    if let Some(t) = tables
-        .iter_mut()
-        .find(|t| t.sig == sig && t.request.same_table_inputs(request))
-    {
-        t.last_used = clock;
-        return t.store.clone();
-    }
-    let store = table_store(request);
-    if tables.len() >= shared.config.tables_per_worker.max(1) {
-        if let Some(lru) = (0..tables.len()).min_by_key(|&i| tables[i].last_used) {
-            tables.swap_remove(lru);
-        }
-    }
-    tables.push(WarmTable {
-        sig,
-        request: request.clone(),
-        store: store.clone(),
-        last_used: clock,
-    });
-    store
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::GPolicy;
     use pt_core::MappingStrategy;
     use pt_machine::platforms;
     use pt_mtask::{CommOp, EdgeData, MTask, TaskGraph};
@@ -440,54 +390,6 @@ mod tests {
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         let stats = svc.stats();
         assert_eq!((stats.hits, stats.misses, stats.computed), (1, 1, 1));
-    }
-
-    #[test]
-    fn different_policy_misses_but_shares_the_warm_table() {
-        let svc = small_service(0);
-        let sweep = request(6);
-        let (_, s1) = svc.schedule(sweep.clone()).expect("sweep request");
-        assert_eq!(s1, CacheStatus::Miss);
-        let cold_evals = svc.stats().evaluations;
-        assert!(cold_evals > 0);
-        // Same graph/machine/P, different g-policy: schedule cache misses,
-        // but the warm table already holds every (task, width) the sweep
-        // priced, so the fixed-g run adds no evaluations at all.
-        let fixed = ScheduleRequest {
-            policy: GPolicy {
-                fixed_groups: Some(2),
-                ..GPolicy::default()
-            },
-            ..sweep
-        };
-        let (reply, s2) = svc.schedule(fixed).expect("fixed-g request");
-        assert_eq!(s2, CacheStatus::Miss);
-        assert_eq!(
-            reply.cost_evaluations, 0,
-            "fixed-g run should be fully served by the warm table"
-        );
-        assert_eq!(svc.stats().evaluations, cold_evals);
-    }
-
-    #[test]
-    fn narrower_request_on_the_same_machine_reuses_the_warm_table() {
-        let narrow = || ScheduleRequest {
-            total_cores: 8,
-            ..request(6)
-        };
-        let (cold, _) = small_service(0).schedule(narrow()).expect("cold P = 8");
-        let svc = small_service(0);
-        svc.schedule(request(6)).expect("P = 16 request");
-        let (warm, status) = svc.schedule(narrow()).expect("P = 8 request");
-        assert_eq!(status, CacheStatus::Miss);
-        // Table values depend on (machine, task, q) alone, so the P = 16
-        // sweep already priced the widths the P = 8 sweep shares with it.
-        assert!(
-            warm.cost_evaluations < cold.cost_evaluations,
-            "P = 8 after P = 16 spent {} evaluations, a cold P = 8 run {}",
-            warm.cost_evaluations,
-            cold.cost_evaluations
-        );
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub fn render_gantt(report: &SimReport, graph: &TaskGraph, width: usize) -> Stri
     for t in &tasks {
         let name = &graph.task(t.task).name;
         let name: String = name.chars().take(label_w).collect();
-        let lo = (t.start * scale).round() as usize;
+        // A task starting at the makespan still gets the last column.
+        let lo = ((t.start * scale).round() as usize).min(width - 1);
         let hi = ((t.finish * scale).round() as usize).clamp(lo + 1, width);
         let _ = writeln!(
             out,
@@ -117,6 +118,25 @@ mod tests {
         assert_eq!(bars.len(), 2);
         // alpha has 2x beta's work.
         assert!(bars[0] > bars[1], "{chart}");
+    }
+
+    #[test]
+    fn zero_length_task_at_the_makespan_stays_inside_the_chart() {
+        let (mut rep, mut g) = simple_report();
+        let last = g.add_task(MTask::compute("tail", 0.0));
+        rep.tasks.push(crate::report::TaskTiming {
+            task: last,
+            start: rep.makespan,
+            finish: rep.makespan,
+            comm_time: 0.0,
+        });
+        let chart = render_gantt(&rep, &g, 40);
+        let row = chart
+            .lines()
+            .find(|l| l.starts_with("tail"))
+            .expect("the tail task has a row");
+        let bar: String = row.chars().skip_while(|&c| c != '|').collect();
+        assert_eq!(bar, format!("|{}█|", "·".repeat(39)), "{chart}");
     }
 
     #[test]

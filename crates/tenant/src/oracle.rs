@@ -5,9 +5,7 @@
 //! (consecutive mapping, default policy), and T(w) is the simulated
 //! makespan of the reply — the paper's own pipeline (layer scheduler →
 //! mapping → simulator).  The oracle keeps no state: the service's
-//! schedule cache memoizes the T(w) curve, and its warm table store for
-//! the job's graph and machine is shared by every width, so re-sizing a
-//! job re-prices only the `(task, width)` pairs never seen before.
+//! schedule cache memoizes the T(w) curve.
 
 use crate::job::JobSpec;
 use pt_core::MappingStrategy;
@@ -60,7 +58,7 @@ mod tests {
     use super::*;
     use crate::arrivals::WorkloadKind;
     use pt_core::LayerScheduler;
-    use pt_cost::{CostModel, CostTable};
+    use pt_cost::CostModel;
     use pt_machine::platforms;
     use pt_serve::ServeConfig;
     use pt_sim::Simulator;
@@ -106,24 +104,23 @@ mod tests {
     }
 
     /// Every width of every workload kind, on two machine sizes: T(w) is
-    /// bit-identical to a cold, service-free computation, and the sweep
-    /// spends exactly the evaluations of one warm table per graph.
+    /// bit-identical to a cold, service-free computation, and the service
+    /// counts exactly the task prices of those cold schedules.
     #[test]
-    fn width_sweep_matches_cold_runs_and_one_warm_table_per_graph() {
+    fn width_sweep_matches_cold_runs() {
         for nodes in [4, 16] {
             let machine = Arc::new(platforms::chic().with_nodes(nodes));
             let model = CostModel::new(&machine);
             let total = machine.total_cores();
             let svc = service();
             let oracle = AdmissionOracle::new(&svc, machine.clone());
-            let mut one_table_evaluations = 0;
+            let mut cold_prices = 0;
             for kind in WorkloadKind::ALL {
                 let job = JobSpec::new(0, kind.name(), kind.graph(), 0.0);
-                // One warm table for the graph, shared by every width.
-                let table = CostTable::new(&model, job.graph.len());
                 for w in 1..=total {
                     let scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
-                    let cold = scheduler.schedule_on(&job.graph, w);
+                    let (cold, prices) = scheduler.schedule_counted(&job.graph, w);
+                    cold_prices += prices as u64;
                     let mapping = MappingStrategy::Consecutive.mapping(&machine, w);
                     let t_cold = Simulator::new(&model)
                         .simulate_layered(&job.graph, &cold, &mapping)
@@ -134,13 +131,11 @@ mod tests {
                         "{} at w = {w} of {total}",
                         kind.name()
                     );
-                    scheduler.schedule_on_with(&table, &job.graph, w);
                 }
-                one_table_evaluations += table.evaluations() as u64;
             }
             let stats = svc.stats();
             assert_eq!(stats.computed, 3 * total as u64);
-            assert_eq!(stats.evaluations, one_table_evaluations);
+            assert_eq!(stats.evaluations, cold_prices);
         }
     }
 }

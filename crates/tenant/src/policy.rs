@@ -25,7 +25,7 @@ pub enum Policy {
     /// (`JobSpec::min_width`) fit — shrinking incumbents to their floors to
     /// admit newcomers — then water-fill the leftover cores greedily onto
     /// the job with the best marginal speedup per core (doubling ladder,
-    /// priced by the oracle's warm tables).
+    /// priced through the oracle's service).
     Malleable,
 }
 

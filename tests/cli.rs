@@ -283,6 +283,48 @@ fn serve_refuses_too_many_steps_and_serves_the_next_request() {
 }
 
 #[test]
+fn serve_refuses_submits_past_the_queue_cap_and_a_tenant_run_frees_room() {
+    // The submit queue used to grow by one job per line without a limit,
+    // and a later tenant run scheduled every one of them.
+    let submit = r#"{"cmd":"submit","workload":"epol","steps":1}"#;
+    let mut requests = vec![submit; 100];
+    requests.extend([
+        r#"{"cmd":"stats"}"#,
+        r#"{"cmd":"tenant","cores":16}"#,
+        submit,
+    ]);
+    let lines = serve(&requests);
+    assert_eq!(lines.len(), requests.len(), "one response per request");
+    let cap = lines
+        .iter()
+        .take_while(|l| l.contains(r#""ok":true"#))
+        .count();
+    assert!((1..100).contains(&cap), "queue cap {cap}: {}", lines[0]);
+    for (i, line) in lines[..cap].iter().enumerate() {
+        assert!(line.contains(&format!(r#""queued":{}"#, i + 1)), "{line}");
+    }
+    for line in &lines[cap..100] {
+        assert!(
+            line.contains(r#""ok":false"#) && line.contains("queue is full"),
+            "{line}"
+        );
+    }
+    // The request after the refused submits is answered.
+    assert!(
+        lines[100].contains(r#""ok":true"#) && lines[100].contains(r#""stats""#),
+        "{}",
+        lines[100]
+    );
+    // A draining tenant run schedules the full queue and empties it.
+    assert!(
+        lines[101].contains(&format!(r#""jobs":{cap}"#)),
+        "{}",
+        lines[101]
+    );
+    assert!(lines[102].contains(r#""queued":1"#), "{}", lines[102]);
+}
+
+#[test]
 fn serve_submit_and_tenant_run_a_job_stream() {
     let mut child = Command::new(BIN)
         .args(["serve", "--workers", "2"])
@@ -358,6 +400,25 @@ fn one_shot_run_still_works() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("simulated time per step by mapping"));
+}
+
+#[test]
+fn one_shot_gantt_with_a_task_at_the_makespan_exits_0() {
+    // A task of 50 PABM steps starts so close to the makespan that its
+    // bar's first column rounded past the chart: the renderer panicked
+    // with "min > max. min = 65, max = 64" and exited 101.
+    let out = run(&[
+        "--workload",
+        "pabm",
+        "--cores",
+        "16",
+        "--steps",
+        "50",
+        "--gantt",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("timeline:"));
 }
 
 #[test]

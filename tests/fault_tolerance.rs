@@ -277,9 +277,9 @@ fn injected_delay_slows_but_does_not_fail_the_run() {
 }
 
 #[test]
-fn replanning_after_worker_loss_reuses_the_live_cost_table() {
+fn replanning_after_worker_loss_schedules_the_survivors() {
     use pt_core::LayerScheduler;
-    use pt_cost::{CostModel, CostTable};
+    use pt_cost::CostModel;
     use pt_machine::platforms;
     use pt_mtask::{CommOp, DataRef, MTask, Spec};
 
@@ -301,12 +301,9 @@ fn replanning_after_worker_loss_reuses_the_live_cost_table() {
     let model = CostModel::new(&spec);
     let scheduler = LayerScheduler::new(&model);
 
-    // Plan for the full team through a live, reusable cost table.
-    let table = CostTable::with_width(&model, graph.len(), 8);
-    let planned = scheduler.schedule_on_with(&table, &graph, 8);
+    // Plan for the full team.
+    let planned = scheduler.schedule_on(&graph, 8);
     assert!(planned.validate().is_ok());
-    let priced_at_planning = table.evaluations();
-    assert!(priced_at_planning > 0);
 
     // Execute the planned group structure with one worker permanently
     // lost mid-run; the layer-granular retry shrinks the team and
@@ -344,27 +341,14 @@ fn replanning_after_worker_loss_reuses_the_live_cost_table() {
     let survivors = team.alive_workers();
     assert_eq!(survivors, 7);
 
-    // Replan onto the survivors, once through the live table of the
-    // original planning run and once through a fresh table: identical
-    // schedules, but the live table re-prices fewer (task, width) pairs.
-    let priced_before_replan = table.evaluations();
-    let replanned = scheduler.schedule_on_with(&table, &graph, survivors);
-    let priced_by_replan = table.evaluations() - priced_before_replan;
-
-    let fresh_table = CostTable::with_width(&model, graph.len(), survivors);
-    let fresh = scheduler.schedule_on_with(&fresh_table, &graph, survivors);
-
-    assert_eq!(
-        replanned, fresh,
-        "memoized and fresh-table replans must be identical"
-    );
+    // Replan onto the survivors: a valid schedule over exactly their
+    // cores.
+    let replanned = scheduler.schedule_on(&graph, survivors);
     assert!(replanned.validate().is_ok());
-    assert!(
-        priced_by_replan < fresh_table.evaluations(),
-        "live table must reuse pairs priced at planning time \
-         ({priced_by_replan} new vs {} fresh)",
-        fresh_table.evaluations()
-    );
+    assert_eq!(replanned.total_cores, survivors);
+    for layer in &replanned.layers {
+        assert_eq!(layer.group_sizes.iter().sum::<usize>(), survivors);
+    }
 }
 
 #[test]

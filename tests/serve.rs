@@ -77,7 +77,7 @@ fn service() -> SchedService {
     })
 }
 
-/// The service-free reference: schedule and simulate with a cold table.
+/// The service-free reference: schedule and simulate cold.
 fn fresh_compute(req: &ScheduleRequest) -> (LayeredSchedule, f64) {
     let model = CostModel::new(&req.machine);
     let mut scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
