@@ -7,8 +7,9 @@
 //! chains are independent — exactly the task structure the scheduler's
 //! chain contraction and layering exploit (Fig. 5/6).
 
+use crate::spmd_util::block_counts;
 use crate::system::OdeSystem;
-use pt_exec::{block_range, DataStore, GroupPlan, Program, TaskCtx, TaskFn};
+use pt_exec::{DataStore, GroupPlan, Program, TaskCtx, TaskFn};
 use pt_mtask::{CommOp, DataRef, MTask, Spec, TaskGraph};
 use std::ops::Range;
 use std::sync::Arc;
@@ -198,11 +199,13 @@ impl Epol {
             let approxs = assignment[g].clone();
             let sys = sys.clone();
             let task: Arc<TaskFn> = Arc::new(move |ctx: &TaskCtx| {
-                let t = ctx.store.get("t").expect("t")[0];
-                let h = ctx.store.get("h").expect("h")[0];
-                let eta = ctx.store.get("eta").expect("eta");
+                let t = scalar(ctx, "t");
+                let h = scalar(ctx, "h");
                 for &i in &approxs {
-                    let v = euler_chain_spmd(sys.as_ref(), t, &eta, h, i, ctx);
+                    // Copied under the read lock, which is released before
+                    // the chain computes.
+                    let eta = ctx.store.read("eta", <[f64]>::to_vec).expect("eta");
+                    let v = euler_chain_spmd(sys.as_ref(), t, eta, h, i, ctx);
                     if ctx.rank == 0 {
                         ctx.store.put(format!("V{i}"), v);
                     }
@@ -218,32 +221,34 @@ impl Epol {
         let r2 = r;
         let combine: Arc<TaskFn> = Arc::new(move |ctx: &TaskCtx| {
             let n = sys2.dim();
-            let mut table: Vec<Vec<f64>> = (1..=r2)
-                .map(|i| ctx.store.get(&format!("V{i}")).expect("V_i"))
-                .collect();
+            // Only this rank's block of each approximation is read.
             let range = ctx.block_range(n);
+            let mut table: Vec<Vec<f64>> = (1..=r2)
+                .map(|i| {
+                    let name = format!("V{i}");
+                    ctx.store
+                        .read(&name, |v| v[range.clone()].to_vec())
+                        .expect("V_i")
+                })
+                .collect();
             for k in 1..r2 {
                 for i in (k..r2).rev() {
                     let (hi, hk) = (1.0 / (i + 1) as f64, 1.0 / (i + 1 - k) as f64);
                     let denom = hk / hi - 1.0;
                     let (lo, hi_rows) = table.split_at_mut(i);
                     let below = &lo[i - 1];
-                    let cur = &mut hi_rows[0];
-                    for idx in range.clone() {
-                        cur[idx] += (cur[idx] - below[idx]) / denom;
+                    for (c, b) in hi_rows[0].iter_mut().zip(below) {
+                        *c += (*c - *b) / denom;
                     }
                 }
             }
             // Assemble the result block-wise.
-            let local = table[r2 - 1][range.clone()].to_vec();
-            let counts: Vec<usize> = (0..ctx.size)
-                .map(|rk| block_range(n, rk, ctx.size).len())
-                .collect();
+            let local = table.pop().expect("r >= 1");
             let mut full = vec![0.0; n];
-            ctx.comm.allgatherv(ctx.rank, &local, &counts, &mut full);
+            ctx.comm
+                .allgatherv(ctx.rank, &local, &block_counts(n, ctx.size), &mut full);
             if ctx.rank == 0 {
-                let t = ctx.store.get("t").expect("t")[0];
-                let h = ctx.store.get("h").expect("h")[0];
+                let (t, h) = (scalar(ctx, "t"), scalar(ctx, "h"));
                 ctx.store.put("eta", full);
                 ctx.store.put("t", vec![t + h]);
             }
@@ -287,12 +292,19 @@ fn euler_chain(sys: &dyn OdeSystem, t: f64, y: &[f64], h: f64, i: usize) -> Vec<
     cur
 }
 
-/// SPMD variant of [`euler_chain`]: each micro step evaluates the local
-/// block and allgathers the full vector within the group.
+/// A scalar (`t` or `h`) from the store.
+fn scalar(ctx: &TaskCtx, name: &str) -> f64 {
+    ctx.store.read(name, |v| v[0]).expect(name)
+}
+
+/// SPMD variant of [`euler_chain`] from the state `cur`, which serves as
+/// the chain's working vector: each micro step evaluates the local block,
+/// advances it in place and allgathers the full vector within the group.
+/// The chain allocates its other two buffers once.
 fn euler_chain_spmd(
     sys: &dyn OdeSystem,
     t: f64,
-    y: &[f64],
+    mut cur: Vec<f64>,
     h: f64,
     i: usize,
     ctx: &TaskCtx,
@@ -300,21 +312,16 @@ fn euler_chain_spmd(
     let n = sys.dim();
     let micro = h / i as f64;
     let range = ctx.block_range(n);
-    let counts: Vec<usize> = (0..ctx.size)
-        .map(|rk| block_range(n, rk, ctx.size).len())
-        .collect();
-    let mut cur = y.to_vec();
+    let counts = block_counts(n, ctx.size);
+    let mut full = vec![0.0; n];
     let mut local = vec![0.0; range.len()];
     for j in 0..i {
         sys.eval_range(t + j as f64 * micro, &cur, range.clone(), &mut local);
-        let mut next_local = vec![0.0; range.len()];
-        for (k, idx) in range.clone().enumerate() {
-            next_local[k] = cur[idx] + micro * local[k];
+        for (l, c) in local.iter_mut().zip(&cur[range.clone()]) {
+            *l = c + micro * *l;
         }
-        let mut full = vec![0.0; n];
-        ctx.comm
-            .allgatherv(ctx.rank, &next_local, &counts, &mut full);
-        cur = full;
+        ctx.comm.allgatherv(ctx.rank, &local, &counts, &mut full);
+        std::mem::swap(&mut cur, &mut full);
     }
     cur
 }

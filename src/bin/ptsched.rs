@@ -18,7 +18,8 @@
 //!
 //! `--slow-nodes N` degrades the *last* N nodes of the machine to
 //! `--slow-factor` × nominal speed (default 0.5), turning on the layer
-//! scheduler's heterogeneity-aware path.  `--trace PATH` writes a
+//! scheduler's heterogeneity-aware path when that leaves more than one
+//! speed class (not when all N nodes are degraded).  `--trace PATH` writes a
 //! Chrome-trace JSON of the run — scheduler phases plus the simulated
 //! timeline under the selected mapping — openable at
 //! <https://ui.perfetto.dev>.
@@ -47,7 +48,8 @@
 //! schedule cache (see the `pt-serve` crate).
 //!
 //! `{"cmd":"submit"}` queues one job of an online multi-tenant stream (at
-//! most `MAX_PENDING_JOBS`, 64, at a time);
+//! most `MAX_PENDING_JOBS`, 64, and `MAX_PENDING_STEPS`, 2 000 steps in
+//! all, at a time);
 //! `{"cmd":"tenant"}` runs the queued stream as a scenario under a policy
 //! (`fcfs` | `equi` | `malleable`, see the `pt-tenant` crate) and answers
 //! with makespan, per-job stretch and platform utilization (`"drain":false`
@@ -377,14 +379,17 @@ fn report(
         o.cores
     )?;
     if !spec.is_uniform() {
+        // The layer scheduler takes its heterogeneity-aware path only for
+        // more than one speed class: re-clocking every node leaves one.
+        let classes = spec.speed_classes();
         writeln!(
             out,
             "machine: last {} of {} nodes at {}x nominal speed \
-             (het-aware scheduling on, classes {:?})",
+             (het-aware scheduling {}, classes {classes:?})",
             o.slow_nodes,
             spec.nodes,
             o.slow_factor,
-            spec.speed_classes()
+            if classes.len() > 1 { "on" } else { "off" },
         )?;
     }
     writeln!(
@@ -503,6 +508,20 @@ fn parse_serve_args(args: &mut dyn Iterator<Item = String>) -> Result<ServeOptio
 /// and about 1 s per job at 1 000 steps (release build, 2 vCPUs).
 const MAX_PENDING_JOBS: usize = 64;
 
+/// The most time steps the queued jobs may unroll together; a submit that
+/// would pass it is refused like one past `MAX_PENDING_JOBS`.  A tenant
+/// run's work grows with the steps it schedules: one 1 000-step job took
+/// 1.4–1.6 s (BT-MZ, SP-MZ) on 16 CHiC cores and up to 4 s on 16 384
+/// JuRoPA cores, so 64 such jobs would hold the connection for minutes.
+/// Over a queue full at this cap, a malleable tenant run took 2.6 s for a
+/// 1 000-step SP-MZ and a 1 000-step BT-MZ job on 16 CHiC cores (7.1 s on
+/// 16 384 JuRoPA cores), and 1.3 s for 63 distinct SP-MZ and BT-MZ jobs of
+/// 1–62 steps on 16 CHiC cores (release build, 2 vCPUs).  The same 63
+/// jobs took 143 s on 16 384 JuRoPA cores: on a wide machine the job
+/// count, not the steps, sets the time (4, 8 and 16 such jobs: 0.02, 0.10
+/// and 0.67 s).
+const MAX_PENDING_STEPS: usize = 2000;
+
 /// One job queued by `{"cmd":"submit"}`, awaiting a `{"cmd":"tenant"}`
 /// scenario run.
 struct PendingJob {
@@ -516,7 +535,7 @@ struct ServeState {
     service: SchedService,
     memo: Memo,
     /// The submit-mode job stream (drained by `{"cmd":"tenant"}`), at
-    /// most `MAX_PENDING_JOBS` long.
+    /// most `MAX_PENDING_JOBS` long and `MAX_PENDING_STEPS` steps in all.
     pending: Mutex<Vec<PendingJob>>,
 }
 
@@ -710,7 +729,8 @@ fn serve_request(state: &ServeState, line: &str) -> Result<String, String> {
 
 /// `{"cmd":"submit","workload":"epol","steps":1,"arrival":0.25,"min_width":2}`
 /// — append one job to the tenant stream, unless it already holds
-/// `MAX_PENDING_JOBS`.  Validation happens here (the later scenario run
+/// `MAX_PENDING_JOBS` or the job's steps would take it past
+/// `MAX_PENDING_STEPS`.  Validation happens here (the later scenario run
 /// must not fail on a job admitted long ago).
 fn submit_request(state: &ServeState, v: &Value) -> Result<String, String> {
     let d = Options::default();
@@ -733,6 +753,15 @@ fn submit_request(state: &ServeState, v: &Value) -> Result<String, String> {
         return Err(format!(
             "the submit queue is full ({MAX_PENDING_JOBS} jobs); a draining \
              {{\"cmd\":\"tenant\"}} run empties it"
+        ));
+    }
+    let queued_steps: usize = pending.iter().map(|p| p.steps).sum();
+    if queued_steps + o.steps > MAX_PENDING_STEPS {
+        return Err(format!(
+            "the submit queue is full ({queued_steps} of {MAX_PENDING_STEPS} steps \
+             queued, this job has {}); a draining {{\"cmd\":\"tenant\"}} run \
+             empties it",
+            o.steps
         ));
     }
     pending.push(PendingJob {

@@ -325,6 +325,43 @@ fn serve_refuses_submits_past_the_queue_cap_and_a_tenant_run_frees_room() {
 }
 
 #[test]
+fn serve_refuses_submits_past_the_step_cap_and_a_tenant_run_frees_room() {
+    // 64 jobs of 1 000 steps fit the job cap, and a tenant run over them
+    // held its connection for minutes; the queued steps are capped too.
+    let big = r#"{"cmd":"submit","workload":"epol","steps":1000}"#;
+    let mut requests = vec![big; 5];
+    requests.extend([r#"{"cmd":"stats"}"#, r#"{"cmd":"tenant","cores":16}"#, big]);
+    let lines = serve(&requests);
+    assert_eq!(lines.len(), requests.len(), "one response per request");
+    let admitted = lines
+        .iter()
+        .take_while(|l| l.contains(r#""ok":true"#))
+        .count();
+    assert!((1..5).contains(&admitted), "{admitted} jobs: {lines:?}");
+    for line in &lines[admitted..5] {
+        assert!(
+            line.contains(r#""ok":false"#)
+                && line.contains("queue is full")
+                && line.contains("steps"),
+            "{line}"
+        );
+    }
+    // The request after the refused submits is answered.
+    assert!(
+        lines[5].contains(r#""ok":true"#) && lines[5].contains(r#""stats""#),
+        "{}",
+        lines[5]
+    );
+    // A draining tenant run schedules the queued jobs and frees their steps.
+    assert!(
+        lines[6].contains(&format!(r#""jobs":{admitted}"#)),
+        "{}",
+        lines[6]
+    );
+    assert!(lines[7].contains(r#""queued":1"#), "{}", lines[7]);
+}
+
+#[test]
 fn serve_submit_and_tenant_run_a_job_stream() {
     let mut child = Command::new(BIN)
         .args(["serve", "--workers", "2"])
@@ -400,6 +437,37 @@ fn one_shot_run_still_works() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("simulated time per step by mapping"));
+}
+
+#[test]
+fn one_shot_reports_het_aware_scheduling_only_for_several_speed_classes() {
+    // Re-clocking all 32 nodes leaves one speed class, which the layer
+    // scheduler schedules homogeneously; the report used to say "on".
+    for (slow, expect) in [
+        ("32", "het-aware scheduling off, classes [2.0]"),
+        ("8", "het-aware scheduling on, classes [2.0, 1.0]"),
+    ] {
+        let out = run(&[
+            "--workload",
+            "bt-mz",
+            "--platform",
+            "juropa",
+            "--cores",
+            "256",
+            "--slow-nodes",
+            slow,
+            "--slow-factor",
+            "2",
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(expect), "--slow-nodes {slow}: {stdout}");
+    }
 }
 
 #[test]

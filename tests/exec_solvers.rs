@@ -18,29 +18,48 @@ fn store_with_state(y0: &[f64], h: f64) -> Arc<DataStore> {
     store
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn epol_spmd_equals_sequential_across_layouts() {
-    let sys_c = Bruss2d::new(6);
-    let y0 = sys_c.initial_value();
+    // On the 6×6 grid (n = 72) every 4-worker block ends on a row end.  On
+    // the 7×7 grid (n = 98) the 3-worker blocks 0..33, 33..66 and 66..98
+    // start mid-row, and the middle one crosses from u to v at 49.
+    let cases = [
+        (
+            6,
+            4,
+            vec![vec![0..4], vec![0..2, 2..4], vec![0..1, 1..2, 2..3, 3..4]],
+        ),
+        (7, 3, vec![vec![0..3], vec![0..1, 1..3]]),
+    ];
     let e = Epol::new(4);
     let h = 2e-4;
-    let mut seq = y0.clone();
-    let mut t = 0.0;
-    for _ in 0..3 {
-        seq = e.step(&sys_c, t, &seq, h);
-        t += h;
-    }
-    let sys: Arc<dyn OdeSystem> = Arc::new(sys_c);
-    for layout in [vec![0..4], vec![0..2, 2..4], vec![0..1, 1..2, 2..3, 3..4]] {
-        let team = Team::new(4);
-        let store = store_with_state(&y0, h);
-        e.run_spmd(&team, &sys, &layout, &store, 3).unwrap();
-        let eta = store.get("eta").unwrap();
-        assert!(
-            max_err(&eta, &seq) < 1e-12,
-            "layout {layout:?}: err {}",
-            max_err(&eta, &seq)
-        );
+    for (grid, workers, layouts) in cases {
+        let sys_c = Bruss2d::new(grid);
+        let y0 = sys_c.initial_value();
+        let mut seq = y0.clone();
+        let mut t = 0.0;
+        for _ in 0..3 {
+            seq = e.step(&sys_c, t, &seq, h);
+            t += h;
+        }
+        let sys: Arc<dyn OdeSystem> = Arc::new(sys_c);
+        for layout in layouts {
+            let team = Team::new(workers);
+            let store = store_with_state(&y0, h);
+            e.run_spmd(&team, &sys, &layout, &store, 3).unwrap();
+            let eta = store.get("eta").unwrap();
+            assert_eq!(
+                bits(&eta),
+                bits(&seq),
+                "{grid}x{grid} grid, layout {layout:?}: err {}",
+                max_err(&eta, &seq)
+            );
+            assert_eq!(store.get("t").unwrap()[0].to_bits(), t.to_bits());
+        }
     }
 }
 
