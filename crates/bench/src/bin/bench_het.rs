@@ -9,7 +9,7 @@
 //!   (speed-equal group partition, slowest-class symbolic costs, adjusted
 //!   LPT), which switches on automatically for a non-uniform machine.
 //! * `blind` — the same scheduler forced onto the homogeneous path
-//!   (`with_het_aware(false)`): the schedule a speed-oblivious Algorithm 1
+//!   (`speed_blind()`): the schedule a speed-oblivious Algorithm 1
 //!   would produce, simulated on the real (het) machine.
 //! * `AMTHA` — the node-granular heterogeneous list-mapping baseline.
 //!
@@ -75,7 +75,7 @@ fn run(graph: &TaskGraph, spec: &ClusterSpec, steps: usize) -> (f64, f64, f64) {
     let het = pt_core::LayerScheduler::new(&model).schedule(graph);
     assert!(het.validate().is_ok(), "invalid het schedule");
     let blind = pt_core::LayerScheduler::new(&model)
-        .with_het_aware(false)
+        .speed_blind()
         .schedule(graph);
     assert!(blind.validate().is_ok(), "invalid blind schedule");
     let amtha = pt_core::Amtha::new(&model).schedule(graph);

@@ -16,9 +16,10 @@
 //! at the node size, so AMTHA can neither widen a critical task across
 //! nodes nor shrink groups below a node.
 
+use crate::layer_sched::{het_assign, HetGroups};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
-use pt_cost::{CostModel, CostTable};
-use pt_mtask::{chain::ChainGraph, layer::layers, TaskGraph, TaskId};
+use pt_cost::CostModel;
+use pt_mtask::{chain::ChainGraph, layer::layers, MTask, TaskGraph, TaskId};
 
 /// The AMTHA scheduler (node-granular heterogeneous list mapping).
 #[derive(Debug, Clone)]
@@ -39,7 +40,10 @@ impl<'a> Amtha<'a> {
     }
 
     /// Schedule onto the first `total` symbolic cores, grouped per node
-    /// (a trailing partial node becomes one smaller group).
+    /// (a trailing partial node becomes one smaller group).  Each layer's
+    /// tasks go through the heterogeneity-aware layer path's greedy rule
+    /// on those fixed groups, in decreasing nominal-speed time at the node
+    /// width, the smaller task id first on ties.
     pub fn schedule_on(&self, graph: &TaskGraph, total: usize) -> LayeredSchedule {
         assert!(total >= 1);
         let cpn = self.model.spec.cores_per_node().max(1);
@@ -47,50 +51,33 @@ impl<'a> Amtha<'a> {
         if !total.is_multiple_of(cpn) {
             sizes.push(total % cpn);
         }
-        let g = sizes.len();
-        let classes = self.model.classes();
-        let physical = self.model.spec.total_cores();
-        let class: Vec<usize> = (0..g)
-            .map(|l| {
-                let lo = l * cpn;
-                let hi = lo + sizes[l];
-                classes.slowest_in_range(lo.min(physical), hi.min(physical))
-            })
-            .collect();
+        let groups = HetGroups::new(self.model, sizes);
 
         let cg = ChainGraph::contract(graph);
-        let table = CostTable::new(self.model, cg.graph.len());
         let mut out = LayeredSchedule {
             total_cores: total,
             layers: Vec::new(),
         };
-        for layer in layers(&cg.graph) {
-            // Decreasing nominal-speed time at the node width; original id
-            // breaks ties, so the schedule is deterministic.
-            let mut order: Vec<(TaskId, f64)> = layer
+        let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
+        let mut assignment: Vec<Vec<usize>> = Vec::new();
+        for mut layer in layers(&cg.graph) {
+            // The greedy rule breaks ties by position: in id order, that
+            // is the smaller id.
+            layer.sort_unstable();
+            tasks.clear();
+            tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
+            het_assign(self.model, &tasks, &groups, Some(&mut assignment), &mut 0);
+            let assignments = assignment
                 .iter()
-                .map(|&t| (t, table.symbolic(t, cg.graph.task(t), sizes[0])))
+                .map(|group| {
+                    group
+                        .iter()
+                        .flat_map(|&i| cg.members[tasks[i].0 .0].iter().copied())
+                        .collect()
+                })
                 .collect();
-            order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-
-            let mut avail = vec![0.0f64; g];
-            let mut assignments: Vec<Vec<TaskId>> = vec![Vec::new(); g];
-            for (t, _) in order {
-                let task = cg.graph.task(t);
-                let mut best_l = 0usize;
-                let mut best_finish = f64::INFINITY;
-                for l in 0..g {
-                    let finish = avail[l] + table.symbolic_class(t, task, sizes[l], class[l]);
-                    if finish < best_finish {
-                        best_finish = finish;
-                        best_l = l;
-                    }
-                }
-                avail[best_l] = best_finish;
-                assignments[best_l].extend(cg.members[t.0].iter().copied());
-            }
             out.layers.push(LayerSchedule {
-                group_sizes: sizes.clone(),
+                group_sizes: groups.sizes.clone(),
                 assignments,
             });
         }

@@ -14,9 +14,9 @@
 //! tasks far more cores than `P/K`, so the scheduling phase cannot run the
 //! `K` independent tasks of a PABM/IRK layer concurrently.
 
-use crate::list::{list_schedule_with, symbolic_redist_disjoint};
+use crate::list::{list_schedule, symbolic_redist_disjoint};
 use crate::schedule::SymbolicSchedule;
-use pt_cost::{CostModel, CostTable};
+use pt_cost::{task_time_optimistic, CostModel};
 use pt_mtask::{chain::ChainGraph, TaskGraph, TaskId};
 
 /// The CPA scheduler.
@@ -34,17 +34,13 @@ impl<'a> Cpa<'a> {
 
     /// Allocation phase on the (chain-contracted) graph: one `np` per node.
     pub fn allocate(&self, graph: &TaskGraph) -> Vec<usize> {
-        // One memo table for the whole allocation loop: the critical-path
-        // recomputation re-prices every task at its current (mostly
-        // unchanged) width each round.
-        let table = CostTable::new(self.model, graph.len());
-        self.allocate_with(&table, graph)
-    }
-
-    fn allocate_with(&self, table: &CostTable<'_>, graph: &TaskGraph) -> Vec<usize> {
         let p = self.model.spec.total_cores();
         let n = graph.len();
         let mut np = vec![1usize; n];
+        // Each task's time at its allocation and at one core more: a grant
+        // moves `nxt` into `cur` and prices one new width.
+        let mut cur: Vec<f64> = graph.task_ids().map(|t| self.time(graph, t, 1)).collect();
+        let mut nxt: Vec<f64> = graph.task_ids().map(|t| self.time(graph, t, 2)).collect();
         // Top/bottom levels are maintained *incrementally*: granting one
         // core to task `t` changes only `T(t)` and the symbolic costs of
         // edges incident to `t`, so `tl` can shift only for `t` and its
@@ -53,12 +49,12 @@ impl<'a> Cpa<'a> {
         // recomputed value is bit-identical to the stored one, which keeps
         // every round's levels bit-equal to a full recompute (asserted
         // against the retained oracle in the tests below).
-        let mut lv = Levels::new(self, table, graph, &np);
+        let mut lv = Levels::new(self, graph, &np, &cur);
         // Bound the loop: every task can grow to at most P cores.
         let max_steps = n * p;
         for _ in 0..max_steps {
             let tcp = lv.tl.iter().copied().fold(0.0, f64::max);
-            let ta = self.average_area(table, graph, &np);
+            let ta = self.average_area(&np, &cur);
             if tcp <= ta {
                 break;
             }
@@ -68,17 +64,14 @@ impl<'a> Cpa<'a> {
             let mut best: Option<(f64, TaskId)> = None;
             for t in graph.task_ids() {
                 if graph.task(t).is_structural()
-                    || (lv.tl[t.0] + lv.bl[t.0] - self.time(table, graph, t, np[t.0]) - tcp).abs()
-                        > eps
+                    || (lv.tl[t.0] + lv.bl[t.0] - cur[t.0] - tcp).abs() > eps
                 {
                     continue;
                 }
                 if np[t.0] >= p {
                     continue;
                 }
-                let cur = self.time(table, graph, t, np[t.0]);
-                let nxt = self.time(table, graph, t, np[t.0] + 1);
-                let gain = cur / np[t.0] as f64 - nxt / (np[t.0] + 1) as f64;
+                let gain = cur[t.0] / np[t.0] as f64 - nxt[t.0] / (np[t.0] + 1) as f64;
                 if best.as_ref().is_none_or(|(g, _)| gain > *g) {
                     best = Some((gain, t));
                 }
@@ -86,9 +79,11 @@ impl<'a> Cpa<'a> {
             match best {
                 Some((_, t)) => {
                     np[t.0] += 1;
-                    lv.update_after_grant(self, table, graph, &np, t);
+                    cur[t.0] = nxt[t.0];
+                    nxt[t.0] = self.time(graph, t, np[t.0] + 1);
+                    lv.update_after_grant(self, graph, &np, &cur, t);
                     #[cfg(test)]
-                    lv.assert_matches_full_recompute(self, table, graph, &np);
+                    lv.assert_matches_full_recompute(self, graph, &np, &cur);
                 }
                 None => break, // every critical task is maximal
             }
@@ -107,50 +102,35 @@ impl<'a> Cpa<'a> {
                 np[t.0] = contracted_np[node];
             }
         }
-        let table = CostTable::new(self.model, graph.len());
-        list_schedule_with(&table, graph, &np)
+        list_schedule(self.model, graph, &np)
     }
 
-    fn time(&self, table: &CostTable<'_>, graph: &TaskGraph, t: TaskId, np: usize) -> f64 {
-        table.optimistic(t, graph.task(t), np.max(1))
+    fn time(&self, graph: &TaskGraph, t: TaskId, np: usize) -> f64 {
+        task_time_optimistic(self.model, graph.task(t), np)
     }
 
     /// `tl[u]` from its predecessors' current levels — the single expression
     /// shared by the full pass and the incremental propagation, so both
-    /// produce bit-identical floats.
-    fn tl_node(
-        &self,
-        table: &CostTable<'_>,
-        graph: &TaskGraph,
-        np: &[usize],
-        tl: &[f64],
-        u: TaskId,
-    ) -> f64 {
+    /// produce bit-identical floats.  `cur[u]` is `u`'s time at `np[u]`.
+    fn tl_node(&self, graph: &TaskGraph, np: &[usize], cur: &[f64], tl: &[f64], u: TaskId) -> f64 {
         let mut base = 0.0f64;
         for (pr, e) in graph.in_edges(u) {
             // Conservative: producer/consumer on different sets.
             let ec = symbolic_redist_disjoint(self.model, e, np[pr.0].max(1), np[u.0].max(1));
             base = base.max(tl[pr.0] + ec);
         }
-        base + self.time(table, graph, u, np[u.0])
+        base + cur[u.0]
     }
 
     /// `bl[u]` from its successors' current levels (mirror of
     /// [`tl_node`](Self::tl_node)).
-    fn bl_node(
-        &self,
-        table: &CostTable<'_>,
-        graph: &TaskGraph,
-        np: &[usize],
-        bl: &[f64],
-        u: TaskId,
-    ) -> f64 {
+    fn bl_node(&self, graph: &TaskGraph, np: &[usize], cur: &[f64], bl: &[f64], u: TaskId) -> f64 {
         let mut base = 0.0f64;
         for (s, e) in graph.out_edges(u) {
             let ec = symbolic_redist_disjoint(self.model, e, np[u.0].max(1), np[s.0].max(1));
             base = base.max(bl[s.0] + ec);
         }
-        base + self.time(table, graph, u, np[u.0])
+        base + cur[u.0]
     }
 
     /// Full-recompute critical-path levels — the pre-rewrite O(V+E)-per-
@@ -158,30 +138,26 @@ impl<'a> Cpa<'a> {
     /// proven against (and used to seed [`Levels`]).
     fn full_levels(
         &self,
-        table: &CostTable<'_>,
         graph: &TaskGraph,
         np: &[usize],
+        cur: &[f64],
         order: &[TaskId],
     ) -> (Vec<f64>, Vec<f64>) {
         let mut tl = vec![0.0f64; graph.len()];
         for &u in order {
-            tl[u.0] = self.tl_node(table, graph, np, &tl, u);
+            tl[u.0] = self.tl_node(graph, np, cur, &tl, u);
         }
         let mut bl = vec![0.0f64; graph.len()];
         for &u in order.iter().rev() {
-            bl[u.0] = self.bl_node(table, graph, np, &bl, u);
+            bl[u.0] = self.bl_node(graph, np, cur, &bl, u);
         }
         (tl, bl)
     }
 
     /// Average area `TA = (1/P) Σ np·T(t, np)`.
-    fn average_area(&self, table: &CostTable<'_>, graph: &TaskGraph, np: &[usize]) -> f64 {
+    fn average_area(&self, np: &[usize], cur: &[f64]) -> f64 {
         let p = self.model.spec.total_cores() as f64;
-        graph
-            .task_ids()
-            .map(|t| np[t.0] as f64 * self.time(table, graph, t, np[t.0]))
-            .sum::<f64>()
-            / p
+        np.iter().zip(cur).map(|(&n, &t)| n as f64 * t).sum::<f64>() / p
     }
 }
 
@@ -211,13 +187,13 @@ struct Levels {
 }
 
 impl Levels {
-    fn new(cpa: &Cpa<'_>, table: &CostTable<'_>, graph: &TaskGraph, np: &[usize]) -> Levels {
+    fn new(cpa: &Cpa<'_>, graph: &TaskGraph, np: &[usize], cur: &[f64]) -> Levels {
         let order = graph.topo_order();
         let mut pos = vec![0usize; graph.len()];
         for (i, &u) in order.iter().enumerate() {
             pos[u.0] = i;
         }
-        let (tl, bl) = cpa.full_levels(table, graph, np, &order);
+        let (tl, bl) = cpa.full_levels(graph, np, cur, &order);
         Levels {
             order,
             pos,
@@ -227,13 +203,14 @@ impl Levels {
         }
     }
 
-    /// Re-establish the invariant after `np[t]` was incremented.
+    /// Re-establish the invariant after `np[t]` was incremented and
+    /// `cur[t]` re-priced.
     fn update_after_grant(
         &mut self,
         cpa: &Cpa<'_>,
-        table: &CostTable<'_>,
         graph: &TaskGraph,
         np: &[usize],
+        cur: &[f64],
         t: TaskId,
     ) {
         use std::cmp::Reverse;
@@ -250,7 +227,7 @@ impl Levels {
         }
         while let Some(Reverse((_, u))) = fwd.pop() {
             let u = TaskId(u);
-            let new = cpa.tl_node(table, graph, np, &self.tl, u);
+            let new = cpa.tl_node(graph, np, cur, &self.tl, u);
             if new.to_bits() != self.tl[u.0].to_bits() {
                 self.tl[u.0] = new;
                 for &s in graph.succs(u) {
@@ -269,7 +246,7 @@ impl Levels {
         }
         while let Some((_, u)) = bwd.pop() {
             let u = TaskId(u);
-            let new = cpa.bl_node(table, graph, np, &self.bl, u);
+            let new = cpa.bl_node(graph, np, cur, &self.bl, u);
             if new.to_bits() != self.bl[u.0].to_bits() {
                 self.bl[u.0] = new;
                 for &pr in graph.preds(u) {
@@ -305,11 +282,11 @@ impl Levels {
     fn assert_matches_full_recompute(
         &self,
         cpa: &Cpa<'_>,
-        table: &CostTable<'_>,
         graph: &TaskGraph,
         np: &[usize],
+        cur: &[f64],
     ) {
-        let (tl, bl) = cpa.full_levels(table, graph, np, &self.order);
+        let (tl, bl) = cpa.full_levels(graph, np, cur, &self.order);
         for u in graph.task_ids() {
             assert_eq!(
                 self.tl[u.0].to_bits(),
@@ -360,19 +337,23 @@ mod tests {
         g
     }
 
-    /// The pre-rewrite allocation loop — full top/bottom level recompute
-    /// every round — kept verbatim as the oracle for the incremental path.
+    /// The pre-rewrite allocation loop — every task re-priced and the
+    /// top/bottom levels recomputed in full every round — kept as the
+    /// oracle for the incremental path.
     fn allocate_oracle(cpa: &Cpa<'_>, graph: &TaskGraph) -> Vec<usize> {
-        let table = CostTable::new(cpa.model, graph.len());
         let p = cpa.model.spec.total_cores();
         let n = graph.len();
         let mut np = vec![1usize; n];
         let order = graph.topo_order();
         let max_steps = n * p;
         for _ in 0..max_steps {
-            let (tl, bl) = cpa.full_levels(&table, graph, &np, &order);
+            let cur: Vec<f64> = graph
+                .task_ids()
+                .map(|t| cpa.time(graph, t, np[t.0]))
+                .collect();
+            let (tl, bl) = cpa.full_levels(graph, &np, &cur, &order);
             let tcp = tl.iter().copied().fold(0.0, f64::max);
-            let ta = cpa.average_area(&table, graph, &np);
+            let ta = cpa.average_area(&np, &cur);
             if tcp <= ta {
                 break;
             }
@@ -380,14 +361,13 @@ mod tests {
             let mut best: Option<(f64, TaskId)> = None;
             for t in graph.task_ids() {
                 if graph.task(t).is_structural()
-                    || (tl[t.0] + bl[t.0] - cpa.time(&table, graph, t, np[t.0]) - tcp).abs() > eps
+                    || (tl[t.0] + bl[t.0] - cur[t.0] - tcp).abs() > eps
                     || np[t.0] >= p
                 {
                     continue;
                 }
-                let cur = cpa.time(&table, graph, t, np[t.0]);
-                let nxt = cpa.time(&table, graph, t, np[t.0] + 1);
-                let gain = cur / np[t.0] as f64 - nxt / (np[t.0] + 1) as f64;
+                let nxt = cpa.time(graph, t, np[t.0] + 1);
+                let gain = cur[t.0] / np[t.0] as f64 - nxt / (np[t.0] + 1) as f64;
                 if best.as_ref().is_none_or(|(g, _)| gain > *g) {
                     best = Some((gain, t));
                 }
@@ -474,8 +454,7 @@ mod tests {
                     np[t.0] = np_full[node];
                 }
             }
-            let table = CostTable::new(&model, g.len());
-            let oracle = list_schedule_with(&table, &g, &np);
+            let oracle = list_schedule(&model, &g, &np);
             proptest::prop_assert_eq!(sched.entries.len(), oracle.entries.len());
             for (a, b) in sched.entries.iter().zip(&oracle.entries) {
                 proptest::prop_assert_eq!(a.task, b.task);

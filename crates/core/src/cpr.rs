@@ -13,9 +13,9 @@
 //! re-distribution traffic the internal (symbolic) metric underestimates —
 //! exactly the behaviour of the paper's Fig. 13 (right).
 
-use crate::list::list_schedule_with;
+use crate::list::{list_schedule, list_schedule_timed};
 use crate::schedule::SymbolicSchedule;
-use pt_cost::{CostModel, CostTable};
+use pt_cost::{task_time_optimistic, CostModel};
 use pt_mtask::{chain::ChainGraph, TaskGraph, TaskId};
 
 /// The CPR scheduler.
@@ -46,8 +46,7 @@ impl<'a> Cpr<'a> {
                 np[t.0] = contracted_np[node];
             }
         }
-        let table = CostTable::new(self.model, graph.len());
-        list_schedule_with(&table, graph, &np)
+        list_schedule(self.model, graph, &np)
     }
 
     /// The iterative allocation: repeatedly widen the tasks of the current
@@ -64,35 +63,35 @@ impl<'a> Cpr<'a> {
     /// (the behaviour the paper reports in Fig. 13 right).
     pub fn allocate(&self, graph: &TaskGraph) -> Vec<usize> {
         let p = self.model.spec.total_cores();
-        // One memo table across every round: each round's list schedule and
-        // level computation re-price mostly unchanged `(task, np)` pairs.
-        let table = CostTable::new(self.model, graph.len());
         let mut np = vec![1usize; graph.len()];
-        let mut current = list_schedule_with(&table, graph, &np).makespan();
+        // Each task's time at `np`, re-priced only where a round widens it.
+        let mut times: Vec<f64> = graph
+            .task_ids()
+            .map(|t| task_time_optimistic(self.model, graph.task(t), 1))
+            .collect();
+        let mut current = list_schedule_timed(self.model, graph, &np, &times).makespan();
         let mut best = current;
         let mut best_np = np.clone();
         for _round in 0..p {
-            let time_of = |t: TaskId| table.optimistic(t, graph.task(t), np[t.0].max(1));
-            let bl = graph.bottom_levels(time_of);
-            let tl = graph.top_levels(time_of);
+            let bl = graph.bottom_levels(|t| times[t.0]);
+            let tl = graph.top_levels(|t| times[t.0]);
             let tcp = graph.task_ids().map(|t| tl[t.0]).fold(0.0f64, f64::max);
             // All tasks on a critical path (tl + bl − T == TCP).
             let critical: Vec<TaskId> = graph
                 .task_ids()
                 .filter(|t| !graph.task(*t).is_structural() && np[t.0] < p)
-                .filter(|t| tl[t.0] + bl[t.0] - time_of(*t) >= tcp * (1.0 - 1e-9))
+                .filter(|t| tl[t.0] + bl[t.0] - times[t.0] >= tcp * (1.0 - 1e-9))
                 .collect();
             if critical.is_empty() {
                 break;
             }
             for &t in &critical {
                 np[t.0] += 1;
+                times[t.0] = task_time_optimistic(self.model, graph.task(t), np[t.0]);
             }
-            let m = list_schedule_with(&table, graph, &np).makespan();
+            let m = list_schedule_timed(self.model, graph, &np, &times).makespan();
+            // A worse round ends the descent; `best_np` never held it.
             if m > current * (1.0 + self.min_gain) {
-                for &t in &critical {
-                    np[t.0] -= 1;
-                }
                 break;
             }
             current = m;
@@ -108,7 +107,6 @@ impl<'a> Cpr<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::list_schedule;
     use pt_machine::platforms;
     use pt_mtask::{CommOp, EdgeData, MTask};
 

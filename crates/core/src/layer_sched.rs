@@ -43,12 +43,12 @@
 //! argument of the `g_sweep` span counts those).  Nothing is memoised: a
 //! compiled price costs 2–4 ns, less than a cold memo cell, and a cold
 //! schedule would miss most cells.  The sweep's worker threads share the
-//! immutable compiled layer.  The heterogeneity-aware path prices groups
-//! of several speed classes through a per-schedule [`CostTable`].
+//! immutable compiled layer.  The heterogeneity-aware path prices each
+//! candidate's tasks once per distinct (width, speed class) of its groups.
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
-use pt_cost::{CostModel, CostTable, SymbolicCosts};
+use pt_cost::{CostModel, SymbolicCosts};
 use pt_mtask::{layer::layers, ChainGraph, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
@@ -199,13 +199,13 @@ pub struct LayerScheduler<'a> {
     /// default — keeps the hot path free of instrumentation beyond one
     /// branch).
     pub recorder: Option<std::sync::Arc<pt_obs::TraceRecorder>>,
-    /// Heterogeneity-aware layer scheduling: group sizing by aggregate core
-    /// speed and LPT keyed on class-adjusted finish times.  `None` (the
-    /// default) activates it exactly when the machine is non-uniform, so
-    /// homogeneous machines keep the historic path bit for bit; `Some`
-    /// forces it on or off (off reproduces the heterogeneity-*blind*
-    /// baseline of the `bench_het` gate on a het machine).
-    pub het_aware: Option<bool>,
+    /// Schedule a machine of several speed classes as if every core ran
+    /// at class 0's speed (off by default).  Off, such a machine takes the
+    /// heterogeneity-aware layer path: group sizing by aggregate core speed
+    /// and LPT keyed on class-adjusted finish times.  A machine of one
+    /// class always takes the homogeneous path.  On, it reproduces the
+    /// heterogeneity-*blind* baseline of the `bench_het` gate.
+    pub speed_blind: bool,
 }
 
 impl<'a> LayerScheduler<'a> {
@@ -218,7 +218,7 @@ impl<'a> LayerScheduler<'a> {
             contract_chains: true,
             sweep_workers: None,
             recorder: None,
-            het_aware: None,
+            speed_blind: false,
         }
     }
 
@@ -251,19 +251,18 @@ impl<'a> LayerScheduler<'a> {
         self
     }
 
-    /// Force the heterogeneity-aware layer path on (`true`) or off
-    /// (`false`), overriding the default of "on iff the machine is
-    /// non-uniform".  Forcing it *off* on a heterogeneous machine yields
-    /// the blind schedule a pre-heterogeneity scheduler would build —
-    /// group sizes by core count, LPT by nominal-speed times.
-    pub fn with_het_aware(mut self, on: bool) -> Self {
-        self.het_aware = Some(on);
+    /// Switch the heterogeneity-aware layer path off: a machine of
+    /// several speed classes then gets the blind schedule a
+    /// pre-heterogeneity scheduler would build — group sizes by core
+    /// count, LPT by class-0 times.
+    pub fn speed_blind(mut self) -> Self {
+        self.speed_blind = true;
         self
     }
 
     /// Whether this scheduler uses the heterogeneity-aware layer path.
     fn het_active(&self) -> bool {
-        self.het_aware.unwrap_or(!self.model.is_uniform())
+        !self.speed_blind && !self.model.is_uniform()
     }
 
     /// Disable the group-adjustment step.
@@ -292,8 +291,8 @@ impl<'a> LayerScheduler<'a> {
 
     /// [`schedule_on`](Self::schedule_on), also returning the task prices
     /// the schedule computed: every compiled price of the homogeneous path,
-    /// those of the sweep's worker threads included, or the memo misses of
-    /// the heterogeneity-aware one.  A recorder receives the same count.
+    /// those of the sweep's worker threads included, or every price of the
+    /// heterogeneity-aware one.  A recorder receives the same count.
     pub fn schedule_counted(&self, graph: &TaskGraph, total: usize) -> (LayeredSchedule, usize) {
         assert!(total >= 1);
         let cg = self.contracted(graph);
@@ -334,12 +333,7 @@ impl<'a> LayerScheduler<'a> {
             total_cores: total,
             layers: Vec::new(),
         };
-        // Only the heterogeneity-aware path keeps a memo, one for the
-        // whole graph: its groups re-price tasks at the same width and
-        // class across layers and candidates.
-        let table = self
-            .het_active()
-            .then(|| CostTable::new(self.model, cg.graph.len()));
+        let het = self.het_active();
         let mut prices = 0;
         let mut scratch = LptScratch::default();
         let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
@@ -359,9 +353,10 @@ impl<'a> LayerScheduler<'a> {
             let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
             tasks.clear();
             tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
-            let (sizes, assignment) = match &table {
-                Some(table) => self.schedule_layer_het(table, &tasks, total),
-                None => self.schedule_layer(&tasks, total, &mut scratch, &mut prices),
+            let (sizes, assignment) = if het {
+                self.schedule_layer_het(&tasks, total, &mut prices)
+            } else {
+                self.schedule_layer(&tasks, total, &mut scratch, &mut prices)
             };
             if let Some(r) = rec {
                 let dur_s = (r.now_us() - t0) / 1e6;
@@ -392,7 +387,7 @@ impl<'a> LayerScheduler<'a> {
                 assignments,
             });
         }
-        (out, prices + table.map_or(0, |t| t.evaluations()))
+        (out, prices)
     }
 
     /// Schedule one layer of independent tasks on a homogeneous machine,
@@ -490,7 +485,8 @@ impl<'a> LayerScheduler<'a> {
     /// class of its slowest core, and the greedy rule assigns each task to
     /// the subset with the earliest class-adjusted finish time.  The final
     /// adjustment resizes subsets so their aggregate-speed shares track
-    /// their assigned work.
+    /// their assigned work.  The task prices computed are added to
+    /// `prices`.
     ///
     /// Symbolic core `i` is assumed to land on physical core `i` — exact
     /// under the default consecutive mapping, heuristic under scattered and
@@ -501,16 +497,16 @@ impl<'a> LayerScheduler<'a> {
     /// node-aligned candidates are swept (`g ≤ ⌈total / cores-per-node⌉`,
     /// cuts snapped by [`speed_partition`]).  Unaligned subsets pay
     /// inter-node links for their internal collectives, which the
-    /// width-keyed symbolic table cannot see — comparing their
+    /// placement-blind symbolic cost cannot see — comparing their
     /// (optimistic) predictions against aligned candidates' honest ones
     /// systematically mispicks, so the sweep stays inside the candidate
     /// family it can rank faithfully.  Sub-node ranges (a narrow width
     /// probe) keep the full unaligned sweep.
     fn schedule_layer_het(
         &self,
-        table: &CostTable<'_>,
         tasks: &[(TaskId, &MTask)],
         total: usize,
+        prices: &mut usize,
     ) -> (Vec<usize>, Vec<Vec<TaskId>>) {
         let cpn = self.model.spec.cores_per_node();
         let max_g = if total / cpn >= 2 {
@@ -525,7 +521,7 @@ impl<'a> LayerScheduler<'a> {
                 let mut best = (f64::INFINITY, 1usize);
                 for g in 1..=max_g {
                     let groups = HetGroups::equal_speed(self.model, &cum, g);
-                    let mk = het_assign(table, tasks, &groups, None);
+                    let mk = het_assign(self.model, tasks, &groups, None, prices);
                     if mk < best.0 {
                         best = (mk, g);
                     }
@@ -535,7 +531,7 @@ impl<'a> LayerScheduler<'a> {
         };
         let groups = HetGroups::equal_speed(self.model, &cum, best_g);
         let mut assignment: Vec<Vec<usize>> = Vec::new();
-        het_assign(table, tasks, &groups, Some(&mut assignment));
+        het_assign(self.model, tasks, &groups, Some(&mut assignment), prices);
         // Group adjustment, speed-aware: shares of *aggregate speed* (not
         // core count) proportional to assigned work, so a slow group with
         // the same work ends up with more cores.
@@ -690,18 +686,19 @@ fn speed_partition(cum: &[f64], weights: &[f64], grid: usize) -> Vec<usize> {
 
 /// One candidate het partition: group sizes plus the speed class each group
 /// is priced at (its slowest member's class).
-struct HetGroups {
-    sizes: Vec<usize>,
+pub(crate) struct HetGroups {
+    pub(crate) sizes: Vec<usize>,
     class: Vec<usize>,
 }
 
 impl HetGroups {
-    /// `g` consecutive groups of near-equal aggregate speed.
-    fn equal_speed(model: &CostModel<'_>, cum: &[f64], g: usize) -> Self {
-        let sizes = speed_partition(cum, &vec![1.0; g], model.spec.cores_per_node());
+    /// Consecutive groups of the given sizes from symbolic core 0, each
+    /// priced at the class of its slowest core (symbolic cores beyond the
+    /// machine count as class 0).
+    pub(crate) fn new(model: &CostModel<'_>, sizes: Vec<usize>) -> Self {
         let classes = model.classes();
         let physical = model.spec.total_cores();
-        let mut class = Vec::with_capacity(g);
+        let mut class = Vec::with_capacity(sizes.len());
         let mut lo = 0usize;
         for &s in &sizes {
             let hi = lo + s;
@@ -710,38 +707,71 @@ impl HetGroups {
         }
         HetGroups { sizes, class }
     }
+
+    /// `g` consecutive groups of near-equal aggregate speed.
+    fn equal_speed(model: &CostModel<'_>, cum: &[f64], g: usize) -> Self {
+        let sizes = speed_partition(cum, &vec![1.0; g], model.spec.cores_per_node());
+        HetGroups::new(model, sizes)
+    }
 }
 
-/// The heterogeneity-aware greedy rule: tasks in decreasing class-0 time,
-/// each to the group with the earliest class-adjusted finish time
-/// `acc[l] + Tsymb(task, size_l, class_l)` (smallest index on ties).
-/// Returns the layer makespan; `assignment` (when given) receives per-group
-/// task indices into `tasks`.
-fn het_assign(
-    table: &CostTable<'_>,
+/// The heterogeneity-aware greedy rule: tasks in decreasing class-0 time at
+/// group 0's size, each to the group with the earliest class-adjusted
+/// finish time `acc[l] + Tsymb(task, size_l, class_l)` (smallest index on
+/// ties).  Every task is priced once per distinct (size, class) of the
+/// groups and of the order, and those prices are added to `prices`.
+/// Returns the layer makespan; `assignment` (when given) receives
+/// per-group task indices into `tasks`.
+pub(crate) fn het_assign(
+    model: &CostModel<'_>,
     tasks: &[(TaskId, &MTask)],
     groups: &HetGroups,
     mut assignment: Option<&mut Vec<Vec<usize>>>,
+    prices: &mut usize,
 ) -> f64 {
-    let g = groups.sizes.len();
-    let mut order: Vec<(TotalF64, u32)> = tasks
+    let n = tasks.len();
+    // Column `k` holds every task's time at `keys[k]`: column 0 orders the
+    // tasks, and group `l` reads column `col[l]`.
+    let mut keys = vec![(groups.sizes[0], 0)];
+    let col: Vec<usize> = groups
+        .sizes
+        .iter()
+        .zip(&groups.class)
+        .map(|(&size, &class)| {
+            keys.iter()
+                .position(|&k| k == (size, class))
+                .unwrap_or_else(|| {
+                    keys.push((size, class));
+                    keys.len() - 1
+                })
+        })
+        .collect();
+    let times: Vec<f64> = keys
+        .iter()
+        .flat_map(|&(size, class)| {
+            tasks
+                .iter()
+                .map(move |(_, m)| model.task_time_symbolic_class(m, size, class))
+        })
+        .collect();
+    *prices += times.len();
+    let mut order: Vec<(TotalF64, u32)> = times[..n]
         .iter()
         .enumerate()
-        .map(|(i, (id, m))| (TotalF64(table.symbolic(*id, m, groups.sizes[0])), i as u32))
+        .map(|(i, &t)| (TotalF64(t), i as u32))
         .collect();
     order.sort_unstable_by(lpt_cmp);
     if let Some(asg) = assignment.as_deref_mut() {
         asg.clear();
-        asg.resize_with(g, Vec::new);
+        asg.resize_with(col.len(), Vec::new);
     }
-    let mut acc = vec![0.0f64; g];
+    let mut acc = vec![0.0f64; col.len()];
     for &(_, idx) in &order {
         let idx = idx as usize;
-        let (id, m) = tasks[idx];
         let mut best_l = 0usize;
         let mut best_finish = f64::INFINITY;
-        for (l, &busy) in acc.iter().enumerate().take(g) {
-            let finish = busy + table.symbolic_class(id, m, groups.sizes[l], groups.class[l]);
+        for (l, (&busy, &c)) in acc.iter().zip(&col).enumerate() {
+            let finish = busy + times[c * n + idx];
             if finish < best_finish {
                 best_finish = finish;
                 best_l = l;
@@ -1593,29 +1623,114 @@ mod tests {
         assert_eq!(l0.group_sizes.iter().sum::<usize>(), 32);
     }
 
+    /// The greedy rule with every (task, group) pair priced directly, and
+    /// the distinct (size, class) keys that pricing reads.
+    fn het_assign_oracle(
+        model: &CostModel<'_>,
+        tasks: &[(TaskId, &MTask)],
+        groups: &HetGroups,
+    ) -> (f64, Vec<Vec<usize>>, usize) {
+        let g = groups.sizes.len();
+        let price = |m: &MTask, l: usize| {
+            model.task_time_symbolic_class(m, groups.sizes[l], groups.class[l])
+        };
+        let mut order: Vec<(TotalF64, u32)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, (_, m))| {
+                let t = model.task_time_symbolic_class(m, groups.sizes[0], 0);
+                (TotalF64(t), i as u32)
+            })
+            .collect();
+        order.sort_by(lpt_cmp);
+        let mut acc = vec![0.0f64; g];
+        let mut asg = vec![Vec::new(); g];
+        for &(_, idx) in &order {
+            let idx = idx as usize;
+            let mut best = (f64::INFINITY, 0usize);
+            for (l, &busy) in acc.iter().enumerate() {
+                let finish = busy + price(tasks[idx].1, l);
+                if finish < best.0 {
+                    best = (finish, l);
+                }
+            }
+            acc[best.1] = best.0;
+            asg[best.1].push(idx);
+        }
+        let mut keys: Vec<(usize, usize)> = groups
+            .sizes
+            .iter()
+            .copied()
+            .zip(groups.class.iter().copied())
+            .chain([(groups.sizes[0], 0)])
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let makespan = acc.iter().copied().fold(0.0, f64::max);
+        (makespan, asg, keys.len() * tasks.len())
+    }
+
+    #[test]
+    fn het_assign_matches_direct_pricing() {
+        // Equal works (ties broken by position), a capped task, and
+        // communication that makes the narrow and wide groups rank
+        // differently.
+        let tasks: Vec<MTask> = vec![
+            MTask::compute("a", 5e9),
+            MTask::with_comm("b", 4e9, vec![CommOp::allgather(4e6, 2.0)]),
+            MTask::compute("c", 3e9),
+            MTask::compute("d", 3e9),
+            MTask::compute("e", 2e9).max_cores(2),
+            MTask::with_comm("f", 1e9, vec![CommOp::bcast(1e5, 3.0)]),
+            MTask::compute("g", 3e9),
+        ];
+        let layer: Vec<(TaskId, &MTask)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (TaskId(i), m))
+            .collect();
+        for spec in [
+            platforms::chic().with_nodes(8).with_slow_nodes(2, 0.5),
+            platforms::chic().with_nodes(16).with_slow_nodes(4, 3.0),
+            platforms::juropa().with_nodes(4).with_slow_nodes(1, 0.25),
+        ] {
+            let model = CostModel::new(&spec);
+            let total = spec.total_cores();
+            let cum = speed_prefix(&model, total);
+            let cpn = spec.cores_per_node();
+            let nodes = vec![cpn; spec.nodes];
+            let candidates = (1..=tasks.len().min(total))
+                .map(|g| HetGroups::equal_speed(&model, &cum, g))
+                .chain([HetGroups::new(&model, nodes)]);
+            for groups in candidates {
+                let (makespan, want, keyed) = het_assign_oracle(&model, &layer, &groups);
+                let mut got = Vec::new();
+                let mut prices = 0;
+                let mk = het_assign(&model, &layer, &groups, Some(&mut got), &mut prices);
+                assert_eq!(mk.to_bits(), makespan.to_bits(), "{:?}", groups.sizes);
+                assert_eq!(got, want, "{:?}", groups.sizes);
+                assert_eq!(prices, keyed, "{:?}", groups.sizes);
+                let mut again = 0;
+                let alone = het_assign(&model, &layer, &groups, None, &mut again);
+                assert_eq!((alone.to_bits(), again), (mk.to_bits(), prices));
+            }
+        }
+    }
+
     #[test]
     fn het_path_is_off_on_uniform_machines_and_forceable() {
         let spec = platforms::chic().with_nodes(16);
         let model = CostModel::new(&spec);
         let g = epol_step_graph(8, 2e9, 800_000.0);
         assert!(!LayerScheduler::new(&model).het_active());
-        let forced = LayerScheduler::new(&model).with_het_aware(true);
-        assert!(forced.het_active());
-        // Forced het on a uniform machine is a valid schedule (not
-        // necessarily identical: the greedy keys differ).
-        assert!(forced.schedule(&g).validate().is_ok());
         // A het machine turns the path on by default and off by force.
         let het_spec = platforms::chic().with_nodes(16).with_slow_nodes(4, 0.5);
         let het_model = CostModel::new(&het_spec);
         assert!(LayerScheduler::new(&het_model).het_active());
-        assert!(!LayerScheduler::new(&het_model)
-            .with_het_aware(false)
-            .het_active());
+        assert!(!LayerScheduler::new(&het_model).speed_blind().het_active());
         // Forcing blind on a het machine reproduces the uniform-machine
         // schedule (same graph, same totals).
-        let blind = LayerScheduler::new(&het_model)
-            .with_het_aware(false)
-            .schedule(&g);
+        let blind = LayerScheduler::new(&het_model).speed_blind().schedule(&g);
         let uniform = LayerScheduler::new(&model).schedule(&g);
         assert_eq!(blind, uniform);
     }

@@ -8,7 +8,7 @@
 //! free earliest.
 
 use crate::schedule::{ScheduledTask, SymbolicSchedule};
-use pt_cost::{CostModel, CostTable};
+use pt_cost::{task_time_optimistic, CostModel};
 use pt_mtask::{EdgeData, TaskGraph, TaskId};
 
 /// Symbolic estimate of the re-distribution delay of an edge when producer
@@ -62,7 +62,8 @@ pub fn symbolic_redist_disjoint(
     link.latency_s + edge.bytes / par / link.bytes_per_s
 }
 
-/// List-schedule `graph` with `alloc[t]` symbolic cores per task.
+/// List-schedule `graph` with `alloc[t]` symbolic cores per task, each
+/// task priced once at its allocation.
 ///
 /// Structural (zero-cost) tasks are honoured for precedence but omitted
 /// from the resulting schedule.
@@ -71,26 +72,28 @@ pub fn list_schedule(
     graph: &TaskGraph,
     alloc: &[usize],
 ) -> SymbolicSchedule {
-    let table = CostTable::new(model, graph.len());
-    list_schedule_with(&table, graph, alloc)
+    assert_eq!(alloc.len(), graph.len(), "one allocation per task");
+    let times: Vec<f64> = graph
+        .task_ids()
+        .map(|t| task_time_optimistic(model, graph.task(t), alloc[t.0].max(1)))
+        .collect();
+    list_schedule_timed(model, graph, alloc, &times)
 }
 
-/// [`list_schedule`] with a caller-provided cost memo table — CPR calls the
-/// list scheduler once per allocation round, re-pricing mostly unchanged
-/// `(task, np)` pairs.
-pub fn list_schedule_with(
-    table: &CostTable<'_>,
+/// [`list_schedule`] given each task's time at its allocation: CPR keeps
+/// those times across its rounds and re-prices only the tasks it widens.
+pub(crate) fn list_schedule_timed(
+    model: &CostModel<'_>,
     graph: &TaskGraph,
     alloc: &[usize],
+    times: &[f64],
 ) -> SymbolicSchedule {
-    let model = table.model();
     let p = model.spec.total_cores();
     let n = graph.len();
-    assert_eq!(alloc.len(), n, "one allocation per task");
+    debug_assert_eq!(times.len(), n, "one time per task");
 
     // Priorities: bottom levels under the allocated execution times.
-    let time_of = |t: TaskId| -> f64 { table.optimistic(t, graph.task(t), alloc[t.0].max(1)) };
-    let bl = graph.bottom_levels(time_of);
+    let bl = graph.bottom_levels(|t| times[t.0]);
 
     let mut core_free = vec![0.0f64; p];
     let mut finish = vec![f64::NAN; n];
@@ -131,8 +134,7 @@ pub fn list_schedule_with(
         }
         let cores_ready = cores.iter().map(|&c| core_free[c]).fold(0.0f64, f64::max);
         let start = data_ready.max(cores_ready);
-        let dur = time_of(t);
-        let end = start + dur;
+        let end = start + times[t.0];
         for &c in &cores {
             core_free[c] = end;
         }

@@ -167,12 +167,6 @@ impl<'a> CostModel<'a> {
         self.classes.is_uniform()
     }
 
-    /// Number of speed classes (1 for homogeneous machines).
-    #[inline]
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Point-to-point transfer time between two cores under NIC contention.
     pub fn p2p(&self, ctx: &CommContext, a: CoreId, b: CoreId, bytes: f64) -> f64 {
         if a == b {
@@ -1053,7 +1047,7 @@ mod tests {
         let spec = platforms::chic().with_nodes(8).with_slow_nodes(2, 0.5);
         let m = CostModel::new(&spec);
         assert!(!m.is_uniform());
-        assert_eq!(m.num_classes(), 2);
+        assert_eq!(m.classes().len(), 2);
         assert_eq!(m.classes().speed(0), 1.0);
         assert_eq!(m.classes().speed(1), 0.5);
         // Nodes 0..6 fast (cores 0..24), nodes 6..8 slow (cores 24..32).

@@ -23,12 +23,15 @@
 //! [`CommContext`] carries a per-node sharing factor that divides the
 //! effective inter-node bandwidth, reproducing the Multi-Allgather
 //! behaviour of the paper's Fig. 14 (right).
+//!
+//! The schedulers price symbolic widths ([`symbolic`]) and keep no memo
+//! of them: the homogeneous layer path prices from [`SymbolicCosts`], and
+//! every other scheduler prices a task once per width it holds.
 
 pub mod collectives;
 pub mod context;
 pub mod redist;
 pub mod symbolic;
-pub mod table;
 
 // The per-pair oracle names the crate as `pt_cost`, as it does when other
 // crates' tests include it.
@@ -41,7 +44,6 @@ pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedCl
 pub use context::CommContext;
 pub use redist::{NodeRuns, Overlap};
 pub use symbolic::{task_time_optimistic, SymbolicCosts};
-pub use table::CostTable;
 
 #[cfg(test)]
 mod tests {

@@ -64,16 +64,6 @@ fn at_speed(t: f64, compute: f64, speed: f64) -> f64 {
     }
 }
 
-/// [`task_time_optimistic`] on cores of speed class 0, the machine's
-/// fastest: the price CPA and CPR memoise.  On every machine whose fastest
-/// cores run at nominal speed this is `task_time_optimistic`, bit for bit.
-pub(crate) fn task_time_optimistic_fastest(model: &CostModel<'_>, task: &MTask, q: usize) -> f64 {
-    let t = task_time_optimistic(model, task, q);
-    let q_eff = task.max_cores.map_or(q, |cap| q.min(cap));
-    let compute = model.spec.compute_time(task.work) / q_eff as f64;
-    at_speed(t, compute, model.classes().speed(0))
-}
-
 /// Optimistic execution-time estimate of `task` on `q` cores, as the
 /// classic two-step schedulers (CPA, CPR) assume it: uncontended
 /// slowest-link bandwidth, logarithmic latency terms, bandwidth-optimal
@@ -82,6 +72,10 @@ pub(crate) fn task_time_optimistic_fastest(model: &CostModel<'_>, task: &MTask, 
 /// chain-widening) emerge exactly because this estimate ignores latency
 /// growth and NIC contention that the real machine (and this crate's
 /// simulator) charge.
+///
+/// The compute part runs at the speed of class 0, the machine's fastest
+/// cores, which is nominal speed on every machine whose fastest cores are
+/// not re-clocked.
 pub fn task_time_optimistic(model: &CostModel<'_>, task: &MTask, q: usize) -> f64 {
     debug_assert!(q >= 1, "task {:?}: zero-core width priced", task.name);
     let q = match task.max_cores {
@@ -116,7 +110,7 @@ pub fn task_time_optimistic(model: &CostModel<'_>, task: &MTask, q: usize) -> f6
             once * op.count
         })
         .sum();
-    compute + comm
+    at_speed(compute + comm, compute, model.classes().speed(0))
 }
 
 /// The symbolic costs of a task list on the machine's fastest cores,
@@ -486,7 +480,7 @@ mod tests {
             let factor = [0.5, 2.0, 8.0][factor];
             for (spec, classes) in [(spec.with_slow_nodes(2, 0.5), 2), (spec.with_slow_nodes(8, factor), 1)] {
                 let m = CostModel::new(&spec);
-                prop_assert_eq!(m.num_classes(), classes);
+                prop_assert_eq!(m.classes().len(), classes);
                 for task in &tasks {
                     for class in 0..classes {
                         prop_assert_eq!(
@@ -573,8 +567,10 @@ mod tests {
     fn class_zero_is_bit_identical_to_the_homogeneous_cost() {
         // On a 2-class machine, class 0 (nominal speed) prices exactly like
         // the homogeneous functions; the slow class scales only compute.
-        let spec = platforms::chic().with_nodes(8).with_slow_nodes(2, 0.5);
+        let plain = platforms::chic().with_nodes(8);
+        let spec = plain.with_slow_nodes(2, 0.5);
         let m = CostModel::new(&spec);
+        let m0 = CostModel::new(&plain);
         let compute = MTask::compute("c", 5.2e9);
         let comm = MTask::with_comm("m", 5.2e9, vec![CommOp::allgather(1e6, 2.0)]);
         for task in [&compute, &comm] {
@@ -584,11 +580,18 @@ mod tests {
                     m.task_time_symbolic(task, q).to_bits()
                 );
                 assert_eq!(
-                    task_time_optimistic_fastest(&m, task, q).to_bits(),
-                    task_time_optimistic(&m, task, q).to_bits()
+                    task_time_optimistic(&m, task, q).to_bits(),
+                    task_time_optimistic(&m0, task, q).to_bits()
                 );
             }
         }
+        // Class 0 above nominal speed: the optimistic price's compute part
+        // runs at that speed too.
+        let fast = plain.with_slow_nodes(8, 2.0);
+        let mf = CostModel::new(&fast);
+        let t_nominal = task_time_optimistic(&m0, &compute, 4);
+        let t_fast = task_time_optimistic(&mf, &compute, 4);
+        assert!((t_nominal / t_fast - 2.0).abs() < 1e-9);
         // Slow class: compute-only task exactly doubles; comm part of a
         // mixed task is untouched.
         let t_fast = m.task_time_symbolic_class(&compute, 4, 0);

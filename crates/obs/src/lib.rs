@@ -79,8 +79,9 @@ pub mod keys {
     /// Seconds since the last heartbeat of the laggiest active rank,
     /// observed at each monitor tick (histogram).
     pub const HEARTBEAT_AGE: &str = "exec.heartbeat_age_s";
-    /// Task prices the layer scheduler computed (compiled prices and cost
-    /// memo misses alike).
+    /// Task prices the layer scheduler computed: the homogeneous path's
+    /// compiled prices or the heterogeneity-aware path's per-candidate
+    /// prices.
     pub const COST_EVALUATIONS: &str = "sched.cost_evaluations";
     /// Layers scheduled.
     pub const SCHED_LAYERS: &str = "sched.layers";

@@ -10,8 +10,8 @@ use std::sync::Arc;
 /// The graph is shared by `Arc` on purpose: jobs built from the same
 /// workload template point at the *same* graph, so the scheduling service
 /// verifies their width probes by pointer equality, and every job of that
-/// kind reuses the cached running-time curve and warm cost tables (a mixed
-/// Poisson stream has a handful of kinds and many jobs).
+/// kind reuses the cached running-time curve (a mixed Poisson stream has a
+/// handful of kinds and many jobs).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Stream-unique id (assigned by the arrival generator / caller).

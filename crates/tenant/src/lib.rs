@@ -14,8 +14,8 @@
 //! * [`JobSpec`] — a job: graph + arrival + malleable floor.
 //! * [`AdmissionOracle`] — predicted T(job, width) as a
 //!   [`pt_serve::SchedService`] request at `total_cores = width`, so width
-//!   probes share the service's schedule cache and warm cost tables with
-//!   every other request on the same machine.
+//!   probes share the service's schedule cache with every other request
+//!   on the same machine.
 //! * [`Policy`] — FCFS-exclusive and equipartition baselines, and the
 //!   malleable floors-plus-water-filling policy.
 //! * [`run_scenario`] — deterministic event-driven scenario simulation

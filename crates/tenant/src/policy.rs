@@ -88,7 +88,11 @@ fn malleable_widths(jobs: &[&JobSpec], oracle: &AdmissionOracle<'_>, total: usiz
         }
     }
     // Water-fill the rest: repeatedly grow the job whose next ladder step
-    // (double, capped by the free pool) buys the most rate per core.
+    // (double, capped by the free pool) buys the most rate per core.  Each
+    // probe schedules the job's whole graph, so a job keeps its last two
+    // `(width, T(width))` probes and a round re-probes only a width that
+    // moved: the grown job's next step, or a step the shrinking pool caps.
+    let mut probes = vec![[(0usize, f64::NAN); 2]; jobs.len()];
     loop {
         let free = total - used;
         if free == 0 || admitted.is_empty() {
@@ -101,8 +105,12 @@ fn malleable_widths(jobs: &[&JobSpec], oracle: &AdmissionOracle<'_>, total: usiz
             if next <= w {
                 continue;
             }
-            let t_now = oracle.predict(jobs[i], w);
-            let t_next = oracle.predict(jobs[i], next);
+            let probe = |width: usize| match probes[i].iter().find(|p| p.0 == width) {
+                Some(&(_, t)) => t,
+                None => oracle.predict(jobs[i], width),
+            };
+            let (t_now, t_next) = (probe(w), probe(next));
+            probes[i] = [(w, t_now), (next, t_next)];
             let gain = (1.0 / t_next - 1.0 / t_now) / (next - w) as f64;
             if gain > 0.0 && best.is_none_or(|(g, _, _)| gain > g) {
                 best = Some((gain, i, next));
@@ -161,6 +169,35 @@ mod tests {
         );
         // Water-filling is deterministic.
         assert_eq!(widths, Policy::Malleable.allocate(&refs, &oracle, 16));
+    }
+
+    #[test]
+    fn malleable_probes_only_widths_that_moved() {
+        // The first round probes two widths per job and each later one
+        // only the widths that moved, so the probes are bounded by the jobs
+        // and the cores granted above the floors.
+        let spec = platforms::chic().with_nodes(64); // 256 cores
+        let svc = SchedService::new(ServeConfig::default());
+        let oracle = AdmissionOracle::new(&svc, Arc::new(spec));
+        let jobs: Vec<JobSpec> = (0..16)
+            .map(|i| {
+                let kind = WorkloadKind::ALL[i % WorkloadKind::ALL.len()];
+                JobSpec::new(i, format!("{}#{i}", kind.name()), kind.graph(), 0.0)
+                    .with_min_width(1 + i % 4)
+            })
+            .collect();
+        let refs: Vec<&JobSpec> = jobs.iter().collect();
+        let requests = |s: pt_serve::StatsSnapshot| s.hits + s.misses + s.followed;
+        let before = requests(svc.stats());
+        let widths = Policy::Malleable.allocate(&refs, &oracle, 256);
+        let probes = requests(svc.stats()) - before;
+        let floors: usize = jobs.iter().map(|j| j.min_width).sum();
+        let granted = widths.iter().sum::<usize>() - floors;
+        assert!(
+            probes <= 2 * (jobs.len() + granted) as u64,
+            "{probes} probes for {} jobs and {granted} cores above the floors",
+            jobs.len()
+        );
     }
 
     #[test]

@@ -516,10 +516,10 @@ const MAX_PENDING_JOBS: usize = 64;
 /// Over a queue full at this cap, a malleable tenant run took 2.6 s for a
 /// 1 000-step SP-MZ and a 1 000-step BT-MZ job on 16 CHiC cores (7.1 s on
 /// 16 384 JuRoPA cores), and 1.3 s for 63 distinct SP-MZ and BT-MZ jobs of
-/// 1–62 steps on 16 CHiC cores (release build, 2 vCPUs).  The same 63
-/// jobs took 143 s on 16 384 JuRoPA cores: on a wide machine the job
-/// count, not the steps, sets the time (4, 8 and 16 such jobs: 0.02, 0.10
-/// and 0.67 s).
+/// 1–62 steps on 16 CHiC cores (release build, 2 vCPUs).  On a wide
+/// machine the job count, not the steps, sets the time: 8, 16, 32 and 62
+/// such jobs of 1..N steps took 0.13, 0.53, 2.4 and 18 s on 16 384
+/// JuRoPA cores, most of it the cold plans of their width probes.
 const MAX_PENDING_STEPS: usize = 2000;
 
 /// One job queued by `{"cmd":"submit"}`, awaiting a `{"cmd":"tenant"}`

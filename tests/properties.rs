@@ -222,7 +222,7 @@ proptest! {
         ] {
             prop_assert!(explicit.is_uniform());
             let m1 = CostModel::new(&explicit);
-            prop_assert_eq!(m1.num_classes(), 1);
+            prop_assert_eq!(m1.classes().len(), 1);
             // Costs, bit for bit, at several widths.
             let ctx = CommContext::uniform(&plain);
             for t in g.task_ids() {
