@@ -19,7 +19,7 @@
 use crate::layer_sched::{het_assign, HetGroups};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
 use pt_cost::CostModel;
-use pt_mtask::{chain::ChainGraph, layer::layers, MTask, TaskGraph, TaskId};
+use pt_mtask::{Chains, MTask, TaskGraph, TaskId};
 
 /// The AMTHA scheduler (node-granular heterogeneous list mapping).
 #[derive(Debug, Clone)]
@@ -53,26 +53,26 @@ impl<'a> Amtha<'a> {
         }
         let groups = HetGroups::new(self.model, sizes);
 
-        let cg = ChainGraph::contract(graph);
+        let chains = Chains::find(graph);
         let mut out = LayeredSchedule {
             total_cores: total,
             layers: Vec::new(),
         };
         let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
         let mut assignment: Vec<Vec<usize>> = Vec::new();
-        for mut layer in layers(&cg.graph) {
+        for mut layer in chains.layers(graph) {
             // The greedy rule breaks ties by position: in id order, that
             // is the smaller id.
             layer.sort_unstable();
             tasks.clear();
-            tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
+            tasks.extend(layer.iter().map(|&c| (c, chains.task(graph, c))));
             het_assign(self.model, &tasks, &groups, Some(&mut assignment), &mut 0);
             let assignments = assignment
                 .iter()
                 .map(|group| {
                     group
                         .iter()
-                        .flat_map(|&i| cg.members[tasks[i].0 .0].iter().copied())
+                        .flat_map(|&i| chains.members(tasks[i].0).iter().copied())
                         .collect()
                 })
                 .collect();

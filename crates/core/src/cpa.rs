@@ -96,12 +96,10 @@ impl<'a> Cpa<'a> {
     pub fn schedule(&self, graph: &TaskGraph) -> SymbolicSchedule {
         let cg = ChainGraph::contract(graph);
         let contracted_np = self.allocate(&cg.graph);
-        let mut np = vec![1usize; graph.len()];
-        for (node, chain) in cg.members.iter().enumerate() {
-            for &t in chain {
-                np[t.0] = contracted_np[node];
-            }
-        }
+        let np: Vec<usize> = graph
+            .task_ids()
+            .map(|t| contracted_np[cg.chains.node_of(t).0])
+            .collect();
         list_schedule(self.model, graph, &np)
     }
 
@@ -448,12 +446,10 @@ mod tests {
 
             // Final schedules bit-identical to the pre-rewrite path.
             let sched = cpa.schedule(&g);
-            let mut np = vec![1usize; g.len()];
-            for (node, chain) in cg.members.iter().enumerate() {
-                for &t in chain {
-                    np[t.0] = np_full[node];
-                }
-            }
+            let np: Vec<usize> = g
+                .task_ids()
+                .map(|t| np_full[cg.chains.node_of(t).0])
+                .collect();
             let oracle = list_schedule(&model, &g, &np);
             proptest::prop_assert_eq!(sched.entries.len(), oracle.entries.len());
             for (a, b) in sched.entries.iter().zip(&oracle.entries) {

@@ -40,12 +40,10 @@ impl<'a> Cpr<'a> {
     pub fn schedule(&self, graph: &TaskGraph) -> SymbolicSchedule {
         let cg = ChainGraph::contract(graph);
         let contracted_np = self.allocate(&cg.graph);
-        let mut np = vec![1usize; graph.len()];
-        for (node, chain) in cg.members.iter().enumerate() {
-            for &t in chain {
-                np[t.0] = contracted_np[node];
-            }
-        }
+        let np: Vec<usize> = graph
+            .task_ids()
+            .map(|t| contracted_np[cg.chains.node_of(t).0])
+            .collect();
         list_schedule(self.model, graph, &np)
     }
 

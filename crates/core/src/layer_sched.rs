@@ -49,7 +49,7 @@
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
 use pt_cost::{CostModel, SymbolicCosts};
-use pt_mtask::{layer::layers, ChainGraph, MTask, TaskGraph, TaskId};
+use pt_mtask::{layer::layers, Chains, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -295,40 +295,8 @@ impl<'a> LayerScheduler<'a> {
     /// heterogeneity-aware one.  A recorder receives the same count.
     pub fn schedule_counted(&self, graph: &TaskGraph, total: usize) -> (LayeredSchedule, usize) {
         assert!(total >= 1);
-        let cg = self.contracted(graph);
-        let (out, prices) = self.schedule_contracted(&cg, total);
-        if let Some(r) = self.recorder.as_deref() {
-            r.add(pt_obs::keys::COST_EVALUATIONS, prices as u64);
-        }
-        (out, prices)
-    }
-
-    fn contracted(&self, graph: &TaskGraph) -> ChainGraph {
         let rec = self.recorder.as_deref();
-        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
-        let cg = if self.contract_chains {
-            ChainGraph::contract(graph)
-        } else {
-            identity_chain_graph(graph)
-        };
-        if let Some(r) = rec {
-            r.span_args(
-                SCHED_PID,
-                0,
-                "chain_contraction",
-                "sched",
-                t0,
-                vec![
-                    ("tasks", graph.len().into()),
-                    ("contracted", cg.graph.len().into()),
-                ],
-            );
-        }
-        cg
-    }
-
-    fn schedule_contracted(&self, cg: &ChainGraph, total: usize) -> (LayeredSchedule, usize) {
-        let rec = self.recorder.as_deref();
+        let (chains, layer_lists) = self.layered_chains(graph);
         let mut out = LayeredSchedule {
             total_cores: total,
             layers: Vec::new(),
@@ -337,22 +305,13 @@ impl<'a> LayerScheduler<'a> {
         let mut prices = 0;
         let mut scratch = LptScratch::default();
         let mut tasks: Vec<(TaskId, &MTask)> = Vec::new();
-        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
-        let layer_lists = layers(&cg.graph);
-        if let Some(r) = rec {
-            r.span_args(
-                SCHED_PID,
-                0,
-                "layer_partition",
-                "sched",
-                t0,
-                vec![("layers", layer_lists.len().into())],
-            );
-        }
         for (li, layer) in layer_lists.into_iter().enumerate() {
             let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
             tasks.clear();
-            tasks.extend(layer.iter().map(|&t| (t, cg.graph.task(t))));
+            tasks.extend(layer.iter().map(|&c| match &chains {
+                Some(ch) => (c, ch.task(graph, c)),
+                None => (c, graph.task(c)),
+            }));
             let (sizes, assignment) = if het {
                 self.schedule_layer_het(&tasks, total, &mut prices)
             } else {
@@ -374,20 +333,63 @@ impl<'a> LayerScheduler<'a> {
                     ],
                 );
             }
-            let assignments = assignment
-                .into_iter()
-                .map(|ts| {
-                    ts.into_iter()
-                        .flat_map(|c| cg.members[c.0].iter().copied())
-                        .collect()
-                })
-                .collect();
+            let assignments = match &chains {
+                Some(ch) => assignment
+                    .into_iter()
+                    .map(|ts| ts.iter().flat_map(|&c| ch.members(c)).copied().collect())
+                    .collect(),
+                None => assignment,
+            };
             out.layers.push(LayerSchedule {
                 group_sizes: sizes,
                 assignments,
             });
         }
+        if let Some(r) = rec {
+            r.add(pt_obs::keys::COST_EVALUATIONS, prices as u64);
+        }
         (out, prices)
+    }
+
+    /// Steps 1 and 2: the graph's chains (`None` with contraction off,
+    /// when every task is its own node) and the layers of the nodes.  The
+    /// contracted graph itself is never built.
+    fn layered_chains(&self, graph: &TaskGraph) -> (Option<Chains>, Vec<Vec<TaskId>>) {
+        let rec = self.recorder.as_deref();
+        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+        let chains = self.contract_chains.then(|| Chains::find(graph));
+        if let Some(r) = rec {
+            r.span_args(
+                SCHED_PID,
+                0,
+                "chain_contraction",
+                "sched",
+                t0,
+                vec![
+                    ("tasks", graph.len().into()),
+                    (
+                        "contracted",
+                        chains.as_ref().map_or(graph.len(), Chains::len).into(),
+                    ),
+                ],
+            );
+        }
+        let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
+        let layer_lists = match &chains {
+            Some(ch) => ch.layers(graph),
+            None => layers(graph),
+        };
+        if let Some(r) = rec {
+            r.span_args(
+                SCHED_PID,
+                0,
+                "layer_partition",
+                "sched",
+                t0,
+                vec![("layers", layer_lists.len().into())],
+            );
+        }
+        (chains, layer_lists)
     }
 
     /// Schedule one layer of independent tasks on a homogeneous machine,
@@ -1091,15 +1093,6 @@ fn assign_lpt(
     acc.iter().copied().fold(0.0, f64::max)
 }
 
-/// A "contraction" that keeps every task separate (the no-contraction
-/// ablation).
-fn identity_chain_graph(graph: &TaskGraph) -> ChainGraph {
-    ChainGraph {
-        graph: graph.clone(),
-        members: graph.task_ids().map(|t| vec![t]).collect(),
-    }
-}
-
 /// The pure data-parallel reference schedule: every task executes on all
 /// cores, one after another (the `dp` program versions of §4.2).
 #[derive(Debug, Clone, Copy)]
@@ -1126,7 +1119,7 @@ impl DataParallel {
 mod tests {
     use super::*;
     use pt_machine::platforms;
-    use pt_mtask::{CommOp, Spec};
+    use pt_mtask::{ChainGraph, CommOp, EdgeData, Spec};
 
     /// EPOL-shaped one-time-step graph (paper Fig. 5): R chains of 1..R
     /// micro steps plus a combine task.
@@ -1760,6 +1753,170 @@ mod tests {
                     assert_eq!(w[1], w[0] + 1, "chain order broken: {names:?}");
                 }
             }
+        }
+    }
+
+    /// A random DAG of `n` tasks for the contraction tests.  Its edges run
+    /// along a hidden topological order: a backbone link from each task to
+    /// the next with probability 1/2 (long chains), plus `extra` random
+    /// forward edges (forks and joins that cut chains).  The edges are
+    /// inserted in a shuffled order, so neither successor nor predecessor
+    /// lists ascend.  Every tenth task or so is structural (zero work, no
+    /// operations), others carry zero work with operations, repeated
+    /// identical operations for a merged chain to coalesce and core caps;
+    /// `start_stop` adds the structural start and stop tasks.
+    fn random_dag(n: usize, extra: usize, seed: u64, start_stop: bool) -> TaskGraph {
+        let mut state = seed | 1;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let ops = [
+            CommOp::allgather(1024.0, 1.0),
+            CommOp::allgather(1024.0, 2.0),
+            CommOp::allgather(4096.0, 1.0),
+            CommOp::bcast(512.0, 1.0),
+        ];
+        let mut g = TaskGraph::new();
+        for i in 0..n {
+            let task = match next(10) {
+                0 => MTask::structural(format!("s{i}")),
+                kind => {
+                    let comm = (0..next(4)).map(|_| ops[next(ops.len())].clone()).collect();
+                    let work = if kind == 1 {
+                        0.0
+                    } else {
+                        1e6 * (1 + next(50)) as f64
+                    };
+                    let task = MTask::with_comm(format!("t{i}"), work, comm);
+                    match next(4) {
+                        0 => task.max_cores(1 << next(8)),
+                        _ => task,
+                    }
+                }
+            };
+            g.add_task(task);
+        }
+        let mut order: Vec<TaskId> = g.task_ids().collect();
+        for i in (1..n).rev() {
+            order.swap(i, next(i + 1));
+        }
+        let mut edges: Vec<(TaskId, TaskId)> = order
+            .windows(2)
+            .filter(|_| next(2) == 0)
+            .map(|w| (w[0], w[1]))
+            .collect();
+        for _ in 0..extra {
+            let (a, b) = (next(n), next(n));
+            if a < b {
+                edges.push((order[a], order[b]));
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, next(i + 1));
+        }
+        for (a, b) in edges {
+            g.add_edge(a, b, EdgeData::replicated(8.0));
+        }
+        if start_stop {
+            g.add_start_stop();
+        }
+        g
+    }
+
+    /// The scheduler's chains and layers against the full build and
+    /// against the definition of a maximal linear chain.
+    fn check_contraction(g: &TaskGraph) -> Result<(), proptest::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let spec = platforms::chic().with_nodes(2);
+        let model = CostModel::new(&spec);
+        let cg = ChainGraph::contract(g);
+        let (chains, got) = LayerScheduler::new(&model).layered_chains(g);
+        let chains = chains.expect("contraction is on");
+        prop_assert_eq!(got, layers(&cg.graph));
+        prop_assert_eq!(chains.len(), cg.graph.len());
+        for c in cg.graph.task_ids() {
+            prop_assert_eq!(chains.members(c), cg.chains.members(c));
+            let (task, built) = (chains.task(g, c), cg.graph.task(c));
+            prop_assert_eq!(task.work.to_bits(), built.work.to_bits());
+            prop_assert_eq!(task, built);
+        }
+
+        // The build's chains, from the definition: a chain link u → v has
+        // u's only successor v and v's only predecessor u, neither of them
+        // structural; a chain follows its links from a head no link enters;
+        // chains are numbered by ascending head; a chain of two or more
+        // members sums their work and operation counts and takes the
+        // tightest cap.
+        let link = |u: TaskId, v: TaskId| {
+            g.succs(u) == [v]
+                && g.preds(v) == [u]
+                && !g.task(u).is_structural()
+                && !g.task(v).is_structural()
+        };
+        let mut heads = Vec::new();
+        for t in g.task_ids() {
+            let c = chains.node_of(t);
+            prop_assert!(chains.members(c).contains(&t));
+            if !matches!(g.preds(t), [p] if link(*p, t)) {
+                heads.push(t);
+            }
+        }
+        prop_assert_eq!(heads.len(), chains.len());
+        for (c, &head) in heads.iter().enumerate() {
+            let members = chains.members(TaskId(c));
+            prop_assert_eq!(members[0], head);
+            for w in members.windows(2) {
+                prop_assert!(link(w[0], w[1]));
+            }
+            let exit = *members.last().unwrap();
+            prop_assert!(!matches!(g.succs(exit), [s] if link(exit, *s)));
+            if let [t] = members {
+                prop_assert!(std::sync::Arc::ptr_eq(
+                    cg.graph.task_arc(TaskId(c)),
+                    g.task_arc(*t)
+                ));
+                continue;
+            }
+            let task = chains.task(g, TaskId(c));
+            let work = members.iter().fold(0.0, |w, &t| w + g.task(t).work);
+            prop_assert_eq!(task.work.to_bits(), work.to_bits());
+            let cap = members.iter().filter_map(|&t| g.task(t).max_cores).min();
+            prop_assert_eq!(task.max_cores, cap);
+            for op in members.iter().flat_map(|&t| &g.task(t).comm) {
+                let same = |o: &&CommOp| o.kind == op.kind && o.bytes == op.bytes;
+                prop_assert_eq!(task.comm.iter().filter(same).count(), 1);
+            }
+            let count = |ops: &mut dyn Iterator<Item = &CommOp>| ops.map(|o| o.count).sum::<f64>();
+            prop_assert_eq!(
+                count(&mut task.comm.iter()),
+                count(&mut members.iter().flat_map(|&t| &g.task(t).comm))
+            );
+        }
+
+        // Without contraction every task is its own node, layered in the
+        // input's own order.
+        let (none, got) = LayerScheduler::new(&model)
+            .without_chain_contraction()
+            .layered_chains(g);
+        prop_assert!(none.is_none());
+        prop_assert_eq!(got, layers(g));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn scheduler_layers_chains_exactly_as_the_contracted_graph(
+            n in 1usize..48,
+            extra in 0usize..64,
+            seed in proptest::prelude::any::<u64>(),
+            start_stop in proptest::prelude::any::<bool>(),
+        ) {
+            check_contraction(&random_dag(n, extra, seed, start_stop))?;
         }
     }
 }

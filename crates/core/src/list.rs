@@ -126,9 +126,8 @@ pub(crate) fn list_schedule_timed(
 
         // Data-ready time: predecessors plus re-distribution.
         let mut data_ready = 0.0f64;
-        for &pr in graph.preds(t) {
+        for (pr, edge) in graph.in_edges(t) {
             let src = placed[pr.0].as_deref().unwrap_or(&[]);
-            let edge = graph.edge(pr, t).expect("edge exists");
             let d = finish[pr.0] + symbolic_redist(model, edge, src, &cores);
             data_ready = data_ready.max(d);
         }

@@ -284,30 +284,7 @@ impl CostModel<'_> {
         if min_q == 0 {
             return 0.0;
         }
-        let sets: Vec<Vec<CoreId>> = (0..min_q)
-            .map(|j| {
-                let set: Vec<CoreId> = groups
-                    .iter()
-                    .map(|g| {
-                        let g = g.as_ref();
-                        // Positional partner; uneven groups map position j
-                        // proportionally.
-                        g[j * g.len() / min_q]
-                    })
-                    .collect();
-                // The exchange's rank order follows the orthogonal data
-                // index (e.g. zone number), which is independent of
-                // physical placement — the model must not reward
-                // accidental adjacency between exchange neighbours, and
-                // the caller's group order must not leak into the cost
-                // (simulated makespans are cached content-addressed and
-                // must be bit-identical across runs). Canonicalise to a
-                // node-interleaved order: deterministic and
-                // placement-oblivious.
-                node_interleaved(self.spec, set)
-            })
-            .collect();
-        self.multi_allgather(&sets, total_bytes)
+        self.multi_allgather(&orthogonal_sets(self.spec, groups, min_q), total_bytes)
     }
 }
 
@@ -337,14 +314,70 @@ fn raise(worst: &mut f64, x: f64) {
     }
 }
 
+/// The `min_q` orthogonal sets of `groups`, each in [`node_interleaved`]
+/// order: set `j` takes from each group of `q` cores its positional
+/// partner `j · q / min_q`.
+///
+/// A group's partner is stepped from set to set by the quotient and
+/// remainder of `q / min_q` instead of divided out.  The groups are kept in
+/// one order by their current partner: partners move little from one set
+/// to the next, so re-keying that order and re-sorting it adaptively (one
+/// check when it still holds) yields each set's sorted cores without a
+/// fresh sort.
+fn orthogonal_sets<G: AsRef<[CoreId]>>(
+    spec: &pt_machine::ClusterSpec,
+    groups: &[G],
+    min_q: usize,
+) -> Vec<Vec<CoreId>> {
+    // Per group: (position, carried remainder, quotient, remainder).
+    let mut walk: Vec<(usize, usize, usize, usize)> = groups
+        .iter()
+        .map(|g| (0, 0, g.as_ref().len() / min_q, g.as_ref().len() % min_q))
+        .collect();
+    let mut order: Vec<(CoreId, usize)> = groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g.as_ref()[0], i))
+        .collect();
+    let mut sorted = Vec::with_capacity(groups.len());
+    (0..min_q)
+        .map(|j| {
+            if j > 0 {
+                for (core, i) in &mut order {
+                    let (pos, carry, step, rem) = &mut walk[*i];
+                    *pos += *step;
+                    *carry += *rem;
+                    if *carry >= min_q {
+                        *carry -= min_q;
+                        *pos += 1;
+                    }
+                    *core = groups[*i].as_ref()[*pos];
+                }
+            }
+            if !order.is_sorted_by_key(|&(core, _)| core) {
+                order.sort_by_key(|&(core, _)| core);
+            }
+            sorted.clear();
+            sorted.extend(order.iter().map(|&(core, _)| core));
+            interleave_sorted(spec, &sorted)
+        })
+        .collect()
+}
+
 /// Canonical placement-oblivious order for an exchange set: cores sorted,
 /// then emitted round-robin across their nodes (the `r`-th core of every
 /// node in round `r`, nodes in machine order), so ring neighbours land on
-/// different nodes whenever the set spans more than one.  A node's cores
-/// are one run of the sorted set, so the rounds walk the runs, dropping
-/// each once it is spent: O(q log q) for any machine.
+/// different nodes whenever the set spans more than one.
+#[cfg(test)]
 fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> Vec<CoreId> {
     cores.sort_unstable();
+    interleave_sorted(spec, &cores)
+}
+
+/// [`node_interleaved`] order of sorted `cores`.  A node's cores are one
+/// run of the sorted set, so the rounds walk the runs, dropping each once
+/// it is spent: O(q) for any machine.
+fn interleave_sorted(spec: &pt_machine::ClusterSpec, cores: &[CoreId]) -> Vec<CoreId> {
     // `(next, end)` of every node's run in `cores`.
     let mut runs: Vec<(usize, usize)> = Vec::new();
     let mut last = None;
@@ -571,6 +604,46 @@ mod tests {
                 let kept = m.block_redist(&ctx, bytes, &src, &dst, Some(&runs));
                 prop_assert_eq!(fresh.to_bits(), slow.to_bits(), "{}x{} @ {}B: {} vs {}", qs, qd, bytes, fresh, slow);
                 prop_assert_eq!(kept.to_bits(), slow.to_bits(), "{}x{} @ {}B", qs, qd, bytes);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The stepped partners and the adaptively re-sorted order give set
+        /// `j` exactly the cores at positions `j · q / min_q`, in node-
+        /// interleaved order.  Groups are uneven and may overlap, so sets
+        /// repeat cores; their cores are consecutive or strided (mod the
+        /// machine), on a power-of-two and a three-core-processor machine.
+        #[test]
+        fn orthogonal_sets_take_the_proportional_partners(
+            groups in prop::collection::vec((0usize..200, 1usize..48), 2..16),
+            stride in 0usize..3,
+        ) {
+            for spec in [
+                platforms::chic().with_nodes(16),
+                pt_machine::ClusterSpec {
+                    nodes: 9,
+                    processors_per_node: 3,
+                    cores_per_processor: 2,
+                    ..platforms::chic()
+                },
+            ] {
+                let p = spec.total_cores();
+                let stride = [1, 5, 7][stride];
+                let groups: Vec<Vec<CoreId>> = groups
+                    .iter()
+                    .map(|&(lo, q)| (lo..lo + q).map(|c| CoreId(c * stride % p)).collect())
+                    .collect();
+                let min_q = groups.iter().map(Vec::len).min().unwrap();
+                let want: Vec<Vec<CoreId>> = (0..min_q)
+                    .map(|j| {
+                        let set = groups.iter().map(|g| g[j * g.len() / min_q]).collect();
+                        node_interleaved(&spec, set)
+                    })
+                    .collect();
+                prop_assert_eq!(orthogonal_sets(&spec, &groups, min_q), want);
             }
         }
     }

@@ -15,20 +15,35 @@ use crate::graph::{TaskGraph, TaskId};
 /// communication) are skipped; if skipping them empties a layer, the layer
 /// is dropped.
 pub fn layers(graph: &TaskGraph) -> Vec<Vec<TaskId>> {
-    layers_with(graph, |t| graph.task(t).is_structural())
+    layer_nodes(
+        graph.task_ids().map(|t| graph.preds(t).len()).collect(),
+        |u, out| out.extend_from_slice(graph.succs(u)),
+        |t| graph.task(t).is_structural(),
+    )
 }
 
-/// Like [`layers`] but with a custom predicate selecting which nodes to
-/// exclude from the layering (they still count for the precedence
-/// structure).
-pub fn layers_with(graph: &TaskGraph, skip: impl Fn(TaskId) -> bool) -> Vec<Vec<TaskId>> {
-    let mut indeg: Vec<usize> = graph.task_ids().map(|t| graph.preds(t).len()).collect();
-    let mut current: Vec<TaskId> = graph.task_ids().filter(|t| indeg[t.0] == 0).collect();
+/// The greedy layering of the nodes `0..indeg.len()` of a DAG, given each
+/// node's in-degree and, through `succs(u, out)`, its successors in the
+/// order the walk visits them (`out` arrives empty).  Each layer lists its
+/// nodes in the order they became ready; nodes for which `skip` holds
+/// still count for the precedence structure but are left out.
+pub(crate) fn layer_nodes(
+    mut indeg: Vec<usize>,
+    mut succs: impl FnMut(TaskId, &mut Vec<TaskId>),
+    skip: impl Fn(TaskId) -> bool,
+) -> Vec<Vec<TaskId>> {
+    let mut current: Vec<TaskId> = (0..indeg.len())
+        .filter(|&u| indeg[u] == 0)
+        .map(TaskId)
+        .collect();
     let mut out = Vec::new();
+    let mut buf = Vec::new();
     while !current.is_empty() {
         let mut next = Vec::new();
         for &u in &current {
-            for &v in graph.succs(u) {
+            buf.clear();
+            succs(u, &mut buf);
+            for &v in &buf {
                 indeg[v.0] -= 1;
                 if indeg[v.0] == 0 {
                     next.push(v);

@@ -30,7 +30,7 @@ pub mod layer;
 pub mod spec;
 pub mod task;
 
-pub use chain::ChainGraph;
+pub use chain::{ChainGraph, Chains};
 pub use dist::Distribution;
 pub use graph::{EdgeData, RedistPattern, TaskGraph, TaskId};
 pub use layer::layers;

@@ -106,11 +106,10 @@ impl Simulator<'_> {
             // Block edge from a producer no wider than the entry and kept
             // for the rest.
             let mut runs: Option<NodeRuns> = None;
-            for &pr in graph.preds(entry.task) {
+            for (pr, &edge) in graph.in_edges(entry.task) {
                 preds_done = preds_done.max(resolver.resolve(graph, pr, &finish));
                 let src = entry_of[pr.0];
                 if src != u32::MAX {
-                    let edge = *graph.edge(pr, entry.task).expect("edge exists");
                     // Ordering edges move nothing; skip relating the groups.
                     if edge.pattern != RedistPattern::None && edge.bytes != 0.0 {
                         let src = src as usize;

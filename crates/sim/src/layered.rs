@@ -18,7 +18,7 @@ use pt_core::{LayeredSchedule, Mapping};
 use pt_cost::{CommContext, GroupShapes, NodeRuns, Overlap};
 use pt_machine::CoreId;
 use pt_mtask::{MTask, RedistPattern, TaskGraph, TaskId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A group: the half-open range `lo..hi` of its symbolic cores.
 type Range = (usize, usize);
@@ -53,6 +53,7 @@ impl Simulator<'_> {
         // active-range signature instead of rebuilding it every layer.
         let mut ctx_ids: HashMap<Vec<Range>, usize> = HashMap::new();
         let mut contexts: Vec<CommContext> = Vec::new();
+        let mut ortho = OrthoSources::new(graph.len());
 
         for layer in &sched.layers {
             let mut ranges = Vec::with_capacity(layer.num_groups());
@@ -77,7 +78,7 @@ impl Simulator<'_> {
 
             // --- Re-distribution phase -----------------------------------
             let redist =
-                self.layer_redistribution(graph, layer, &ranges, &placement, ctx, &mut prices);
+                self.layer_redistribution(graph, layer, &placement, ctx, &mut prices, &mut ortho);
             now += redist;
             report.total_redist += redist;
 
@@ -163,38 +164,31 @@ impl Simulator<'_> {
         &self,
         graph: &TaskGraph,
         layer: &pt_core::LayerSchedule,
-        ranges: &[Range],
         placement: &[Option<Range>],
         (ctx_id, ctx): Ctx,
         prices: &mut Prices,
+        ortho: &mut OrthoSources,
     ) -> f64 {
         let cores = prices.cores;
         let mut worst = 0.0f64;
-        // (producer task) -> contribution for the aggregated orthogonal set.
-        // Ordered map: its iteration order feeds the total_bytes float sum,
-        // and the simulated makespan must be bit-identical across runs and
-        // threads (the serve cache verifies cached replies against fresh
-        // computations). The participant order itself is harmless — the
-        // cost model canonicalises each exchange set before pricing it.
-        let mut ortho_sources: BTreeMap<TaskId, (Range, f64)> = BTreeMap::new();
         let mut ortho_groups: Vec<Range> = Vec::new();
 
-        for (g, tasks) in layer.assignments.iter().enumerate() {
-            let dst = ranges[g];
+        let mut lo = 0;
+        for (tasks, &size) in layer.assignments.iter().zip(&layer.group_sizes) {
+            let dst = (lo, lo + size);
+            lo += size;
             let mut dst_in_ortho = false;
             // Incoming re-distributions serialise at the consumer group;
             // different groups receive concurrently (hence max over groups).
             let mut group_incoming = 0.0f64;
             for &t in tasks {
-                for &p in graph.preds(t) {
+                for (p, &edge) in graph.in_edges(t) {
                     let Some(src) = placement[p.0] else {
                         continue; // unscheduled (structural) predecessor
                     };
-                    let edge = *graph.edge(p, t).expect("edge exists");
                     match edge.pattern {
                         RedistPattern::Orthogonal => {
-                            let q = (src.1 - src.0).max(1) as f64;
-                            ortho_sources.entry(p).or_insert((src, edge.bytes / q));
+                            ortho.add(p, src, edge.bytes);
                             dst_in_ortho = true;
                         }
                         // Nothing moves: no lookup needed.
@@ -241,18 +235,61 @@ impl Simulator<'_> {
             }
         }
 
-        if !ortho_sources.is_empty() {
+        let sources = ortho.drain();
+        if !sources.is_empty() {
             // Participants: all producer groups plus consumer groups
             // (deduplicated by identical core sets, that is, ranges).
-            let mut participants: Vec<Range> = ortho_sources.values().map(|(r, _)| *r).collect();
+            let mut participants: Vec<Range> = sources.iter().map(|(r, _)| *r).collect();
             participants.extend(ortho_groups);
             participants.sort_unstable();
             participants.dedup();
-            let total_bytes: f64 = ortho_sources.values().map(|(_, b)| b).sum();
+            let total_bytes: f64 = sources.iter().map(|(_, b)| b).sum();
             let groups: Vec<&[CoreId]> = participants.iter().map(|&(a, b)| &cores[a..b]).collect();
             worst = worst.max(self.model.orthogonal_exchange(&groups, total_bytes));
         }
         worst
+    }
+}
+
+/// The producers of one layer's aggregated orthogonal exchange, by task
+/// id: each producer's group and its contribution `bytes / q`, its first
+/// orthogonal edge winning.
+struct OrthoSources {
+    by_task: Vec<Option<(Range, f64)>>,
+    /// The ids set since the last drain lie in `lo..hi`.
+    lo: usize,
+    hi: usize,
+}
+
+impl OrthoSources {
+    fn new(tasks: usize) -> Self {
+        OrthoSources {
+            by_task: vec![None; tasks],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn add(&mut self, producer: TaskId, src: Range, bytes: f64) {
+        let q = (src.1 - src.0).max(1) as f64;
+        self.by_task[producer.0].get_or_insert((src, bytes / q));
+        self.lo = self.lo.min(producer.0);
+        self.hi = self.hi.max(producer.0 + 1);
+    }
+
+    /// The sources set since the last drain, in task id order, leaving
+    /// every entry `None`.  That order feeds the exchange's `total_bytes`
+    /// float sum, and the simulated makespan must be bit-identical across
+    /// runs and threads (the serve cache verifies cached replies against
+    /// fresh computations).  The participant order itself is harmless —
+    /// the cost model canonicalises each exchange set before pricing it.
+    fn drain(&mut self) -> Vec<(Range, f64)> {
+        let ids = self.lo.min(self.hi)..self.hi;
+        (self.lo, self.hi) = (usize::MAX, 0);
+        self.by_task[ids]
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect()
     }
 }
 
@@ -307,6 +344,7 @@ mod reference {
 
     use super::*;
     use crate::cost_oracle as oracle;
+    use std::collections::BTreeMap;
 
     impl Simulator<'_> {
         pub(crate) fn simulate_layered_reference(

@@ -137,7 +137,9 @@ proptest! {
         let rel = (cg.graph.total_work() - g.total_work()).abs() / g.total_work().max(1.0);
         prop_assert!(rel < 1e-12, "relative work drift {rel}");
         prop_assert_eq!(cg.graph.topo_order().len(), cg.graph.len());
-        let total: usize = cg.members.iter().map(Vec::len).sum();
+        let total: usize = (0..cg.chains.len())
+            .map(|c| cg.chains.members(TaskId(c)).len())
+            .sum();
         prop_assert_eq!(total, g.len());
     }
 
