@@ -314,16 +314,16 @@ fn raise(worst: &mut f64, x: f64) {
     }
 }
 
-/// The `min_q` orthogonal sets of `groups`, each in [`node_interleaved`]
-/// order: set `j` takes from each group of `q` cores its positional
-/// partner `j · q / min_q`.
+/// The `min_q` orthogonal sets of `groups`, each in the canonical order
+/// of [`interleave_sorted`]: set `j` takes from each group of `q` cores
+/// its positional partner `j · q / min_q`.
 ///
 /// A group's partner is stepped from set to set by the quotient and
-/// remainder of `q / min_q` instead of divided out.  The groups are kept in
-/// one order by their current partner: partners move little from one set
-/// to the next, so re-keying that order and re-sorting it adaptively (one
-/// check when it still holds) yields each set's sorted cores without a
-/// fresh sort.
+/// remainder of `q / min_q`, with no division per partner.  The groups are
+/// kept in one order by their current partner: partners move little from
+/// one set to the next, so re-keying that order and re-sorting it
+/// adaptively (one check when it still holds) yields each set's sorted
+/// cores without a fresh sort.
 fn orthogonal_sets<G: AsRef<[CoreId]>>(
     spec: &pt_machine::ClusterSpec,
     groups: &[G],
@@ -364,19 +364,12 @@ fn orthogonal_sets<G: AsRef<[CoreId]>>(
         .collect()
 }
 
-/// Canonical placement-oblivious order for an exchange set: cores sorted,
-/// then emitted round-robin across their nodes (the `r`-th core of every
-/// node in round `r`, nodes in machine order), so ring neighbours land on
-/// different nodes whenever the set spans more than one.
-#[cfg(test)]
-fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> Vec<CoreId> {
-    cores.sort_unstable();
-    interleave_sorted(spec, &cores)
-}
-
-/// [`node_interleaved`] order of sorted `cores`.  A node's cores are one
-/// run of the sorted set, so the rounds walk the runs, dropping each once
-/// it is spent: O(q) for any machine.
+/// Canonical placement-oblivious order for an exchange set, given its
+/// cores sorted: emitted round-robin across their nodes (the `r`-th core
+/// of every node in round `r`, nodes in machine order), so ring neighbours
+/// land on different nodes whenever the set spans more than one.  A
+/// node's cores are one run of the sorted set, so the rounds walk the
+/// runs, dropping each once it is spent: O(q) for any machine.
 fn interleave_sorted(spec: &pt_machine::ClusterSpec, cores: &[CoreId]) -> Vec<CoreId> {
     // `(next, end)` of every node's run in `cores`.
     let mut runs: Vec<(usize, usize)> = Vec::new();
@@ -410,6 +403,12 @@ mod tests {
 
     fn ids(r: std::ops::Range<usize>) -> Vec<CoreId> {
         r.map(CoreId).collect()
+    }
+
+    /// An exchange set in canonical order: sorted, then interleaved.
+    fn node_interleaved(spec: &pt_machine::ClusterSpec, mut cores: Vec<CoreId>) -> Vec<CoreId> {
+        cores.sort_unstable();
+        interleave_sorted(spec, &cores)
     }
 
     #[test]

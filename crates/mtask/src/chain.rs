@@ -143,7 +143,7 @@ fn merge(g: &TaskGraph, chain: &[TaskId]) -> MTask {
     let name = format!(
         "chain[{}..{}]",
         g.task(chain[0]).name,
-        g.task(*chain.last().unwrap()).name
+        g.task(chain[chain.len() - 1]).name
     );
     let mut merged = MTask::compute(name, 0.0);
     let mut cap: Option<usize> = None;
