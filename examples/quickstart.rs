@@ -11,7 +11,7 @@
 use parallel_tasks::core::{DataParallel, LayerScheduler, MappingStrategy};
 use parallel_tasks::cost::CostModel;
 use parallel_tasks::machine::{platforms, tree::ArchNode};
-use parallel_tasks::mtask::{layers, ChainGraph};
+use parallel_tasks::mtask::Chains;
 use parallel_tasks::ode::{Bruss2d, Epol};
 use parallel_tasks::sim::Simulator;
 
@@ -32,13 +32,13 @@ fn main() {
     );
 
     // Step 1 of the scheduler: contract the micro-step chains (Fig. 5).
-    let contracted = ChainGraph::contract(&graph);
+    let chains = Chains::find(&graph);
     println!(
         "After chain contraction: {} nodes (the 4 micro-step chains merged)",
-        contracted.graph.len()
+        chains.len()
     );
     // Step 2: layers of independent tasks.
-    let ls = layers(&contracted.graph);
+    let ls = chains.layers(&graph);
     println!(
         "Layers: {:?} (chains | combine)",
         ls.iter().map(Vec::len).collect::<Vec<_>>()
