@@ -63,7 +63,7 @@ struct Report {
 /// the service entirely.
 fn cold_compute(req: &ScheduleRequest) -> (LayeredSchedule, f64) {
     let model = CostModel::new(&req.machine);
-    let mut scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
+    let mut scheduler = LayerScheduler::new(&model);
     if let Some(g) = req.policy.fixed_groups {
         scheduler = scheduler.with_fixed_groups(g);
     }
@@ -108,10 +108,8 @@ fn main() {
 
     let service = SchedService::new(ServeConfig {
         workers: 4,
-        sweep_workers: 1,
         cache_capacity: 256,
-        tables_per_worker: 16,
-        inject_compute_failures: 0,
+        ..ServeConfig::default()
     });
 
     // One observed reply per key, for the bit-identical gate.

@@ -289,7 +289,7 @@ pub mod replay {
                 Arc::new(machine),
                 MappingStrategy::Consecutive,
             );
-            let plan = pt_serve::plan(&request, None, Some(recorder.clone()));
+            let plan = pt_serve::plan(&request, Some(recorder.clone()));
             let scale = wall_budget / plan.report.makespan.max(1e-9);
             let durations: HashMap<TaskId, Duration> = plan
                 .report

@@ -42,9 +42,9 @@
 //! in the bound order, at `b` and `b + 1` (the `bound_prices`
 //! argument of the `g_sweep` span counts those).  Nothing is memoised: a
 //! compiled price costs 2–4 ns, less than a cold memo cell, and a cold
-//! schedule would miss most cells.  The sweep's worker threads share the
-//! immutable compiled layer.  The heterogeneity-aware path prices each
-//! candidate's tasks once per distinct (width, speed class) of its groups.
+//! schedule would miss most cells.  The heterogeneity-aware path prices
+//! each candidate's tasks once per distinct (width, speed class) of its
+//! groups.
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
@@ -186,15 +186,6 @@ pub struct LayerScheduler<'a> {
     /// chain members may then land on different groups and pay
     /// re-distribution).
     pub contract_chains: bool,
-    /// Worker threads for the g-sweep (`None`: one).  Each worker searches
-    /// the candidates `g ≡ w (mod workers)` on its own, repeating the
-    /// bound work for its share of every run: on a 2-vCPU host two threads
-    /// beat one on BT-MZ E at P = 4096 but lost on BT-MZ C at P ≤ 256 and
-    /// on BT-MZ E at P = 65536.  The result is identical for any
-    /// worker count: every candidate's makespan is a pure function of the
-    /// inputs, and the reduction picks the smallest makespan with the
-    /// smallest `g` breaking ties, in any partition order.
-    pub sweep_workers: Option<usize>,
     /// Trace recorder for scheduling-phase spans and metrics (`None` — the
     /// default — keeps the hot path free of instrumentation beyond one
     /// branch).
@@ -216,7 +207,6 @@ impl<'a> LayerScheduler<'a> {
             fixed_groups: None,
             adjust: true,
             contract_chains: true,
-            sweep_workers: None,
             recorder: None,
             speed_blind: false,
         }
@@ -244,10 +234,10 @@ impl<'a> LayerScheduler<'a> {
         self
     }
 
-    /// Pin the number of g-sweep worker threads (the default is one).
-    pub fn with_sweep_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one sweep worker");
-        self.sweep_workers = Some(workers);
+    /// Does nothing: the g-sweep runs on the calling thread.  It stays
+    /// only until the request benchmark (`perfbench/`), which calls it,
+    /// drops the call.
+    pub fn with_sweep_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -291,8 +281,8 @@ impl<'a> LayerScheduler<'a> {
 
     /// [`schedule_on`](Self::schedule_on), also returning the task prices
     /// the schedule computed: every compiled price of the homogeneous path,
-    /// those of the sweep's worker threads included, or every price of the
-    /// heterogeneity-aware one.  A recorder receives the same count.
+    /// or every price of the heterogeneity-aware one.  A recorder receives
+    /// the same count.
     pub fn schedule_counted(&self, graph: &TaskGraph, total: usize) -> (LayeredSchedule, usize) {
         assert!(total >= 1);
         let rec = self.recorder.as_deref();
@@ -398,8 +388,7 @@ impl<'a> LayerScheduler<'a> {
     /// ordered task lists (ids refer to the graph the tasks came from).
     ///
     /// The candidate group counts `g = 1..=min(tasks, total)` are searched
-    /// across [`sweep_workers`](Self::sweep_workers) threads; the winner's
-    /// LPT run is serial.  A fixed group count is clamped to
+    /// by [`best_first`].  A fixed group count is clamped to
     /// `min(tasks, total)`.
     fn schedule_layer(
         &self,
@@ -420,7 +409,7 @@ impl<'a> LayerScheduler<'a> {
             // A lone candidate wins without a search.
             None if max_g == 1 => (1, 0, 0),
             None => {
-                let won = self.sweep(&layer, total, max_g, scratch);
+                let won = best_first(&layer, total, max_g, scratch);
                 *prices += won.prices;
                 (won.g, won.lpt_runs, won.bound_prices)
             }
@@ -556,49 +545,6 @@ impl<'a> LayerScheduler<'a> {
             .map(|group| group.into_iter().map(|i| tasks[i].0).collect())
             .collect();
         (sizes, assignment)
-    }
-
-    /// Search `g = 1..=max_g` for the smallest makespan (smallest `g` on
-    /// ties) of `layer`.
-    fn sweep(
-        &self,
-        layer: &SymbolicCosts,
-        total: usize,
-        max_g: usize,
-        scratch: &mut LptScratch,
-    ) -> Sweep {
-        let workers = self.sweep_workers.unwrap_or(1).min(max_g);
-        if workers <= 1 {
-            let all: Vec<usize> = (1..=max_g).collect();
-            return best_first(layer, total, &all, scratch);
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mine: Vec<usize> = (1 + w..=max_g).step_by(workers).collect();
-                        best_first(layer, total, &mine, &mut LptScratch::default())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .reduce(|a, b| {
-                    let won = if key_cmp((b.makespan, b.g), (a.makespan, a.g)).is_lt() {
-                        b
-                    } else {
-                        a
-                    };
-                    Sweep {
-                        lpt_runs: a.lpt_runs + b.lpt_runs,
-                        bound_prices: a.bound_prices + b.bound_prices,
-                        prices: a.prices + b.prices,
-                        ..won
-                    }
-                })
-                .expect("at least one sweep worker")
-        })
     }
 }
 
@@ -787,12 +733,11 @@ pub(crate) fn het_assign(
     acc.iter().copied().fold(0.0, f64::max)
 }
 
-/// The winner of a g-sweep — the smallest float LPT makespan, then the
-/// smallest `g` — and the LPT runs, the task prices of run refinements and
-/// all the task prices the sweep spent finding it.
-#[derive(Debug, Clone, Copy)]
+/// The winner of a g-sweep — the `g` of the smallest float LPT makespan,
+/// the smallest `g` on ties — and the LPT runs, the task prices of run
+/// refinements and all the task prices the sweep spent finding it.
+#[derive(Debug)]
 struct Sweep {
-    makespan: f64,
     g: usize,
     lpt_runs: usize,
     bound_prices: usize,
@@ -889,21 +834,19 @@ impl<'c> Run<'c> {
     }
 }
 
-/// The exact best-first search of the module docs over `candidates`
-/// (ascending group counts) for `layer`.
+/// The exact best-first search of the module docs over the candidates
+/// `g = 1..=max_g` for `layer`.
 fn best_first(
     layer: &SymbolicCosts,
     total: usize,
-    candidates: &[usize],
+    max_g: usize,
     scratch: &mut LptScratch,
 ) -> Sweep {
     let before = scratch.prices();
     let n = layer.len();
     let slack = rounding_slack(n);
-    let g_max = *candidates
-        .last()
-        .expect("at least one candidate group count");
-    let ordered = bound_order(layer, total / g_max, scratch);
+    let ordered = bound_order(layer, total / max_g, scratch);
+    let candidates: Vec<usize> = (1..=max_g).collect();
     let mut runs: Vec<Run<'_>> = candidates
         .chunk_by(|a, b| total / a == total / b)
         .map(|gs| Run::new(gs, total))
@@ -945,9 +888,8 @@ fn best_first(
             }
         }
     }
-    let (makespan, g) = best.expect("the search ends with an incumbent");
+    let (_, g) = best.expect("the search ends with an incumbent");
     Sweep {
-        makespan,
         g,
         lpt_runs,
         bound_prices,
@@ -1186,22 +1128,17 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_deterministic_across_runs_and_workers() {
-        // The sweep's pruning, cached LPT orders and parallel workers must
-        // not perturb the result: repeated runs and the serial vs threaded
-        // sweep all produce bit-identical schedules — for the contracted
-        // EPOL step and for one layer as wide as BT-MZ class E's.
+    fn schedule_is_deterministic_across_runs() {
+        // The sweep's pruning and cached LPT orders must not perturb the
+        // result: repeated runs produce bit-identical schedules — for the
+        // contracted EPOL step and for one layer as wide as BT-MZ class E's.
         let spec = platforms::chic().with_nodes(16);
         let model = CostModel::new(&spec);
         let g = epol_step_graph(8, 2e9, 800_000.0);
-        let serial = LayerScheduler::new(&model).with_sweep_workers(1);
-        let a = serial.schedule(&g);
-        let b = serial.schedule(&g);
+        let scheduler = LayerScheduler::new(&model);
+        let a = scheduler.schedule(&g);
+        let b = scheduler.schedule(&g);
         assert_eq!(a, b, "identical calls must produce identical schedules");
-        let threaded = LayerScheduler::new(&model)
-            .with_sweep_workers(4)
-            .schedule(&g);
-        assert_eq!(a, threaded, "parallel sweep must match the serial sweep");
 
         // Coarse work buckets force many exact time ties in the LPT order.
         let mut wide = TaskGraph::new();
@@ -1215,18 +1152,15 @@ mod tests {
         }
         let spec = platforms::chic().with_nodes(8);
         let model = CostModel::new(&spec);
-        let a = LayerScheduler::new(&model)
-            .with_sweep_workers(1)
-            .schedule(&wide);
+        let scheduler = LayerScheduler::new(&model);
+        let a = scheduler.schedule(&wide);
         assert_eq!(a.layers.len(), 1);
         assert_eq!(
             a.layers[0].assignments.iter().map(Vec::len).sum::<usize>(),
             4100
         );
-        let threaded = LayerScheduler::new(&model)
-            .with_sweep_workers(4)
-            .schedule(&wide);
-        assert_eq!(a, threaded, "parallel sweep must match the serial sweep");
+        let b = scheduler.schedule(&wide);
+        assert_eq!(a, b, "identical calls must produce identical schedules");
     }
 
     #[test]
@@ -1252,7 +1186,7 @@ mod tests {
         let mut shared = LptScratch::default();
         let mut asg_shared = Vec::new();
         let mut asg_fresh = Vec::new();
-        // Walk down like a sweep worker (widths increase), then back up, so
+        // Walk down like the sweep (widths increase), then back up, so
         // the reuse path sees both directions of near-sortedness.
         let gs: Vec<usize> = (1..=total).chain((1..=total).rev()).collect();
         for g in gs {
@@ -1317,9 +1251,8 @@ mod tests {
     /// Best-first on the layer of `knobs` ([`drawn_task`]) at `total`
     /// cores against the plain sweep, on CHiC at nominal speed and
     /// uniformly re-clocked to 0.5, 2 and 8 times it: the same `g` and
-    /// makespan bits with 1 and 3 sweep threads, and every bound the
-    /// search can key on, at every prefix, at most the float LPT makespan
-    /// of each candidate it covers.
+    /// makespan bits, and every bound the search can key on, at every
+    /// prefix, at most the float LPT makespan of each candidate it covers.
     fn check_search(
         knobs: &[(u32, u32, u32, u32)],
         total: usize,
@@ -1333,33 +1266,25 @@ mod tests {
         for factor in [1.0, 0.5, 2.0, 8.0] {
             let spec = chic.with_slow_nodes(chic.nodes, factor);
             let model = CostModel::new(&spec);
-            check_search_on(&model, &SymbolicCosts::new(&model, &tasks), total)?;
+            check_search_on(&SymbolicCosts::new(&model, &tasks), total)?;
         }
         Ok(())
     }
 
-    fn check_search_on(
-        model: &CostModel<'_>,
-        layer: &SymbolicCosts,
-        total: usize,
-    ) -> Result<(), proptest::TestCaseError> {
+    fn check_search_on(layer: &SymbolicCosts, total: usize) -> Result<(), proptest::TestCaseError> {
         let max_g = layer.len().min(total);
         let all: Vec<usize> = (1..=max_g).collect();
         let mut scratch = LptScratch::default();
         let (makespan, g) = sweep_all(layer, total, &all, &mut scratch);
-        for workers in [1, 3] {
-            let won = LayerScheduler::new(model)
-                .with_sweep_workers(workers)
-                .sweep(layer, total, max_g, &mut scratch);
-            proptest::prop_assert_eq!(
-                (won.g, won.makespan.to_bits()),
-                (g, makespan.to_bits()),
-                "{} workers: g {} vs the plain sweep's {}",
-                workers,
-                won.g,
-                g
-            );
-        }
+        let won = best_first(layer, total, max_g, &mut scratch);
+        let won_makespan = assign_lpt(layer, won.g, total, &mut scratch, None);
+        proptest::prop_assert_eq!(
+            (won.g, won_makespan.to_bits()),
+            (g, makespan.to_bits()),
+            "best-first g {} vs the plain sweep's {}",
+            won.g,
+            g
+        );
 
         let slack = rounding_slack(layer.len());
         let ordered = bound_order(layer, total / max_g, &mut scratch);

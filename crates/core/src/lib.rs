@@ -12,10 +12,10 @@
 //!    finally adjusts group sizes to the assigned work.  The sweep is an
 //!    exact best-first search that runs LPT only for candidates whose
 //!    lower bound does not exceed the best makespan found, so the schedule
-//!    is the one the full sweep picks, for any sweep thread count.  The
-//!    baselines [`Cpa`] and [`Cpr`] (Radulescu & van Gemund) are provided
-//!    for the comparison of the paper's Fig. 13, as is the trivial
-//!    [`DataParallel`] reference schedule.
+//!    is the one the full sweep picks.  The baselines [`Cpa`] and [`Cpr`]
+//!    (Radulescu & van Gemund) are provided for the comparison of the
+//!    paper's Fig. 13, as is the trivial [`DataParallel`] reference
+//!    schedule.
 //! 2. **Mapping** — the assignment of symbolic to physical cores
 //!    ([`MappingStrategy`]: consecutive, scattered, mixed(d); §3.4).
 //! 3. **Hybrid layout** — optionally folding consecutive same-node cores of

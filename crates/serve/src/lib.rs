@@ -2,8 +2,8 @@
 //!
 //! [`pipeline::plan`] is the one path from a [`ScheduleRequest`] to a
 //! schedule and its simulated makespan; the `ptsched` one-shot runs it
-//! once.  This crate turns it into a long-running, multi-threaded
-//! *service* that amortizes that work across requests:
+//! once.  This crate turns it into a long-running *service*, shared by
+//! concurrent request threads, that amortizes that work across requests:
 //!
 //! * **Content-addressed schedule cache** ([`cache::ScheduleCache`]) —
 //!   requests are keyed by a structural [`Signature`] over (task graph,
@@ -14,8 +14,9 @@
 //!   for the same key run exactly one g-sweep; followers share the leader's
 //!   result.  A failing leader fails its followers but never poisons the
 //!   key.
-//! * **A fixed worker pool** ([`service::SchedService`]) — a request that
-//!   misses the cache is planned cold, on the worker its signature picks.
+//! * **Plans on the caller's thread** ([`service::SchedService`]) — a
+//!   request that misses the cache is planned cold by its leader, under one
+//!   of a fixed number of slots, which bounds the plans running at once.
 //!   No cost table outlives a request: the scheduler prices from compiled
 //!   per-task costs, which a warm memo would not beat.
 //!

@@ -1,7 +1,7 @@
 //! The one path from a [`ScheduleRequest`] to a plan: the paper's layer
 //! scheduler (Algorithm 1) under the request's [`GPolicy`](crate::GPolicy),
 //! then the request's mapping and the layered simulation.  The service's
-//! workers, the `ptsched` one-shot and the Chrome-trace writer all run it.
+//! leaders, the `ptsched` one-shot and the Chrome-trace writer all run it.
 
 use crate::key::ScheduleRequest;
 use pt_core::{LayerScheduler, LayeredSchedule};
@@ -23,17 +23,11 @@ pub struct Plan {
 }
 
 /// Schedule, map and simulate `request`, which must pass
-/// [`ScheduleRequest::validate`].  `sweep_workers` pins the g-sweep's
-/// thread count (`None`: the scheduler's default); `recorder` receives the
-/// scheduling-phase spans and the plan's cost evaluations.
-pub fn plan(
-    request: &ScheduleRequest,
-    sweep_workers: Option<usize>,
-    recorder: Option<Arc<TraceRecorder>>,
-) -> Plan {
+/// [`ScheduleRequest::validate`], on the calling thread.  `recorder`
+/// receives the scheduling-phase spans and the plan's cost evaluations.
+pub fn plan(request: &ScheduleRequest, recorder: Option<Arc<TraceRecorder>>) -> Plan {
     let model = CostModel::new(&request.machine);
     let mut scheduler = LayerScheduler::new(&model);
-    scheduler.sweep_workers = sweep_workers;
     scheduler.recorder = recorder;
     scheduler.fixed_groups = request.policy.fixed_groups;
     scheduler.adjust = request.policy.adjust;
@@ -57,7 +51,7 @@ pub fn plan(
 /// <https://ui.perfetto.dev>.  Returns the plan.
 pub fn write_trace(request: &ScheduleRequest, path: &str) -> Result<Plan, String> {
     let recorder = Arc::new(TraceRecorder::new(1));
-    let planned = plan(request, None, Some(recorder.clone()));
+    let planned = plan(request, Some(recorder.clone()));
     let mapping = request
         .mapping
         .mapping(&request.machine, request.total_cores);
@@ -102,7 +96,7 @@ mod tests {
             MappingStrategy::Consecutive,
         );
         let recorder = Arc::new(TraceRecorder::new(1));
-        let planned = plan(&request, None, Some(recorder.clone()));
+        let planned = plan(&request, Some(recorder.clone()));
         assert!(planned.cost_evaluations > 0);
         assert_eq!(
             recorder

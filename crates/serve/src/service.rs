@@ -6,22 +6,24 @@
 //! * a **hit** returns the cached reply without touching a cost model;
 //! * a **follow** waits on the in-flight leader's result (single-flight
 //!   batching — N concurrent requests for one key run one g-sweep);
-//! * a **lead** dispatches the computation to the fixed worker pool and
-//!   waits like a follower.
+//! * a **lead** plans the request on the calling thread and publishes the
+//!   result to its followers.
 //!
-//! A computation runs [`plan`] cold on the worker its signature picks.
-//! Worker counts are explicit configuration: a long-running service must
-//! not bake `available_parallelism` into a process-global (cgroup limits
-//! move under it); [`ServeConfig::default`] samples the machine once per
-//! service instead.
+//! The service starts no threads.  A leader runs [`plan`] cold while it
+//! holds the one of [`ServeConfig::workers`] slots that its signature
+//! picks, so at most `workers` plans run at once, however many threads
+//! ask.  Slot counts are explicit configuration: a long-running service
+//! must not bake `available_parallelism` into a process-global (cgroup
+//! limits move under it); [`ServeConfig::default`] samples the machine
+//! once per service instead.
 
-use crate::cache::{Flight, Outcome, ScheduleCache};
+use crate::cache::{Outcome, ScheduleCache};
 use crate::key::{ScheduleRequest, Signature};
 use crate::pipeline::plan;
 use pt_core::LayeredSchedule;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Service failure modes.  `Clone`, because one leader's error is shared
 /// with every follower of its flight.
@@ -31,10 +33,8 @@ pub enum ServeError {
     InvalidRequest(String),
     /// Deterministically injected failure (tests and chaos campaigns).
     Injected,
-    /// The computation panicked in the worker.
+    /// The computation panicked.
     Internal(String),
-    /// The service is shutting down and no longer accepts work.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for ServeError {
@@ -43,7 +43,6 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidRequest(m) => write!(f, "invalid request: {m}"),
             ServeError::Injected => write!(f, "injected failure"),
             ServeError::Internal(m) => write!(f, "scheduling failed: {m}"),
-            ServeError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
 }
@@ -70,26 +69,26 @@ pub struct ScheduleReply {
     pub makespan: f64,
     /// The request's content signature.
     pub signature: Signature,
-    /// Task prices the scheduler computed for this reply, on every sweep
-    /// thread (hits return the leader's count).
+    /// Task prices the scheduler computed for this reply (hits return the
+    /// leader's count).
     pub cost_evaluations: usize,
 }
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads computing schedules.
+    /// Plans that may run at once, and the cache's shard count.  A leader
+    /// plans on its own thread while it holds slot `signature % workers`,
+    /// so two misses whose signatures pick one slot wait for each other.
     pub workers: usize,
-    /// Explicit per-schedule g-sweep thread count, always passed to the
-    /// scheduler ([`pt_core::LayerScheduler::sweep_workers`]).  Defaults
-    /// to 1, as the scheduler does: the service gets its parallelism from
-    /// concurrent requests.
+    /// Ignored: the g-sweep runs on the thread that plans.  The field stays
+    /// only until the benchmark harness, which builds this struct as a
+    /// literal, stops setting it.
     pub sweep_workers: usize,
     /// Bound on cached ready schedules (LRU-evicted beyond this).
     pub cache_capacity: usize,
-    /// Ignored: workers keep no cost tables between requests.  The field
-    /// stays only until the benchmark harness, which builds this struct as
-    /// a literal, stops setting it.
+    /// Ignored: no cost table outlives a request.  The field stays for the
+    /// benchmark harness, as the sweep's thread count does.
     pub tables_per_worker: usize,
     /// Deterministic failure injection: the first `n` computations fail
     /// with [`ServeError::Injected`] (tests of the single-flight error
@@ -132,7 +131,7 @@ pub struct StatsSnapshot {
     pub misses: u64,
     /// Requests that shared a concurrent leader's computation.
     pub followed: u64,
-    /// Computations actually performed by the worker pool.
+    /// Computations that returned a reply.
     pub computed: u64,
     /// Computations that returned an error.
     pub failed: u64,
@@ -154,59 +153,27 @@ impl StatsSnapshot {
     }
 }
 
-/// State shared between the front-end and the worker threads.
-struct Shared {
+/// The scheduling service.  Share it across request threads by reference
+/// or with an `Arc`.
+pub struct SchedService {
     cache: ScheduleCache,
     stats: ServeStats,
     config: ServeConfig,
     inject_remaining: AtomicUsize,
-}
-
-/// A unit of work for the pool: compute `request`, publish into `flight`.
-struct Job {
-    request: ScheduleRequest,
-    sig: Signature,
-    flight: Arc<Flight>,
-}
-
-/// The multi-threaded scheduling service.  Share it across request threads
-/// with an `Arc`; dropping the last handle drains and joins the pool.
-pub struct SchedService {
-    shared: Arc<Shared>,
-    /// One queue per worker; `Sender` is `!Sync`, so each sits behind a
-    /// `Mutex` (the critical section is one enqueue).
-    senders: Vec<Mutex<mpsc::Sender<Job>>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// One lock per plan slot; a leader holds its slot while it plans.
+    slots: Vec<Mutex<()>>,
 }
 
 impl SchedService {
-    /// Start the worker pool.
+    /// A service with an empty cache and `config.workers` plan slots.
     pub fn new(config: ServeConfig) -> Self {
         assert!(config.workers >= 1, "service needs at least one worker");
-        assert!(config.sweep_workers >= 1, "need at least one sweep worker");
-        let shared = Arc::new(Shared {
+        SchedService {
             cache: ScheduleCache::new(config.cache_capacity, config.workers),
             stats: ServeStats::default(),
             inject_remaining: AtomicUsize::new(config.inject_compute_failures),
+            slots: (0..config.workers).map(|_| Mutex::new(())).collect(),
             config,
-        });
-        let mut senders = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..shared.config.workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(Mutex::new(tx));
-            let shared = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("pt-serve-{w}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn service worker"),
-            );
-        }
-        SchedService {
-            shared,
-            senders,
-            workers,
         }
     }
 
@@ -218,43 +185,27 @@ impl SchedService {
     ) -> Result<(Arc<ScheduleReply>, CacheStatus), ServeError> {
         request.validate().map_err(ServeError::InvalidRequest)?;
         let sig = request.signature();
-        let stats = &self.shared.stats;
-        match self.shared.cache.lookup_or_lead(&request, sig) {
+        match self.cache.lookup_or_lead(&request, sig) {
             Outcome::Hit(reply) => {
-                stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Ok((reply, CacheStatus::Hit))
             }
             Outcome::Follow(flight) => {
-                stats.followed.fetch_add(1, Ordering::Relaxed);
+                self.stats.followed.fetch_add(1, Ordering::Relaxed);
                 flight.wait().map(|r| (r, CacheStatus::Followed))
             }
             Outcome::Lead(flight) => {
-                stats.misses.fetch_add(1, Ordering::Relaxed);
-                let worker = (sig.0 % self.senders.len() as u128) as usize;
-                let job = Job {
-                    request,
-                    sig,
-                    flight: flight.clone(),
-                };
-                let sent = self.senders[worker]
-                    .lock()
-                    .expect("sender lock")
-                    .send(job)
-                    .is_ok();
-                if !sent {
-                    // Pool gone (shutdown): unblock this flight's followers.
-                    self.shared
-                        .cache
-                        .publish(sig, &flight, Err(ServeError::ShuttingDown));
-                }
-                flight.wait().map(|r| (r, CacheStatus::Miss))
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                let result = self.lead(&request, sig);
+                self.cache.publish(sig, &flight, result.clone());
+                result.map(|r| (r, CacheStatus::Miss))
             }
         }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        let s = &self.shared.stats;
+        let s = &self.stats;
         StatsSnapshot {
             hits: s.hits.load(Ordering::Relaxed),
             misses: s.misses.load(Ordering::Relaxed),
@@ -262,79 +213,70 @@ impl SchedService {
             computed: s.computed.load(Ordering::Relaxed),
             failed: s.failed.load(Ordering::Relaxed),
             evaluations: s.evaluations.load(Ordering::Relaxed),
-            evictions: self.shared.cache.evictions(),
+            evictions: self.cache.evictions(),
         }
     }
 
     /// Ready schedules currently cached.
     pub fn cached_schedules(&self) -> usize {
-        self.shared.cache.len()
+        self.cache.len()
     }
 
     /// The configuration the service was started with.
     pub fn config(&self) -> &ServeConfig {
-        &self.shared.config
+        &self.config
     }
-}
 
-impl Drop for SchedService {
-    fn drop(&mut self) {
-        self.senders.clear(); // closes the channels; workers drain and exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute(shared, &job.request, job.sig)
-        }))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".into());
-            Err(ServeError::Internal(msg))
-        });
+    /// Plan a leader's request on the calling thread under its slot, and
+    /// count the outcome.  A panic becomes [`ServeError::Internal`].
+    fn lead(
+        &self,
+        request: &ScheduleRequest,
+        sig: Signature,
+    ) -> Result<Arc<ScheduleReply>, ServeError> {
+        let slot = (sig.0 % self.slots.len() as u128) as usize;
+        // A slot guards no data, so a poisoned one is as good as any.
+        let _slot = self.slots[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let injected = self
+            .inject_remaining
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok();
+        let result = if injected {
+            Err(ServeError::Injected)
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan(request, None))).map_err(
+                |panic| {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(ToString::to_string)
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "planning panicked".into());
+                    ServeError::Internal(msg)
+                },
+            )
+        };
         match &result {
-            Ok(reply) => {
-                shared.stats.computed.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
+            Ok(planned) => {
+                self.stats.computed.fetch_add(1, Ordering::Relaxed);
+                self.stats
                     .evaluations
-                    .fetch_add(reply.cost_evaluations as u64, Ordering::Relaxed);
+                    .fetch_add(planned.cost_evaluations as u64, Ordering::Relaxed);
             }
             Err(_) => {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+                self.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shared
-            .cache
-            .publish(job.sig, &job.flight, result.map(Arc::new));
+        result.map(|planned| {
+            Arc::new(ScheduleReply {
+                schedule: planned.schedule,
+                makespan: planned.report.makespan,
+                signature: sig,
+                cost_evaluations: planned.cost_evaluations,
+            })
+        })
     }
-}
-
-/// The cold path: plan one request.
-fn compute(
-    shared: &Shared,
-    request: &ScheduleRequest,
-    sig: Signature,
-) -> Result<ScheduleReply, ServeError> {
-    if shared.inject_remaining.load(Ordering::Relaxed) > 0
-        && shared.inject_remaining.fetch_sub(1, Ordering::Relaxed) > 0
-    {
-        return Err(ServeError::Injected);
-    }
-    let planned = plan(request, Some(shared.config.sweep_workers), None);
-    Ok(ScheduleReply {
-        schedule: planned.schedule,
-        makespan: planned.report.makespan,
-        signature: sig,
-        cost_evaluations: planned.cost_evaluations,
-    })
 }
 
 #[cfg(test)]
@@ -372,10 +314,9 @@ mod tests {
     fn small_service(inject: usize) -> SchedService {
         SchedService::new(ServeConfig {
             workers: 2,
-            sweep_workers: 1,
             cache_capacity: 64,
-            tables_per_worker: 8,
             inject_compute_failures: inject,
+            ..ServeConfig::default()
         })
     }
 
@@ -433,6 +374,61 @@ mod tests {
     }
 
     #[test]
+    fn more_threads_than_slots_plan_distinct_keys_exactly() {
+        // Four threads share one slot, each leading three keys no other
+        // thread asks for; the second round finds them all cached.
+        let svc = SchedService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 64,
+            ..ServeConfig::default()
+        });
+        let (threads, keys) = (4, 3);
+        let barrier = std::sync::Barrier::new(threads);
+        let replies: Vec<Vec<_>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (svc, barrier) = (&svc, &barrier);
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        for _round in 0..2 {
+                            barrier.wait();
+                            for width in (1 + t * keys..).take(keys) {
+                                let (reply, status) =
+                                    svc.schedule(request(width)).expect("request");
+                                got.push((width, reply, status));
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in &replies {
+            let (first, second) = got.split_at(keys);
+            for ((width, reply, status), (_, again, hit)) in first.iter().zip(second) {
+                assert_eq!(*status, CacheStatus::Miss, "width {width}");
+                assert_eq!(*hit, CacheStatus::Hit, "width {width}");
+                assert!(Arc::ptr_eq(reply, again), "width {width}");
+                let fresh = plan(&request(*width), None);
+                assert_eq!(reply.schedule, fresh.schedule, "width {width}");
+                assert_eq!(
+                    reply.makespan.to_bits(),
+                    fresh.report.makespan.to_bits(),
+                    "width {width}"
+                );
+                assert_eq!(reply.cost_evaluations, fresh.cost_evaluations);
+            }
+        }
+        let stats = svc.stats();
+        let distinct = (threads * keys) as u64;
+        assert_eq!(
+            (stats.computed, stats.misses, stats.hits, stats.followed),
+            (distinct, distinct, distinct, 0)
+        );
+    }
+
+    #[test]
     fn leader_error_reaches_followers_but_does_not_poison_the_key() {
         let svc = Arc::new(small_service(1));
         let n = 4;
@@ -465,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_requests_fail_fast_without_touching_workers() {
+    fn invalid_requests_fail_fast_without_planning() {
         let svc = small_service(0);
         let mut bad = request(3);
         bad.total_cores = bad.machine.total_cores() + 16;
@@ -482,10 +478,8 @@ mod tests {
     fn cache_eviction_keeps_the_bound() {
         let svc = SchedService::new(ServeConfig {
             workers: 1,
-            sweep_workers: 1,
             cache_capacity: 4,
-            tables_per_worker: 2,
-            inject_compute_failures: 0,
+            ..ServeConfig::default()
         });
         for width in 1..=12 {
             svc.schedule(request(width)).expect("request");

@@ -66,10 +66,8 @@ mod tests {
     fn service() -> SchedService {
         SchedService::new(ServeConfig {
             workers: 2,
-            sweep_workers: 1,
             cache_capacity: 1024,
-            tables_per_worker: 8,
-            inject_compute_failures: 0,
+            ..ServeConfig::default()
         })
     }
 
@@ -118,7 +116,7 @@ mod tests {
             for kind in WorkloadKind::ALL {
                 let job = JobSpec::new(0, kind.name(), kind.graph(), 0.0);
                 for w in 1..=total {
-                    let scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
+                    let scheduler = LayerScheduler::new(&model);
                     let (cold, prices) = scheduler.schedule_counted(&job.graph, w);
                     cold_prices += prices as u64;
                     let mapping = MappingStrategy::Consecutive.mapping(&machine, w);

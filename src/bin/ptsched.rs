@@ -7,8 +7,7 @@
 //!         [--mapping consecutive|scattered|mixed2|mixed4]
 //!         [--groups G] [--steps S] [--gantt]
 //!         [--slow-nodes N] [--slow-factor F] [--trace PATH]
-//! ptsched serve [--listen ADDR] [--workers N] [--sweep-workers N]
-//!               [--cache-capacity N]
+//! ptsched serve [--listen ADDR] [--workers N] [--cache-capacity N]
 //! ```
 //!
 //! `--steps S` unrolls S time steps, at most `MAX_STEPS` (1000): every
@@ -107,7 +106,7 @@ impl Default for Options {
 const WORKLOADS: &[&str] = &["epol", "irk", "diirk", "pab", "pabm", "sp-mz", "bt-mz"];
 
 /// The most time steps one request may unroll: planning cost grows with
-/// the steps, and a request must not hold a worker for minutes.
+/// the steps, and a request must not hold a plan slot for minutes.
 const MAX_STEPS: usize = 1000;
 
 fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String> {
@@ -157,7 +156,7 @@ fn parse_args(args: &mut dyn Iterator<Item = String>) -> Result<Options, String>
                      [--groups G] [--steps S (1..=1000)] [--gantt] \
                      [--slow-nodes N] [--slow-factor F] [--trace PATH]\n\
                      \x20      ptsched serve [--listen HOST:PORT] [--workers N] \
-                     [--sweep-workers N] [--cache-capacity N]"
+                     [--cache-capacity N]"
                 );
                 std::process::exit(0);
             }
@@ -344,7 +343,7 @@ fn main() {
         let request = Memo::default().request(&o)?;
         let planned = match &o.trace {
             Some(path) => write_trace(&request, path).map_err(|e| format!("--trace {e}"))?,
-            None => plan(&request, None, None),
+            None => plan(&request, None),
         };
         // A reader that closes the pipe early (`| head`) ends the report
         // quietly.
@@ -406,35 +405,20 @@ fn report(
     let model = CostModel::new(spec);
     let sim = Simulator::new(&model);
     writeln!(out, "\nsimulated time per step by mapping:")?;
-    // Each candidate mapping simulates independently; fan the sweep out
-    // one thread per strategy and print in the original (deterministic)
-    // order afterwards.
-    let strategies = MappingStrategy::all_for(spec);
-    let cores = o.cores;
-    let reports: Vec<_> = std::thread::scope(|sc| {
-        let handles: Vec<_> = strategies
-            .iter()
-            .map(|&s| {
-                let sim = &sim;
-                sc.spawn(move || {
-                    let m = s.mapping(spec, cores);
-                    sim.simulate_layered(graph, schedule, &m)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mapping sweep worker panicked"))
-            .collect()
-    });
     let chosen = request.mapping;
-    for (&s, rep) in strategies.iter().zip(&reports) {
-        let marker = if s == chosen { " <-- selected" } else { "" };
+    for s in MappingStrategy::all_for(spec) {
+        // `plan` has simulated the selected mapping already.
+        let (makespan, marker) = if s == chosen {
+            (planned.report.makespan, " <-- selected")
+        } else {
+            let m = s.mapping(spec, o.cores);
+            (sim.simulate_layered(graph, schedule, &m).makespan, "")
+        };
         writeln!(
             out,
             "  {:<12} {:>10.3} ms{}",
             s.name(),
-            rep.makespan / o.steps as f64 * 1e3,
+            makespan / o.steps as f64 * 1e3,
             marker
         )?;
     }
@@ -479,16 +463,13 @@ fn parse_serve_args(args: &mut dyn Iterator<Item = String>) -> Result<ServeOptio
         match a.as_str() {
             "--listen" => o.listen = Some(take("--listen")?),
             "--workers" => o.config.workers = positive("--workers", take("--workers")?)?,
-            "--sweep-workers" => {
-                o.config.sweep_workers = positive("--sweep-workers", take("--sweep-workers")?)?
-            }
             "--cache-capacity" => {
                 o.config.cache_capacity = positive("--cache-capacity", take("--cache-capacity")?)?
             }
             "--help" | "-h" => {
                 println!(
                     "usage: ptsched serve [--listen HOST:PORT] [--workers N] \
-                     [--sweep-workers N] [--cache-capacity N]\n\
+                     [--cache-capacity N]\n\
                      reads one JSON request per line (stdin, or per TCP \
                      connection with --listen) and writes one JSON response \
                      per line"
@@ -549,6 +530,11 @@ impl ServeState {
     }
 }
 
+/// How long the accept loop pauses after a failed accept.  Out of file
+/// descriptors, accept fails at once until some connection closes, so
+/// retrying without a pause would spin a core for that long.
+const ACCEPT_RETRY_PAUSE: std::time::Duration = std::time::Duration::from_millis(50);
+
 fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
     let o = match parse_serve_args(args) {
         Ok(o) => o,
@@ -575,7 +561,10 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
         let _ = std::io::stdout().flush();
     }
     for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            std::thread::sleep(ACCEPT_RETRY_PAUSE);
+            continue;
+        };
         let Ok(peer) = stream.try_clone() else {
             continue;
         };

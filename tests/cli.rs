@@ -21,19 +21,20 @@ fn bad_arguments_exit_2_with_a_message_not_a_panic() {
     // (with_cores, with_fixed_groups, empty step graphs) or already exited
     // 2 via the parser; all must now take the usage path.
     let cases: &[&[&str]] = &[
-        &["--cores", "7"],            // not a whole number of nodes
-        &["--cores", "0"],            // zero cores
-        &["--cores", "1000000"],      // more cores than the machine has
-        &["--cores", "abc"],          // malformed number
-        &["--groups", "0"],           // zero groups
-        &["--steps", "0"],            // empty step graph
-        &["--steps", "100000000"],    // more steps than a request may unroll
-        &["--steps"],                 // missing value
-        &["--workload", "nope"],      // unknown workload
-        &["--platform", "nope"],      // unknown platform
-        &["--mapping", "nope"],       // unknown mapping
-        &["--bogus-flag"],            // unknown option
-        &["serve", "--workers", "0"], // serve: zero workers
+        &["--cores", "7"],                  // not a whole number of nodes
+        &["--cores", "0"],                  // zero cores
+        &["--cores", "1000000"],            // more cores than the machine has
+        &["--cores", "abc"],                // malformed number
+        &["--groups", "0"],                 // zero groups
+        &["--steps", "0"],                  // empty step graph
+        &["--steps", "100000000"],          // more steps than a request may unroll
+        &["--steps"],                       // missing value
+        &["--workload", "nope"],            // unknown workload
+        &["--platform", "nope"],            // unknown platform
+        &["--mapping", "nope"],             // unknown mapping
+        &["--bogus-flag"],                  // unknown option
+        &["serve", "--workers", "0"],       // serve: zero workers
+        &["serve", "--sweep-workers", "2"], // serve: an option that is gone
     ];
     for args in cases {
         let out = run(args);
@@ -122,7 +123,7 @@ fn serve_answers_json_lines_on_stdin() {
     );
 }
 
-/// The response lines of a one-worker `ptsched serve` fed `requests` on
+/// The response lines of a one-slot `ptsched serve` fed `requests` on
 /// stdin; the service must exit 0 at EOF.
 fn serve(requests: &[&str]) -> Vec<String> {
     let requests: Vec<&[u8]> = requests.iter().map(|r| r.as_bytes()).collect();
@@ -263,6 +264,76 @@ fn serve_answers_hostile_lines_over_tcp_with_an_error() {
             "after `{what}`: the next request's reply"
         );
     }
+}
+
+/// User plus system CPU time of process `pid` so far, in clock ticks.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc/<pid>/stat");
+    // Fields 14 and 15 (utime, stime), counted after the parenthesised
+    // command name, which may hold spaces.
+    let rest = &stat[stat.rfind(')').expect("comm field") + 1..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_out_of_file_descriptors_waits_instead_of_spinning() {
+    // Past the descriptor limit, accept fails at once for as long as the
+    // connections stay open; the accept loop used to retry at once and
+    // burn a whole core (2.0 s of CPU in 2 s).
+    let mut server = KillOnDrop(
+        Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -n 24; exec "$0" serve --listen 127.0.0.1:0 --workers 1"#,
+                BIN,
+            ])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ptsched serve under ulimit -n 24"),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stdout.take().expect("stdout pipe"))
+        .read_line(&mut banner)
+        .expect("read listening line");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+    let idle: Vec<_> = (0..20)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let pid = server.0.id();
+    let ticks = cpu_ticks(pid);
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let hz = Command::new("getconf")
+        .arg("CLK_TCK")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok()?.trim().parse::<f64>().ok())
+        .unwrap_or(100.0);
+    let cpu_s = (cpu_ticks(pid) - ticks) as f64 / hz;
+    assert!(
+        cpu_s < 0.2,
+        "the server used {cpu_s} s of CPU in 1 s with 20 idle connections"
+    );
+    drop(idle);
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect after the idle ones");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set a read timeout");
+    writeln!(stream, r#"{{"workload":"epol","cores":16,"steps":1}}"#).expect("write request");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("a reply on a fresh connection");
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
 }
 
 #[test]
@@ -437,6 +508,93 @@ fn one_shot_run_still_works() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("simulated time per step by mapping"));
+}
+
+#[test]
+fn one_shot_report_prints_each_mappings_simulated_time() {
+    use parallel_tasks::core::MappingStrategy;
+    use parallel_tasks::cost::CostModel;
+    use parallel_tasks::machine::platforms;
+    use parallel_tasks::serve::{plan, ScheduleRequest};
+    use parallel_tasks::sim::Simulator;
+    use std::sync::Arc;
+
+    // The selected mapping's line shows the plan's own simulation, and
+    // every other line a simulation of the same schedule under that
+    // mapping.
+    let steps = 2;
+    let bruss = parallel_tasks::ode::Bruss2d::new(250);
+    let cases = [
+        (
+            "epol",
+            parallel_tasks::ode::Epol::new(8).step_graph(&bruss, steps),
+            "chic",
+            platforms::chic().with_cores(16),
+            ("scattered", MappingStrategy::Scattered),
+        ),
+        (
+            "bt-mz",
+            parallel_tasks::nas::bt_mz(parallel_tasks::nas::Class::B).step_graph(steps),
+            "juropa",
+            platforms::juropa().with_cores(256),
+            ("mixed2", MappingStrategy::Mixed(2)),
+        ),
+    ];
+    for (workload, graph, platform, machine, (flag, selected)) in cases {
+        let cores = machine.total_cores();
+        let out = run(&[
+            "--workload",
+            workload,
+            "--platform",
+            platform,
+            "--cores",
+            &cores.to_string(),
+            "--mapping",
+            flag,
+            "--steps",
+            &steps.to_string(),
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed: Vec<&str> = stdout
+            .lines()
+            .skip_while(|l| *l != "simulated time per step by mapping:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+
+        let request = ScheduleRequest::new(Arc::new(graph), Arc::new(machine), selected);
+        let planned = plan(&request, None);
+        let model = CostModel::new(&request.machine);
+        let expected: Vec<String> = MappingStrategy::all_for(&request.machine)
+            .into_iter()
+            .map(|s| {
+                let (makespan, marker) = if s == selected {
+                    (planned.report.makespan, " <-- selected")
+                } else {
+                    let mapping = s.mapping(&request.machine, cores);
+                    let report = Simulator::new(&model).simulate_layered(
+                        &request.graph,
+                        &planned.schedule,
+                        &mapping,
+                    );
+                    (report.makespan, "")
+                };
+                format!(
+                    "  {:<12} {:>10.3} ms{}",
+                    s.name(),
+                    makespan / steps as f64 * 1e3,
+                    marker
+                )
+            })
+            .collect();
+        assert_eq!(printed, expected, "{workload} under {flag}");
+    }
 }
 
 #[test]

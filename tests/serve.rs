@@ -70,17 +70,15 @@ fn arb_graph() -> impl Strategy<Value = TaskGraph> {
 fn service() -> SchedService {
     SchedService::new(ServeConfig {
         workers: 2,
-        sweep_workers: 1,
         cache_capacity: 128,
-        tables_per_worker: 8,
-        inject_compute_failures: 0,
+        ..ServeConfig::default()
     })
 }
 
 /// The service-free reference: schedule and simulate cold.
 fn fresh_compute(req: &ScheduleRequest) -> (LayeredSchedule, f64) {
     let model = CostModel::new(&req.machine);
-    let mut scheduler = LayerScheduler::new(&model).with_sweep_workers(1);
+    let mut scheduler = LayerScheduler::new(&model);
     if let Some(g) = req.policy.fixed_groups {
         scheduler = scheduler.with_fixed_groups(g);
     }

@@ -42,7 +42,6 @@ fn sweep_work(class: Class, p: usize) -> Work {
     let model = CostModel::new(&spec);
     let recorder = Arc::new(TraceRecorder::new(1));
     let (_, evaluations) = LayerScheduler::new(&model)
-        .with_sweep_workers(1)
         .with_recorder(recorder.clone())
         .schedule_counted(&graph, p);
     let mut recorder = Arc::try_unwrap(recorder).expect("the scheduler is dropped");
