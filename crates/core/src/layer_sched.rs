@@ -21,34 +21,32 @@
 //! *run* (there are O(√P) of them): their LPT runs price every task at
 //! widths `b` and `b + 1` only.  With `m = min(t(b), t(b + 1))` per task,
 //! any candidate `g` of the run has a float LPT makespan of at least
-//! `max(max m, Σm · (1 − 4nε) / g)` for a layer of `n` tasks: some group
-//! holds the largest task, the busiest group carries at least the average
-//! load, and the slack covers the rounding of both float sums (the LPT's
-//! per-group sums and `Σm`).  A run bounds its candidates over a prefix
-//! of one fixed task order (decreasing time at the narrowest candidate
-//! width), and refining the prefix only raises the bound.  A min-heap
-//! keyed by `(bound, smallest g)` pops runs, which double their prefix,
-//! and candidates, which run LPT; once a run's prefix is complete its
-//! candidates enter with their own bounds (the `g` that divides `P` uses
-//! `t(b)` alone).  The search stops when the popped key exceeds the
-//! incumbent's `(makespan, g)`, so most runs are dismissed after pricing a
-//! prefix of the layer, and the winner is exactly the plain ascending
-//! sweep's: the smallest makespan, then the smallest `g`.
+//! `max(max m, Σm / g)`, up to the rounding `rounding_slack` covers: some
+//! group holds the largest task, and the busiest group carries at least
+//! the average load.  Before any price, the layer's [`PriceFloor`] bounds
+//! every run from three sums: a task on `q ≥ 2` cores costs at least
+//! `compute/q` plus its leading neighbour exchanges, so the same two terms
+//! over the run's largest `g`, taken at `b + 1` when a candidate has groups
+//! that wide and at `b` otherwise (the exchange only for `b ≥ 2`), bound
+//! the run.  A min-heap keyed by `(bound, smallest g)` starts with every
+//! run at its floor bound.  A popped run prices the layer once at `b` and
+//! `b + 1` and pushes its candidates with their own bounds (the `g` that
+//! divides `P` uses `t(b)` alone); a popped candidate runs LPT.  The search
+//! stops when the popped key exceeds the incumbent's `(makespan, g)`, so
+//! most runs are dismissed unpriced, and the winner is exactly the plain
+//! ascending sweep's: the smallest makespan, then the smallest `g`.
 //!
 //! Every price of the search comes from one compiled form of the layer,
-//! [`SymbolicCosts`] on the machine's fastest cores (speed class 0): the
-//! bound order, the LPT candidates and the final assignment price the
-//! layer at one width each, and the run refinements price chunks of a copy
-//! in the bound order, at `b` and `b + 1` (the `bound_prices`
-//! argument of the `g_sweep` span counts those).  Nothing is memoised: a
-//! compiled price costs 2–4 ns, less than a cold memo cell, and a cold
-//! schedule would miss most cells.  The heterogeneity-aware path prices
-//! each candidate's tasks once per distinct (width, speed class) of its
-//! groups.
+//! [`SymbolicCosts`] on the machine's fastest cores (speed class 0), at one
+//! width at a time; the `g_sweep` span counts the `runs`, the `runs_priced`
+//! and their `bound_prices`.  Nothing is memoised: a compiled price costs
+//! 2–4 ns, less than a cold memo cell, and a cold schedule would miss most
+//! cells.  The heterogeneity-aware path prices each candidate's tasks once
+//! per distinct (width, speed class) of its groups.
 
 use crate::adjust::{adjust_group_sizes, equal_partition};
 use crate::schedule::{LayerSchedule, LayeredSchedule};
-use pt_cost::{CostModel, SymbolicCosts};
+use pt_cost::{CostModel, PriceFloor, SymbolicCosts};
 use pt_mtask::{layer::layers, Chains, MTask, TaskGraph, TaskId};
 use pt_obs::Recorder as _;
 use std::cmp::Reverse;
@@ -78,10 +76,6 @@ impl Ord for TotalF64 {
 /// Group counts at or below this use a linear scan for "subset with the
 /// smallest accumulated time" — for small `g` that beats the heap.
 const LPT_HEAP_THRESHOLD: usize = 16;
-
-/// Tasks a run's first refinement prices; each later one doubles the
-/// run's priced prefix.
-const FIRST_PREFIX: usize = 64;
 
 /// Per-task times at one width, cached so consecutive candidates sharing a
 /// width (`⌊P/g⌋` repeats for many `g`) price the layer once.
@@ -404,16 +398,16 @@ impl<'a> LayerScheduler<'a> {
 
         let t0 = rec.map_or(0.0, pt_obs::Recorder::now_us);
         let layer = SymbolicCosts::new(self.model, tasks.iter().map(|&(_, task)| task));
-        let (best_g, lpt_runs, bound_prices) = match self.fixed_groups {
-            Some(g) => (g.clamp(1, max_g), 0, 0),
+        let won = match self.fixed_groups {
             // A lone candidate wins without a search.
-            None if max_g == 1 => (1, 0, 0),
-            None => {
-                let won = best_first(&layer, total, max_g, scratch);
-                *prices += won.prices;
-                (won.g, won.lpt_runs, won.bound_prices)
-            }
+            None if max_g > 1 => best_first(&layer, total, max_g, scratch),
+            fixed => Sweep {
+                g: fixed.map_or(1, |g| g.clamp(1, max_g)),
+                ..Sweep::default()
+            },
         };
+        *prices += won.prices;
+        let best_g = won.g;
         if let Some(r) = rec {
             r.span_args(
                 SCHED_PID,
@@ -423,8 +417,10 @@ impl<'a> LayerScheduler<'a> {
                 t0,
                 vec![
                     ("candidates", max_g.into()),
-                    ("lpt_runs", lpt_runs.into()),
-                    ("bound_prices", bound_prices.into()),
+                    ("runs", won.runs.into()),
+                    ("runs_priced", won.runs_priced.into()),
+                    ("lpt_runs", won.lpt_runs.into()),
+                    ("bound_prices", won.bound_prices.into()),
                     ("best_g", best_g.into()),
                 ],
             );
@@ -734,13 +730,15 @@ pub(crate) fn het_assign(
 }
 
 /// The winner of a g-sweep — the `g` of the smallest float LPT makespan,
-/// the smallest `g` on ties — and the LPT runs, the task prices of run
-/// refinements and all the task prices the sweep spent finding it.
-#[derive(Debug)]
+/// the smallest `g` on ties — and the runs, priced runs, their prices, LPT
+/// runs and all the task prices the sweep spent finding it.
+#[derive(Debug, Default)]
 struct Sweep {
     g: usize,
-    lpt_runs: usize,
+    runs: usize,
+    runs_priced: usize,
     bound_prices: usize,
+    lpt_runs: usize,
     prices: usize,
 }
 
@@ -749,15 +747,14 @@ fn key_cmp(a: (f64, usize), b: (f64, usize)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// The largest and the float sum of per-task times over a prefix of the
-/// bound order.
+/// The largest and the float sum of per-task times.
 #[derive(Debug, Clone, Copy, Default)]
-struct Partial {
+struct Load {
     largest: f64,
     sum: f64,
 }
 
-impl Partial {
+impl Load {
     fn add(&mut self, t: f64) {
         self.largest = self.largest.max(t);
         self.sum += t;
@@ -771,8 +768,7 @@ impl Partial {
     }
 }
 
-/// Candidates sharing `b = ⌊total/g⌋`, with bounds over the priced prefix
-/// of the bound order.
+/// Candidates sharing `b = ⌊total/g⌋`.
 struct Run<'c> {
     /// The candidates, ascending.
     gs: &'c [usize],
@@ -780,13 +776,6 @@ struct Run<'c> {
     b: usize,
     /// Whether some candidate has groups of width `b + 1`.
     wide: bool,
-    /// Tasks of the bound order priced so far.
-    prefix: usize,
-    /// Over `min(t(b), t(b + 1))` (`t(b)` when not `wide`): bounds every
-    /// candidate.
-    either: Partial,
-    /// Over `t(b)` alone: bounds the candidate that divides `total`.
-    narrow: Partial,
 }
 
 impl<'c> Run<'c> {
@@ -795,42 +784,44 @@ impl<'c> Run<'c> {
             gs,
             b: total / gs[0],
             wide: gs.iter().any(|&g| !total.is_multiple_of(g)),
-            prefix: 0,
-            either: Partial::default(),
-            narrow: Partial::default(),
         }
     }
 
-    /// Price the next chunk of the bound order, compiled as `ordered`,
-    /// doubling the prefix; returns the task prices computed.
-    fn refine(&mut self, ordered: &SymbolicCosts, lo: &mut Vec<f64>, hi: &mut Vec<f64>) -> usize {
-        let chunk = self.prefix..(2 * self.prefix).max(FIRST_PREFIX).min(ordered.len());
-        ordered.price_into(chunk.clone(), self.b, lo);
-        if self.wide {
-            ordered.price_into(chunk.clone(), self.b + 1, hi);
-        }
-        for (i, &t) in lo.iter().enumerate() {
-            self.narrow.add(t);
-            self.either.add(if self.wide { t.min(hi[i]) } else { t });
-        }
-        self.prefix = chunk.end;
-        chunk.len() * if self.wide { 2 } else { 1 }
-    }
-
-    /// The bound of every candidate over the priced prefix.
-    fn bound(&self, slack: f64) -> f64 {
+    /// The bound of every candidate before any price: the layer's price
+    /// floor over the run's widths, its load shared by the largest `g`.
+    fn floor_bound(&self, floor: &PriceFloor, slack: f64) -> f64 {
         let g_max = *self.gs.last().expect("runs are non-empty");
-        self.either.bound(g_max, slack)
+        let (largest, sum) = floor.at(self.b..=self.b + usize::from(self.wide));
+        largest.max(sum / g_max as f64) * slack
     }
 
-    /// The bound of candidate `g` of a complete run.
-    fn candidate_bound(&self, g: usize, total: usize, slack: f64) -> f64 {
-        if total.is_multiple_of(g) {
-            self.narrow
-        } else {
-            self.either
+    /// Price `layer` at `b` and, for a wide run, `b + 1`, and bound each
+    /// candidate over `min(t(b), t(b + 1))`, or over `t(b)` alone for the
+    /// `g` that divides `total`.
+    fn bounds(
+        &self,
+        layer: &SymbolicCosts,
+        total: usize,
+        slack: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + 'c {
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        layer.price_into(0..layer.len(), self.b, &mut lo);
+        if self.wide {
+            layer.price_into(0..layer.len(), self.b + 1, &mut hi);
         }
-        .bound(g, slack)
+        let (mut either, mut narrow) = (Load::default(), Load::default());
+        for (i, &t) in lo.iter().enumerate() {
+            narrow.add(t);
+            either.add(if self.wide { t.min(hi[i]) } else { t });
+        }
+        self.gs.iter().map(move |&g| {
+            let load = if total.is_multiple_of(g) {
+                narrow
+            } else {
+                either
+            };
+            (g, load.bound(g, slack))
+        })
     }
 }
 
@@ -843,11 +834,10 @@ fn best_first(
     scratch: &mut LptScratch,
 ) -> Sweep {
     let before = scratch.prices();
-    let n = layer.len();
-    let slack = rounding_slack(n);
-    let ordered = bound_order(layer, total / max_g, scratch);
+    let floor = layer.floor(total / max_g);
+    let slack = rounding_slack(layer.len(), floor.speed);
     let candidates: Vec<usize> = (1..=max_g).collect();
-    let mut runs: Vec<Run<'_>> = candidates
+    let runs: Vec<Run<'_>> = candidates
         .chunk_by(|a, b| total / a == total / b)
         .map(|gs| Run::new(gs, total))
         .collect();
@@ -857,63 +847,50 @@ fn best_first(
     let mut heap: BinaryHeap<Reverse<(TotalF64, usize, Option<usize>)>> = runs
         .iter()
         .enumerate()
-        .map(|(i, run)| Reverse((TotalF64(0.0), run.gs[0], Some(i))))
+        .map(|(i, run)| Reverse((TotalF64(run.floor_bound(&floor, slack)), run.gs[0], Some(i))))
         .collect();
-    let (mut lo, mut hi) = (Vec::new(), Vec::new());
     let mut best: Option<(f64, usize)> = None;
-    let (mut lpt_runs, mut bound_prices) = (0, 0);
+    let mut sweep = Sweep::default();
     while let Some(Reverse((TotalF64(bound), g, node))) = heap.pop() {
         if best.is_some_and(|b| key_cmp((bound, g), b).is_gt()) {
             break;
         }
         match node {
             Some(i) => {
-                let run = &mut runs[i];
-                bound_prices += run.refine(&ordered, &mut lo, &mut hi);
-                if run.prefix < n {
-                    heap.push(Reverse((TotalF64(run.bound(slack)), g, Some(i))));
-                } else {
-                    for &g in run.gs {
-                        let bound = run.candidate_bound(g, total, slack);
-                        heap.push(Reverse((TotalF64(bound), g, None)));
-                    }
-                }
+                let run = &runs[i];
+                let bounds = run.bounds(layer, total, slack);
+                heap.extend(bounds.map(|(g, bound)| Reverse((TotalF64(bound), g, None))));
+                sweep.runs_priced += 1;
+                sweep.bound_prices += layer.len() * (1 + usize::from(run.wide));
             }
             None => {
                 let t_act = assign_lpt(layer, g, total, scratch, None);
-                lpt_runs += 1;
+                sweep.lpt_runs += 1;
                 if best.is_none_or(|b| key_cmp((t_act, g), b).is_lt()) {
                     best = Some((t_act, g));
                 }
             }
         }
     }
-    let (_, g) = best.expect("the search ends with an incumbent");
-    Sweep {
-        g,
-        lpt_runs,
-        bound_prices,
-        prices: bound_prices + scratch.prices() - before,
-    }
+    sweep.g = best.expect("the search ends with an incumbent").1;
+    sweep.runs = runs.len();
+    sweep.prices = sweep.bound_prices + scratch.prices() - before;
+    sweep
 }
 
-/// The factor `1 − 4nε` that keeps the average-load term of a bound over
-/// `n` tasks below every float LPT makespan it bounds.
-fn rounding_slack(n: usize) -> f64 {
-    1.0 - 4.0 * n as f64 * f64::EPSILON
-}
-
-/// `layer` in the bound order: decreasing time at `width`, index breaking
-/// ties.
-fn bound_order(layer: &SymbolicCosts, width: usize, scratch: &mut LptScratch) -> SymbolicCosts {
-    let times = scratch.lo.fill(layer, width);
-    let mut order: Vec<(TotalF64, u32)> = times
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (TotalF64(t), i as u32))
-        .collect();
-    order.sort_unstable_by(lpt_cmp);
-    layer.select(order.iter().map(|&(_, i)| i as usize))
+/// The factor `1 − (4n + 2m + 4)ε`, `m = max(s, 1)`, that keeps every
+/// bound over `n` tasks below each float LPT makespan it bounds, class 0
+/// running at speed `s`.  With `u = ε/2`: the busiest of `g` groups carries
+/// `1/g` of the load, less `(n − 1)u` for the float group sums, and a
+/// priced `Σm` gains at most `(n + 1)u`.  A floor term's arithmetic adds at
+/// most `(n + 5)u` to `c/(hi·s) + x`, which a price `fl(fl(c/q) + comm)`
+/// undershoots by at most `(3m + 3)u`: `comm ≥ x` on `q ≥ 2` cores and is 0
+/// on one (so `x` counts only for `b ≥ 2`, and never for a cap of one), and
+/// for `s > 1` `price_into` adds a negative `fl(c/q)·fl(1/s − 1)`, so the
+/// nominal price's error, up to `m·u` of the result, grows with `s`.  All
+/// of it stays below `(8n + 4m + 8)u`.
+fn rounding_slack(n: usize, speed: f64) -> f64 {
+    1.0 - (4.0 * n as f64 + 2.0 * speed.max(1.0) + 4.0) * f64::EPSILON
 }
 
 /// The modified greedy assignment (Algorithm 1 line 10): the `total` cores
@@ -1251,8 +1228,9 @@ mod tests {
     /// Best-first on the layer of `knobs` ([`drawn_task`]) at `total`
     /// cores against the plain sweep, on CHiC at nominal speed and
     /// uniformly re-clocked to 0.5, 2 and 8 times it: the same `g` and
-    /// makespan bits, and every bound the search can key on, at every
-    /// prefix, at most the float LPT makespan of each candidate it covers.
+    /// makespan bits, and every bound the search can key on (a run's
+    /// floor bound, and its candidates' bounds once it is priced) at most
+    /// the float LPT makespan of each candidate it covers.
     fn check_search(
         knobs: &[(u32, u32, u32, u32)],
         total: usize,
@@ -1286,34 +1264,44 @@ mod tests {
             g
         );
 
-        let slack = rounding_slack(layer.len());
-        let ordered = bound_order(layer, total / max_g, &mut scratch);
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        let floor = layer.floor(total / max_g);
+        let slack = rounding_slack(layer.len(), floor.speed);
         for gs in all.chunk_by(|a, b| total / a == total / b) {
             let lpt: Vec<f64> = gs
                 .iter()
                 .map(|&g| assign_lpt(layer, g, total, &mut scratch, None))
                 .collect();
-            let floor = lpt.iter().copied().fold(f64::INFINITY, f64::min);
-            let mut run = Run::new(gs, total);
-            while run.prefix < layer.len() {
-                run.refine(&ordered, &mut lo, &mut hi);
-                let bound = run.bound(slack);
-                proptest::prop_assert!(
-                    bound <= floor,
-                    "run {:?} at prefix {}: bound {} > LPT {}",
-                    gs,
-                    run.prefix,
-                    bound,
-                    floor
-                );
-            }
-            for (&g, &mk) in gs.iter().zip(&lpt) {
-                let bound = run.candidate_bound(g, total, slack);
+            let least = lpt.iter().copied().fold(f64::INFINITY, f64::min);
+            let run = Run::new(gs, total);
+            let bound = run.floor_bound(&floor, slack);
+            proptest::prop_assert!(
+                bound <= least,
+                "run {:?} unpriced: bound {} > LPT {}",
+                gs,
+                bound,
+                least
+            );
+            for ((g, bound), &mk) in run.bounds(layer, total, slack).zip(&lpt) {
                 proptest::prop_assert!(bound <= mk, "g = {}: bound {} > LPT {}", g, bound, mk);
             }
         }
         Ok(())
+    }
+
+    #[test]
+    fn floor_slack_grows_with_class_0_speed() {
+        // On cores 32 times faster than nominal, `price_into` subtracts
+        // most of this task's nominal price, and what is left ends further
+        // below the exact floor than the slack at nominal speed covers.
+        let chic = platforms::chic();
+        let spec = chic.with_slow_nodes(chic.nodes, 32.0);
+        let task = MTask::compute("t", 1100386021.75);
+        let layer = SymbolicCosts::new(&CostModel::new(&spec), [&task]);
+        let mut price = Vec::new();
+        layer.price_into(0..1, 660, &mut price);
+        let (largest, _) = layer.floor(660).at(660..=660);
+        assert!(largest * rounding_slack(1, 1.0) > price[0]);
+        assert!(largest * rounding_slack(1, 32.0) <= price[0]);
     }
 
     proptest::proptest! {
@@ -1333,6 +1321,41 @@ mod tests {
             total in 1usize..4097,
         ) {
             check_search(&knobs, total)?;
+        }
+
+        /// The layer's price floor, shrunk by the sweep's slack, against
+        /// `price_into` at `b` alone and at `b` and `b + 1`, on CHiC at
+        /// class-0 speeds 1, 0.5, 2 and 8: the largest term is at most the
+        /// largest of the tasks' least prices over those widths, and the
+        /// sum at most their float sum, whichever task the largest term
+        /// came from.
+        #[test]
+        fn price_floor_bounds_every_compiled_price(
+            knobs in proptest::collection::vec((0u32..24, 0u32..12, 0u32..14, 0u32..48), 1..64),
+            b in (0usize..4, 1usize..4097),
+            narrowest in (0usize..4, 1usize..4097),
+        ) {
+            let pick = |(edge, drawn): (usize, usize)| [1, 2, drawn, drawn][edge];
+            let (b, narrowest) = (pick(b), pick(narrowest));
+            let tasks: Vec<MTask> = knobs.iter().enumerate().map(|(i, &k)| drawn_task(i, k)).collect();
+            let chic = platforms::chic();
+            for factor in [1.0, 0.5, 2.0, 8.0] {
+                let spec = chic.with_slow_nodes(chic.nodes, factor);
+                let layer = SymbolicCosts::new(&CostModel::new(&spec), &tasks);
+                let floor = layer.floor(narrowest);
+                let slack = rounding_slack(tasks.len(), floor.speed);
+                let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+                layer.price_into(0..tasks.len(), b, &mut narrow);
+                layer.price_into(0..tasks.len(), b + 1, &mut wide);
+                let either: Vec<f64> = narrow.iter().zip(&wide).map(|(t, u)| t.min(*u)).collect();
+                for (widths, least) in [(b..=b, &narrow), (b..=b + 1, &either)] {
+                    let (largest, sum) = floor.at(widths.clone());
+                    let most = least.iter().copied().fold(0.0, f64::max);
+                    let total: f64 = least.iter().sum();
+                    proptest::prop_assert!(largest * slack <= most, "{:?} at speed {}: largest {} > {}", widths, factor, largest, most);
+                    proptest::prop_assert!(sum * slack <= total, "{:?} at speed {}: sum {} > {}", widths, factor, sum, total);
+                }
+            }
         }
     }
 

@@ -43,7 +43,7 @@ mod oracle;
 pub use collectives::{pricing_work, CostModel, GroupShapes, PricingWork, SpeedClasses};
 pub use context::CommContext;
 pub use redist::{NodeRuns, Overlap};
-pub use symbolic::{task_time_optimistic, SymbolicCosts};
+pub use symbolic::{task_time_optimistic, PriceFloor, SymbolicCosts};
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 //! loop; [`CostModel::task_time_symbolic`] compiles its one task on the fly
 //! and evaluates the same code, so every caller prices with one formula.
 //! A speed class other than nominal scales only the compute part of that
-//! formula's result.
+//! formula's result, and [`PriceFloor`] bounds a list's prices from below.
 
 use crate::collectives::CostModel;
 use pt_machine::LinkParams;
@@ -153,24 +153,23 @@ impl SymbolicCosts {
         }
     }
 
-    /// The tasks at `order`'s indices, in that order, as a list of their
-    /// own.
-    pub fn select(&self, order: impl IntoIterator<Item = usize>) -> Self {
-        let mut ops = Vec::with_capacity(self.ops.len());
-        let tasks = order
-            .into_iter()
-            .map(|i| {
-                let mut cost = self.tasks[i].clone();
-                let start = ops.len();
-                ops.extend_from_slice(&self.ops[cost.rest.clone()]);
-                cost.rest = start..ops.len();
-                cost
-            })
-            .collect();
-        SymbolicCosts {
-            tasks,
-            ops,
-            ..*self
+    /// The list's [`PriceFloor`] in one pass, its largest pair picked at
+    /// width `width`.
+    pub fn floor(&self, width: usize) -> PriceFloor {
+        let (mut sum, mut largest, mut top) = ((0.0, 0.0), (0.0, 0.0), f64::NEG_INFINITY);
+        for cost in &self.tasks {
+            // A task capped at one core pays no exchange.
+            let (c, x) = (cost.compute, if cost.cap >= 2 { cost.fixed } else { 0.0 });
+            sum = (sum.0 + c, sum.1 + x);
+            let t = c / width as f64 + if width >= 2 { x } else { 0.0 };
+            if t > top {
+                (top, largest) = (t, (c, x));
+            }
+        }
+        PriceFloor {
+            sum,
+            largest,
+            speed: self.speed,
         }
     }
 
@@ -200,14 +199,39 @@ impl SymbolicCosts {
                 cost.at(&mut shared, rest)
             }
         }));
-        // Scaled in a pass of its own: the loop above prices the g-sweep's
-        // bounds, hundreds of thousands of prices per schedule, and stays
-        // free of the speed test.
+        // Scaled in a pass of its own: the loop above is the g-sweep's hot
+        // loop and stays free of the speed test.
         if self.speed != 1.0 {
             for (t, cost) in out.iter_mut().zip(&self.tasks[range]) {
                 *t = at_speed(*t, cost.compute / q.min(cost.cap) as f64, self.speed);
             }
         }
+    }
+}
+
+/// A floor under a compiled list's prices ([`SymbolicCosts::floor`]): in
+/// exact arithmetic, a task of compute `c` and leading exchanges `x` costs
+/// at least `c/(hi·speed)` at a width in `lo..=hi`, plus `x` when `lo ≥ 2`
+/// and its cap allows two cores; float prices miss that by rounding only.
+#[derive(Debug, Clone, Copy)]
+pub struct PriceFloor {
+    /// Σ `c`, and Σ `x` over the tasks whose cap allows two cores.
+    pub sum: (f64, f64),
+    /// The (`c`, `x`) of the task whose floor is largest at the width the
+    /// floor was taken for.
+    pub largest: (f64, f64),
+    /// Class 0's speed.
+    pub speed: f64,
+}
+
+impl PriceFloor {
+    /// The floors of the largest price and of the sum of the prices, each
+    /// task priced at some width in `widths`.
+    pub fn at(&self, widths: std::ops::RangeInclusive<usize>) -> (f64, f64) {
+        let (lo, hi) = widths.into_inner();
+        let term =
+            |(c, x): (f64, f64)| c / (hi as f64 * self.speed) + if lo >= 2 { x } else { 0.0 };
+        (term(self.largest), term(self.sum))
     }
 }
 
@@ -424,12 +448,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Compiled costs against the oracle's per-operation expression,
-        /// bit for bit: each task alone, whole and partial slices and a
-        /// reversed selection at the drawn width and the next one; and, on
-        /// a machine with a slow tier and on a uniformly re-clocked one
-        /// (one class at 0.5, 2 or 8 times nominal speed), every class
-        /// through `task_time_symbolic_class`, which the compiled form
-        /// matches in class 0.
+        /// bit for bit: each task alone, and whole and partial slices, at
+        /// the drawn width and the next one; and, on a machine with a slow
+        /// tier and on a uniformly re-clocked one (one class at 0.5, 2 or 8
+        /// times nominal speed), every class through
+        /// `task_time_symbolic_class`, which the compiled form matches in
+        /// class 0.
         #[test]
         fn compiled_costs_price_like_the_oracle(
             machine in 0usize..3,
@@ -472,9 +496,6 @@ mod tests {
                 costs.price_into(lo..hi, q, &mut out);
                 let part: Vec<u64> = out.iter().map(|t| t.to_bits()).collect();
                 prop_assert_eq!(&part[..], &want[lo..hi], "q = {}, {}..{}", q, lo, hi);
-                costs.select((lo..hi).rev()).price_into(0..hi - lo, q, &mut out);
-                let picked: Vec<u64> = out.iter().rev().map(|t| t.to_bits()).collect();
-                prop_assert_eq!(&picked[..], &want[lo..hi], "select q = {}, {}..{}", q, lo, hi);
             }
 
             let factor = [0.5, 2.0, 8.0][factor];
@@ -499,6 +520,35 @@ mod tests {
                 prop_assert_eq!(&got, &want, "{} classes, q = {}: {:?}", classes, q, tasks);
             }
         }
+    }
+
+    #[test]
+    fn price_floor_is_tight_without_later_operations() {
+        // Uncapped tasks whose only operations are leading neighbour
+        // exchanges cost their floor, up to rounding; one core pays no
+        // exchange, and a task capped at one core never does.
+        let spec = platforms::juropa().with_nodes(8);
+        let m = CostModel::new(&spec);
+        let exchange = CommOp::new(CollectiveKind::NeighborExchange, 1e5, 2.0);
+        let tasks = [
+            MTask::compute("a", 3e9),
+            MTask::with_comm("b", 1e9, vec![exchange.clone(), exchange.clone()]),
+            MTask::with_comm("c", 2e9, vec![exchange.clone()]),
+        ];
+        let costs = SymbolicCosts::new(&m, &tasks);
+        let mut out = Vec::new();
+        for b in [1usize, 2, 16, 1000] {
+            costs.price_into(0..tasks.len(), b, &mut out);
+            let (largest, sum) = costs.floor(b).at(b..=b);
+            assert!(
+                (sum / out.iter().sum::<f64>() - 1.0).abs() < 1e-12,
+                "b = {b}"
+            );
+            assert!((largest / out.iter().copied().fold(0.0, f64::max) - 1.0).abs() < 1e-12);
+        }
+        let capped = SymbolicCosts::new(&m, [&tasks[1].clone().max_cores(1)]);
+        let alone = SymbolicCosts::new(&m, [&MTask::compute("b", 1e9)]);
+        assert_eq!(capped.floor(4).at(4..=4), alone.floor(4).at(4..=4));
     }
 
     #[test]

@@ -565,12 +565,10 @@ fn serve_main(args: &mut dyn Iterator<Item = String>) -> i32 {
             std::thread::sleep(ACCEPT_RETRY_PAUSE);
             continue;
         };
-        let Ok(peer) = stream.try_clone() else {
-            continue;
-        };
         let state = state.clone();
+        // One descriptor per connection: a clone can fail and drop it unanswered.
         std::thread::spawn(move || {
-            serve_lines(&state, BufReader::new(stream), BufWriter::new(peer));
+            serve_lines(&state, BufReader::new(&stream), BufWriter::new(&stream));
         });
     }
     0

@@ -215,23 +215,17 @@ impl Drop for KillOnDrop {
     }
 }
 
-#[test]
-fn serve_answers_hostile_lines_over_tcp_with_an_error() {
-    // One request per hostile line: the server's cache outlives a
-    // connection, and each request must be the first of its kind there as
-    // on a fresh server.
-    let requests = [
-        r#"{"workload":"epol","cores":16,"steps":1}"#,
-        r#"{"workload":"irk","cores":16,"steps":1}"#,
-    ];
+/// Start `ptsched serve` on a free local port through `command`, a shell
+/// line that runs `"$0" serve ...`, and return it with its address.
+fn listening_server(command: &str) -> (KillOnDrop, String) {
     let mut server = KillOnDrop(
-        Command::new(BIN)
-            .args(["serve", "--workers", "1", "--listen", "127.0.0.1:0"])
+        Command::new("sh")
+            .args(["-c", command, BIN])
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
-            .expect("spawn ptsched serve --listen"),
+            .unwrap_or_else(|e| panic!("spawn `{command}`: {e}")),
     );
     let mut banner = String::new();
     BufReader::new(server.0.stdout.take().expect("stdout pipe"))
@@ -242,6 +236,19 @@ fn serve_answers_hostile_lines_over_tcp_with_an_error() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_string();
+    (server, addr)
+}
+
+#[test]
+fn serve_answers_hostile_lines_over_tcp_with_an_error() {
+    // One request per hostile line: the server's cache outlives a
+    // connection, and each request must be the first of its kind there as
+    // on a fresh server.
+    let requests = [
+        r#"{"workload":"epol","cores":16,"steps":1}"#,
+        r#"{"workload":"irk","cores":16,"steps":1}"#,
+    ];
+    let (_server, addr) = listening_server(r#"exec "$0" serve --workers 1 --listen 127.0.0.1:0"#);
     for ((what, bad), request) in hostile_lines().into_iter().zip(requests) {
         let fresh = serve(&[request]);
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
@@ -277,34 +284,29 @@ fn cpu_ticks(pid: u32) -> u64 {
     fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
 }
 
+/// Send one request on a fresh connection to `addr` and check its reply.
+#[cfg(target_os = "linux")]
+fn assert_a_fresh_connection_is_served(addr: &str) {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect after the idle ones");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set a read timeout");
+    writeln!(stream, r#"{{"workload":"epol","cores":16,"steps":1}}"#).expect("write request");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("a reply on a fresh connection");
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn serve_out_of_file_descriptors_waits_instead_of_spinning() {
     // Past the descriptor limit, accept fails at once for as long as the
     // connections stay open; the accept loop used to retry at once and
     // burn a whole core (2.0 s of CPU in 2 s).
-    let mut server = KillOnDrop(
-        Command::new("sh")
-            .args([
-                "-c",
-                r#"ulimit -n 24; exec "$0" serve --listen 127.0.0.1:0 --workers 1"#,
-                BIN,
-            ])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn ptsched serve under ulimit -n 24"),
-    );
-    let mut banner = String::new();
-    BufReader::new(server.0.stdout.take().expect("stdout pipe"))
-        .read_line(&mut banner)
-        .expect("read listening line");
-    let addr = banner
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-        .to_string();
+    let (server, addr) =
+        listening_server(r#"ulimit -n 24; exec "$0" serve --listen 127.0.0.1:0 --workers 1"#);
     let idle: Vec<_> = (0..20)
         .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
         .collect();
@@ -324,16 +326,34 @@ fn serve_out_of_file_descriptors_waits_instead_of_spinning() {
         "the server used {cpu_s} s of CPU in 1 s with 20 idle connections"
     );
     drop(idle);
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect after the idle ones");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .expect("set a read timeout");
-    writeln!(stream, r#"{{"workload":"epol","cores":16,"steps":1}}"#).expect("write request");
-    let mut reply = String::new();
-    BufReader::new(stream)
-        .read_line(&mut reply)
-        .expect("a reply on a fresh connection");
-    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    assert_a_fresh_connection_is_served(&addr);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_out_of_file_descriptors_keeps_every_accepted_connection() {
+    // With 23 descriptors the server can accept most of the 20 connections
+    // but not also clone each for its writer; it used to close a connection
+    // whose clone failed without a reply (11 of these 20 read EOF).
+    let (_server, addr) =
+        listening_server(r#"ulimit -n 23; exec "$0" serve --listen 127.0.0.1:0 --workers 1"#);
+    let idle: Vec<_> = (0..20)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let closed = idle
+        .iter()
+        .filter(|&stream| {
+            stream.set_nonblocking(true).expect("set non-blocking");
+            match std::io::Read::read(&mut { stream }, &mut [0u8; 1]) {
+                Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+                Ok(_) => true,
+            }
+        })
+        .count();
+    assert_eq!(closed, 0, "idle connections the server closed within 1 s");
+    drop(idle);
+    assert_a_fresh_connection_is_served(&addr);
 }
 
 #[test]
